@@ -50,7 +50,7 @@ from .io import (
     save_truth,
     _dump_json,
 )
-from .model import hard_score, validate_cohort
+from .model import validate_cohort
 from .design import hard_scores, soft_scores
 from .optimizer import KINDS, OptimizerConfig, fit as fit_params
 from .presets import PRESETS, preset
@@ -85,7 +85,7 @@ class _Manifest:
 
     def __init__(self, command: str):
         self.command = command
-        self.argv = sys.argv[1:]
+        self.argv = click.get_current_context().meta[_ARGV_KEY]
         self.started = time.perf_counter()
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
@@ -185,7 +185,19 @@ def _band_predicate(definition, spec: str):
     return (lambda record: band.contains(record.age_months)), f"age:{label}"
 
 
-@click.group()
+_ARGV_KEY = "softscore.argv"
+
+
+class _Group(click.Group):
+    """Keeps the argument list click parses, so that a manifest records the
+    command's own arguments also when it is invoked in-process."""
+
+    def parse_args(self, ctx, args):
+        ctx.meta[_ARGV_KEY] = list(args)
+        return super().parse_args(ctx, args)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="softscore")
 def main():
     """Soft-threshold additive risk scores: simulate, fit, evaluate."""

@@ -4,7 +4,8 @@ Conventions: a record is predicted positive when its score is >= the cutoff.
 ROC points are built from every distinct score (ties grouped into a single
 cutoff) plus a sentinel cutoff of +inf where nothing is predicted positive.
 AUC is the trapezoidal area of that curve, which equals the Mann-Whitney
-pair-count with half credit for ties.
+pair-count with half credit for ties.  A report reads AUC, Youden's J and the
+precision-recall balance from one ROC pass.
 """
 from __future__ import annotations
 
@@ -147,7 +148,20 @@ def roc_and_auc(scores, labels) -> tuple[tuple[RocPoint, ...], float]:
 def youden(scores, labels) -> tuple[float, float]:
     """Max of sensitivity + specificity - 1, with the smallest cutoff
     achieving it."""
-    points, _ = roc_and_auc(scores, labels)
+    return _youden_of(roc_and_auc(scores, labels)[0])
+
+
+def prec_rec_balance(scores, labels) -> tuple[float, float]:
+    """Max over cutoffs of min(precision, recall), smallest cutoff on ties.
+
+    Cutoffs predicting nothing positive have undefined precision and are
+    skipped.
+    """
+    return _prec_rec_of(roc_and_auc(scores, labels)[0])
+
+
+def _youden_of(points) -> tuple[float, float]:
+    """Youden's J and its cutoff from ROC points in descending-cutoff order."""
     best_j = -math.inf
     best_cutoff = math.inf
     for p in points:
@@ -158,13 +172,8 @@ def youden(scores, labels) -> tuple[float, float]:
     return best_j, best_cutoff
 
 
-def prec_rec_balance(scores, labels) -> tuple[float, float]:
-    """Max over cutoffs of min(precision, recall), smallest cutoff on ties.
-
-    Cutoffs predicting nothing positive have undefined precision and are
-    skipped.
-    """
-    points, _ = roc_and_auc(scores, labels)
+def _prec_rec_of(points) -> tuple[float, float]:
+    """Precision-recall balance and its cutoff from ROC points."""
     best = -math.inf
     best_cutoff = math.inf
     for p in points:
@@ -201,7 +210,11 @@ def platt_scale(scores, labels) -> tuple[float, float]:
 
     Damped Newton iteration; the normal equations are solved by least squares
     so constant-score (rank-deficient) inputs converge to the prevalence fit.
-    Raises NumericError if 100 iterations do not reach tolerance 1e-8.
+    Stops when the objective changes by at most 1e-8 and the gradient is at
+    most 1e-6.  An iteration that leaves the coefficients unchanged would only
+    repeat itself: it returns them if the Newton decrement is within float
+    resolution of the objective, and raises NumericError otherwise.  Also
+    raises NumericError if 100 iterations do not converge.
     """
     s, y = _check_scores_labels(scores, labels)
     c = (y + 1) / 2.0
@@ -232,10 +245,14 @@ def platt_scale(scores, labels) -> tuple[float, float]:
         while f_new > f and damp > 1e-12:
             damp *= 0.5
             f_new = nll_of(theta - damp * step)
-        theta = theta - damp * step
+        theta_new = theta - damp * step
         if abs(f - f_new) <= PLATT_TOL and float(np.max(np.abs(g))) <= 1e-6:
-            return float(theta[0]), float(theta[1])
-        f = f_new
+            return float(theta_new[0]), float(theta_new[1])
+        if np.array_equal(theta_new, theta):
+            if float(g @ step) <= np.finfo(float).eps * abs(f):
+                return float(theta[0]), float(theta[1])
+            raise NumericError("Platt scaling stalled: no step changes the coefficients")
+        theta, f = theta_new, f_new
     raise NumericError("Platt scaling did not converge within 100 iterations")
 
 
@@ -269,8 +286,8 @@ def evaluate_scores(
             platt = platt_scale(s, y)
         probabilities = platt_probabilities(s, *platt)
     points, auc = roc_and_auc(s, y)
-    j, j_cut = youden(s, y)
-    pr, pr_cut = prec_rec_balance(s, y)
+    j, j_cut = _youden_of(points)
+    pr, pr_cut = _prec_rec_of(points)
     return EvaluationReport(
         n=int(s.size),
         n_positive=int(np.sum(y == 1)),
@@ -425,9 +442,9 @@ def cross_validate(
         if single_class:
             auc = j = j_cut = pr = pr_cut = None
         else:
-            _, auc = roc_and_auc(s_test, y_test)
-            j, j_cut = youden(s_test, y_test)
-            pr, pr_cut = prec_rec_balance(s_test, y_test)
+            points, auc = roc_and_auc(s_test, y_test)
+            j, j_cut = _youden_of(points)
+            pr, pr_cut = _prec_rec_of(points)
         fold_rows.append(
             FoldMetrics(
                 fold=f,

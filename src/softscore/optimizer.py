@@ -1,13 +1,16 @@
 """Penalized likelihood objective and projected block coordinate descent.
 
 Slopes, thresholds, and weights are updated block by block, one raw variable
-at a time, each step taking a backtracking (Armijo) line search along the
-negative block gradient followed by a projection back onto the feasible set:
-slopes stay non-negative, thresholds keep the step order of the definition
-within every age band.  Weights are optimized in the log domain, where the
-lognormal prior adds log-weight and squared-deviation terms to the objective;
-those prior terms are part of the objective only while weights are being
-optimized (they are constant otherwise).
+at a time.  Every kind takes the same block step: a backtracking (Armijo)
+line search along the negative block gradient, started from the objective
+value the fit already holds, then a projection back onto the feasible set,
+then acceptance only if the objective decreased (otherwise a stall is
+counted).  Slopes are projected to be non-negative, thresholds (by pool
+adjacent violators) to keep the step order of the definition within every
+age band; log-weights are unconstrained.  Weights are optimized in the log
+domain, where the lognormal prior adds log-weight and squared-deviation
+terms to the objective; those prior terms are part of the objective only
+while weights are being optimized (they are constant otherwise).
 """
 from __future__ import annotations
 
@@ -203,6 +206,7 @@ def project_thresholds(t: np.ndarray, definition: ScoreDefinition) -> np.ndarray
 def backtracking_step(
     objective: Callable[[np.ndarray], float],
     x: np.ndarray,
+    f0: float,
     direction: np.ndarray,
     alpha: float,
     beta: float,
@@ -210,14 +214,15 @@ def backtracking_step(
 ) -> float:
     """Largest h in {1, beta, beta^2, ...} with sufficient decrease.
 
-    Accepts h when objective(x + h d) <= objective(x) - alpha h ||d||^2 and
-    returns 0.0 once ``max_halvings`` reductions were tried without success.
+    ``f0`` is objective(x), which the caller already holds; ``objective`` is
+    only evaluated at trial points.  Accepts h when
+    objective(x + h d) <= f0 - alpha h ||d||^2 and returns 0.0 once
+    ``max_halvings`` reductions were tried without success.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
     if x.shape != d.shape:
         raise ContractViolation("direction must match the point's shape")
-    f0 = objective(x)
     d2 = float(np.dot(d, d))
     h = 1.0
     for _ in range(max_halvings + 1):
@@ -416,6 +421,8 @@ def fit(
         logger.warning(msg)
 
     blocks = _build_blocks(d)
+    all_t = np.arange(d.n_thresholds)
+    raw = {"a": a, "t": t, "w": v}  # each kind's raw variables, updated in place
     prior_cache = eng.prior(v) if include_prior else 0.0
     s_full = design.scores(a, t, w_cur)
     f_cur = design.nll_of_scores(s_full) + prior_cache
@@ -432,113 +439,72 @@ def fit(
         for kind in config.order:
             beta = config.beta_for(kind)
             for label, cols in blocks[kind]:
-                w_now = w_cur
-                if kind == "a":
-                    g = eng.grad_a_cols(s_full, a, t, w_now, cols)
+                # Per kind: the block's indices into raw[kind], the block
+                # gradient, the projection, and evaluate(x) -> (scores,
+                # objective) with the block set to x and the rest held fixed.
+                if kind == "w":
+                    idx = cols[~frozen_w[cols]]
+                    if idx.size == 0:
+                        continue
+                    zsub = eng.z_columns(a, t, idx)
+                    g = eng.grad_v_cols(s_full, v, w_cur, zsub, idx)
                     if not g.any():
                         continue
-                    dvec = -g
-                    coefs = w_now[design.step_wcol[cols]]
-                    zcur = design.step_z(a, t, cols)
-                    s_base = s_full - zcur @ coefs
+                    s_base = s_full - zsub @ w_cur[idx]
 
-                    def f_of(block_vals):
-                        a_try = a.copy()
-                        a_try[cols] = block_vals
-                        z = design.step_z(a_try, t, cols)
-                        return design.nll_of_scores(s_base + z @ coefs) + prior_cache
+                    def project(x):
+                        return x
 
-                    h = backtracking_step(f_of, a[cols], dvec, config.alpha, beta)
-                    if h == 0.0:
-                        stalls += 1
-                        continue
-                    cand = project_slopes(a[cols] + h * dvec)
-                    a_new = a.copy()
-                    a_new[cols] = cand
-                    z_new = design.step_z(a_new, t, cols)
-                    s_new = s_base + z_new @ coefs
-                    f_new = design.nll_of_scores(s_new) + prior_cache
-                    if f_new < f_cur:
-                        a = a_new
-                        steps.append(
-                            TraceStep(outer, "a", label, f_cur, f_new, h)
-                        )
-                        s_full, f_cur = s_new, f_new
-                    else:
-                        stalls += 1
-
-                elif kind == "t":
-                    g_full = eng.grad_t_restricted(s_full, a, t, w_cur, cols)
-                    if not g_full.any():
-                        continue
-                    dvec = -g_full
-                    coefs = w_cur[design.step_wcol[cols]]
-                    zcur = design.step_z(a, t, cols)
-                    s_base = s_full - zcur @ coefs
-
-                    def f_of_t(t_vals):
-                        z = design.step_z(a, t_vals, cols)
-                        return design.nll_of_scores(s_base + z @ coefs) + prior_cache
-
-                    h = backtracking_step(
-                        f_of_t, t, dvec, config.alpha, beta
-                    )
-                    if h == 0.0:
-                        stalls += 1
-                        continue
-                    t_new = project_thresholds(t + h * dvec, d)
-                    z_new = design.step_z(a, t_new, cols)
-                    s_new = s_base + z_new @ coefs
-                    f_new = design.nll_of_scores(s_new) + prior_cache
-                    if f_new < f_cur:
-                        t = t_new
-                        steps.append(
-                            TraceStep(outer, "t", label, f_cur, f_new, h)
-                        )
-                        s_full, f_cur = s_new, f_new
-                    else:
-                        stalls += 1
-
-                else:  # kind == "w"
-                    fcols = cols
-                    active = fcols[~frozen_w[fcols]]
-                    if active.size == 0:
-                        continue
-                    zsub = eng.z_columns(a, t, active)
-                    g = eng.grad_v_cols(s_full, v, w_cur, zsub, active)
-                    if not g.any():
-                        continue
-                    dvec = -g
-                    s_base = s_full - zsub @ w_cur[active]
-
-                    def f_of_v(block_vals):
+                    def evaluate(x):
                         v_try = v.copy()
-                        v_try[active] = block_vals
-                        s = s_base + zsub @ np.exp(block_vals)
-                        return design.nll_of_scores(s) + eng.prior(v_try)
+                        v_try[idx] = x
+                        s = s_base + zsub @ np.exp(x)
+                        return s, design.nll_of_scores(s) + eng.prior(v_try)
 
-                    h = backtracking_step(
-                        f_of_v, v[active], dvec, config.alpha, beta
-                    )
-                    if h == 0.0:
-                        stalls += 1
-                        continue
-                    cand = v[active] + h * dvec
-                    v_new = v.copy()
-                    v_new[active] = cand
-                    s_new = s_base + zsub @ np.exp(cand)
-                    f_new = design.nll_of_scores(s_new) + eng.prior(v_new)
-                    if f_new < f_cur:
-                        v = v_new
-                        w_cur = w_cur.copy()
-                        w_cur[active] = np.exp(cand)
-                        prior_cache = eng.prior(v)
-                        steps.append(
-                            TraceStep(outer, "w", label, f_cur, f_new, h)
-                        )
-                        s_full, f_cur = s_new, f_new
+                else:
+                    if kind == "a":
+                        idx = cols
+                        g = eng.grad_a_cols(s_full, a, t, w_cur, cols)
+                        project = project_slopes
                     else:
-                        stalls += 1
+                        idx = all_t
+                        g = eng.grad_t_restricted(s_full, a, t, w_cur, cols)
+
+                        def project(x):
+                            return project_thresholds(x, d)
+
+                    if not g.any():
+                        continue
+                    coefs = w_cur[design.step_wcol[cols]]
+                    s_base = s_full - design.step_z(a, t, cols) @ coefs
+
+                    def evaluate(x):
+                        if kind == "a":
+                            a_try, t_try = a.copy(), t
+                            a_try[cols] = x
+                        else:
+                            a_try, t_try = a, x
+                        s = s_base + design.step_z(a_try, t_try, cols) @ coefs
+                        return s, design.nll_of_scores(s) + prior_cache
+
+                x0, dvec = raw[kind][idx], -g
+                h = backtracking_step(
+                    lambda x: evaluate(x)[1], x0, f_cur, dvec, config.alpha, beta
+                )
+                if h == 0.0:
+                    stalls += 1
+                    continue
+                x_new = project(x0 + h * dvec)
+                s_new, f_new = evaluate(x_new)
+                if not f_new < f_cur:
+                    stalls += 1
+                    continue
+                raw[kind][idx] = x_new
+                if kind == "w":
+                    w_cur[idx] = np.exp(x_new)
+                    prior_cache = eng.prior(v)
+                steps.append(TraceStep(outer, kind, label, f_cur, f_new, h))
+                s_full, f_cur = s_new, f_new
 
         rel = (f_start - f_cur) / max(abs(f_start), 1e-300)
         if rel < config.rel_tol:

@@ -98,6 +98,13 @@ class TestPresets:
         assert manifest["outputs"][str(generator)] == sha256(generator)
         assert load_score_definition(definition).name == "demo"
 
+    def test_in_process_manifest_records_its_own_arguments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["host-program", "--host-flag"])
+        args = ["presets", "--name", "demo", "--out-dir", str(tmp_path)]
+        main.main(args=args, standalone_mode=False)
+        manifest = read_json(tmp_path / "demo.definition.json.manifest.json")
+        assert manifest["argv"] == args
+
     def test_every_preset_round_trips(self, tmp_path):
         for name in ("demo", "pediatric_icu", "adult_icu"):
             run_ok(["presets", "--name", name, "--out-dir", tmp_path])

@@ -226,6 +226,21 @@ class TestPlattScaling:
         assert b == pytest.approx(0.0, abs=0.1)
 
 
+    def test_stalled_newton_step_returns_at_float_resolution(self):
+        # After ten Newton steps no damped step changes the coefficients in
+        # float64, while the largest gradient entry (1.6e-6) is still above
+        # the 1e-6 stop rule.  This input used to raise after 100 iterations.
+        rng = np.random.default_rng(39)
+        s = rng.normal(-3, 1.5, 3711)
+        y = np.where(rng.random(3711) < sigmoid(s), 1, -1)
+        a, b = platt_scale(s, y)
+        assert a == pytest.approx(-1.0, abs=0.1)
+        assert b == pytest.approx(0.0, abs=0.15)
+        resid = (y + 1) / 2.0 - platt_probabilities(s, a, b)
+        assert abs(float(resid @ s)) < 1e-5
+        assert abs(float(np.sum(resid))) < 1e-5
+
+
 class TestEvaluateScores:
     def test_report_is_internally_consistent(self):
         rng = np.random.default_rng(167)

@@ -1,4 +1,5 @@
 """Objective oracles, gradient checks, projections, line search, and the fit loop."""
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from softscore.optimizer import (
     project_slopes,
     project_thresholds,
 )
+from softscore.presets import preset, preset_cohort
 
 LOG1PEXP_MINUS5 = 0.006715348489118068  # log(1 + e^-5)
 LOG1PEXP_PLUS5 = 5.006715348489118  # log(1 + e^5)
@@ -415,18 +417,18 @@ class TestBacktracking:
     def test_quadratic_oracle(self):
         # f(x) = x^2 at x = 1 along d = -2: h = 1 fails the Armijo test
         # (f = 1 > 1 - 0.2*4), h = 0.5 lands at the minimum (0 <= 1 - 0.4).
-        h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]),
+        h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]), 1.0,
                               np.array([-2.0]), alpha=0.2, beta=0.5)
         assert h == 0.5
 
     def test_returns_zero_when_no_step_decreases(self):
-        h = backtracking_step(lambda x: float(x[0]), np.array([0.0]),
+        h = backtracking_step(lambda x: float(x[0]), np.array([0.0]), 0.0,
                               np.array([1.0]), alpha=0.2, beta=0.5)
         assert h == 0.0
 
     def test_unit_step_accepted_when_sufficient(self):
         # f(x) = x^2 at x = 1 along d = -1: f(0) = 0 <= 1 - 0.2 * 1.
-        h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]),
+        h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]), 1.0,
                               np.array([-1.0]), alpha=0.2, beta=0.5)
         assert h == 1.0
 
@@ -441,13 +443,27 @@ class TestBacktracking:
                 return float(np.sum(q * x * x))
 
             g = 2 * q * x0
-            h = backtracking_step(f, x0, -g, alpha=0.2, beta=0.5)
+            h = backtracking_step(f, x0, f(x0), -g, alpha=0.2, beta=0.5)
             if h > 0:
                 assert f(x0 - h * g) <= f(x0) - 0.2 * h * float(g @ g) + 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            backtracking_step(lambda x: 0.0, np.zeros(2), np.zeros(3), 0.2, 0.5)
+            backtracking_step(lambda x: 0.0, np.zeros(2), 0.0, np.zeros(3), 0.2, 0.5)
+
+    def test_objective_is_never_evaluated_at_the_start_point(self):
+        # The caller passes f(x); every evaluation is at a trial point.
+        x0 = np.array([1.0, -2.0])
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return float(x @ x)
+
+        h = backtracking_step(f, x0, 5.0, np.array([-2.0, 4.0]), alpha=0.2, beta=0.5)
+        assert h == 0.5
+        assert len(seen) == 2
+        assert not any(np.array_equal(x, x0) for x in seen)
 
 
 def signal_cohort(rng, d, p, n=60):
@@ -582,6 +598,50 @@ class TestFit:
         params, trace = fit(cohort, d, OptimizerConfig(optimize_over=("w",)))
         assert trace.converged_reason == "relative decrease below tolerance"
         assert trace.outer_iterations < 500
+
+
+class TestFitPinned:
+    """Fits pinned bit for bit: final objective, accepted steps, stalls, and
+    the (kind, block) order of the trace.
+
+    Both cases optimize all three kinds in a non-default order with a gentler
+    threshold halving factor, on ``pediatric_icu`` cohorts whose pupils
+    feature is never observed (so its weight stays frozen).  On the preset's
+    outcomes the isotonic projection moves thresholds across age bands; with
+    the outcomes reversed, slopes are projected back to zero and searches
+    stall.
+    """
+
+    @pytest.mark.parametrize(
+        "n, seed, reverse, final_hex, accepted, stalls, sequence_sha256",
+        [
+            (217, 3, False, "0x1.218ad53f8ea81p+7", 720, 0,
+             "030b5f69ea25d81610297f31a8034d5ec611fff93fd400954ba9a1d92d1830f1"),
+            (150, 2, True, "0x1.c44f09ad8c209p+5", 331, 193,
+             "4fa70ed0748d6f3607526e33678c44fd710b8e31abec90a24df58b89ea043eb9"),
+        ],
+    )
+    def test_trace_matches_recorded_fit(self, n, seed, reverse, final_hex,
+                                        accepted, stalls, sequence_sha256):
+        cohort, _, _ = preset_cohort("pediatric_icu", n=n, seed=seed)
+        cohort = [
+            PatientRecord(r.id, r.age_months, -r.outcome if reverse else r.outcome,
+                          {**r.values, "pupils_fixed": None})
+            for r in cohort
+        ]
+        cfg = OptimizerConfig(
+            optimize_over=("a", "t", "w"),
+            alternating_order=("t", "w", "a"),
+            beta_thresholds=0.7,
+            max_outer_iters=40,
+        )
+        _, trace = fit(cohort, preset("pediatric_icu").definition(), cfg)
+        sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
+        assert trace.final_objective.hex() == final_hex
+        assert len(trace.steps) == accepted
+        assert trace.stall_count == stalls
+        assert hashlib.sha256(sequence.encode()).hexdigest() == sequence_sha256
+        assert any("pupils_fixed" in w for w in trace.warnings)
 
 
 class TestFitTraceContract:
