@@ -20,13 +20,10 @@ import numpy as np
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
 from .model import PatientRecord, ScoreDefinition
-from .numerics import log1pexp, sigmoid
+from .numerics import logistic_newton, sigmoid
 from .optimizer import OptimizerConfig, fit
 
 logger = logging.getLogger("softscore")
-
-PLATT_TOL = 1e-8
-PLATT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -119,23 +116,18 @@ def roc_and_auc(scores, labels) -> tuple[tuple[RocPoint, ...], float]:
     cutoffs = np.unique(s)[::-1]
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
+    # records scoring >= a cutoff end at the last index of its run of ties
+    last = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    tp = np.cumsum(y[order] == 1)[last]
+    fp = last + 1 - tp
     points = [RocPoint(math.inf, 0.0, 1.0, None)]
-    tp = fp = 0
-    pos_idx = 0
-    for c in cutoffs:
-        while pos_idx < s.size and s_sorted[pos_idx] >= c:
-            if y_sorted[pos_idx] == 1:
-                tp += 1
-            else:
-                fp += 1
-            pos_idx += 1
+    for c, tp_c, fp_c in zip(cutoffs, tp.tolist(), fp.tolist()):
         points.append(
             RocPoint(
                 float(c),
-                tp / pos_total,
-                1.0 - fp / neg_total,
-                tp / (tp + fp),
+                tp_c / pos_total,
+                1.0 - fp_c / neg_total,
+                tp_c / (tp_c + fp_c),
             )
         )
     auc = 0.0
@@ -208,52 +200,17 @@ def brier(probabilities, labels) -> float:
 def platt_scale(scores, labels) -> tuple[float, float]:
     """Fit pi(s) = 1 / (1 + exp(A s + B)) by maximum likelihood.
 
-    Damped Newton iteration; the normal equations are solved by least squares
-    so constant-score (rank-deficient) inputs converge to the prevalence fit.
-    Stops when the objective changes by at most 1e-8 and the gradient is at
-    most 1e-6.  An iteration that leaves the coefficients unchanged would only
-    repeat itself: it returns them if the Newton decrement is within float
-    resolution of the objective, and raises NumericError otherwise.  Also
-    raises NumericError if 100 iterations do not converge.
+    Unpenalized logistic regression of the labels on the one-column design
+    [s], solved by ``numerics.logistic_newton``: (A, B) = (-beta, -b).  The
+    least-squares Newton step makes constant scores converge to A = 0 and the
+    prevalence fit.  Raises NumericError when the solver does not converge.
     """
     s, y = _check_scores_labels(scores, labels)
-    c = (y + 1) / 2.0
-    n_pos = float(np.sum(c))
-    n_neg = float(len(c) - n_pos)
-    theta = np.array([0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))])
-
-    def nll_of(th):
-        u = th[0] * s + th[1]
-        return float(np.sum(c * log1pexp(u) + (1.0 - c) * log1pexp(-u)))
-
-    f = nll_of(theta)
-    for _ in range(PLATT_MAX_ITER):
-        u = theta[0] * s + theta[1]
-        p = sigmoid(-u)
-        resid = c - p
-        g = np.array([float(resid @ s), float(np.sum(resid))])
-        q = p * (1.0 - p)
-        H = np.array(
-            [
-                [float(q @ (s * s)), float(q @ s)],
-                [float(q @ s), float(np.sum(q))],
-            ]
-        )
-        step = np.linalg.lstsq(H, g, rcond=None)[0]
-        damp = 1.0
-        f_new = nll_of(theta - damp * step)
-        while f_new > f and damp > 1e-12:
-            damp *= 0.5
-            f_new = nll_of(theta - damp * step)
-        theta_new = theta - damp * step
-        if abs(f - f_new) <= PLATT_TOL and float(np.max(np.abs(g))) <= 1e-6:
-            return float(theta_new[0]), float(theta_new[1])
-        if np.array_equal(theta_new, theta):
-            if float(g @ step) <= np.finfo(float).eps * abs(f):
-                return float(theta[0]), float(theta[1])
-            raise NumericError("Platt scaling stalled: no step changes the coefficients")
-        theta, f = theta_new, f_new
-    raise NumericError("Platt scaling did not converge within 100 iterations")
+    beta, b, _, _, converged = logistic_newton(s[:, None], y)
+    if not converged:
+        raise NumericError("Platt scaling did not converge")
+    # 0.0 - x maps -0.0 to 0.0, so constant scores report A = 0.0
+    return 0.0 - float(beta[0]), 0.0 - b
 
 
 def platt_probabilities(scores, a: float, b: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PatientRecord, ScoreDefinition
-from .numerics import log1pexp, sigmoid
+from .numerics import logistic_newton, sigmoid
 
 logger = logging.getLogger("softscore")
 
@@ -269,70 +269,18 @@ def ridge_logistic_fit(
     cohort: Sequence[PatientRecord],
     lambda_ridge: float = 1.0,
     variables: Optional[Sequence[str]] = None,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
 ) -> RidgeLogisticFit:
-    """Gradient descent with Armijo line search on NLL + lambda ||beta||^2.
+    """Minimize NLL + lambda ||beta||^2 with an unpenalized intercept.
 
-    The cohort must be complete (impute first) and is expected standardized;
-    the intercept is unpenalized.  ``tol`` bounds the gradient norm at the
-    reported optimum.  Deterministic.
+    The cohort must be complete (impute first).  Solved by
+    ``numerics.logistic_newton``, a damped Newton method, which converges
+    without standardizing the columns; ``converged`` is False when the solver
+    gives up, and ``gradient_norm`` is taken at the returned point.
+    Deterministic.
     """
     if lambda_ridge < 0:
         raise ValidationError("lambda_ridge must be >= 0")
     names, X, y = cohort_matrix(cohort, variables)
     if not (np.any(y == 1) and np.any(y == -1)):
         raise ValidationError("both outcome classes are required to fit")
-    n, m = X.shape
-    beta = np.zeros(m)
-    # At beta = 0 the NLL is minimized over the intercept exactly at the
-    # base-rate log-odds; starting there keeps the unpenalized direction from
-    # dominating the iteration count when lambda is large.
-    prevalence = float(np.mean(y == 1))
-    b = float(np.log(prevalence / (1.0 - prevalence)))
-
-    def objective(beta_, b_):
-        s = X @ beta_ + b_
-        return float(np.sum(log1pexp(-y * s)) + lambda_ridge * np.dot(beta_, beta_))
-
-    def gradient(beta_, b_):
-        s = X @ beta_ + b_
-        r = sigmoid(-y * s)
-        gb = -(X.T @ (y * r)) + 2.0 * lambda_ridge * beta_
-        gi = float(-np.sum(y * r))
-        return gb, gi
-
-    history = [objective(beta, b)]
-    converged = False
-    gnorm = np.inf
-    for _ in range(max_iter):
-        gb, gi = gradient(beta, b)
-        gnorm = float(np.sqrt(np.dot(gb, gb) + gi * gi))
-        if gnorm < tol:
-            converged = True
-            break
-        f0 = history[-1]
-        d2 = gnorm * gnorm
-        h = 1.0
-        accepted = False
-        for _ in range(61):
-            f_try = objective(beta - h * gb, b - h * gi)
-            # strict decrease: a step whose improvement is below float
-            # resolution must not be accepted, or the loop spins in place
-            if f_try < f0 and f_try <= f0 - 0.2 * h * d2:
-                accepted = True
-                break
-            h *= 0.5
-        if not accepted:
-            break
-        beta = beta - h * gb
-        b = b - h * gi
-        history.append(f_try)
-    return RidgeLogisticFit(
-        variables=names,
-        weights=beta,
-        intercept=float(b),
-        objective_history=tuple(history),
-        gradient_norm=gnorm,
-        converged=converged,
-    )
+    return RidgeLogisticFit(names, *logistic_newton(X, y, lambda_ridge))

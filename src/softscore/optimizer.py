@@ -488,14 +488,23 @@ def fit(
                         return s, design.nll_of_scores(s) + prior_cache
 
                 x0, dvec = raw[kind][idx], -g
-                h = backtracking_step(
-                    lambda x: evaluate(x)[1], x0, f_cur, dvec, config.alpha, beta
-                )
+                last = []  # the last trial point and its (scores, objective)
+
+                def trial(x):
+                    last[:] = [x, evaluate(x)]
+                    return last[1][1]
+
+                h = backtracking_step(trial, x0, f_cur, dvec, config.alpha, beta)
                 if h == 0.0:
                     stalls += 1
                     continue
                 x_new = project(x0 + h * dvec)
-                s_new, f_new = evaluate(x_new)
+                # the search stops at the trial it accepts: reuse its value
+                # when the projection left that point unchanged
+                if np.array_equal(x_new, last[0]):
+                    s_new, f_new = last[1]
+                else:
+                    s_new, f_new = evaluate(x_new)
                 if not f_new < f_cur:
                     stalls += 1
                     continue

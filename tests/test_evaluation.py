@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import mixed_definition, rec
-from softscore.errors import ValidationError
+from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
     EvaluationReport,
     FoldMetrics,
@@ -217,6 +219,14 @@ class TestPlattScaling:
             prevalence * (1.0 - prevalence), abs=1e-6
         )
 
+    def test_constant_scores_report_a_positive_zero_slope(self):
+        # the report JSON must read "a": 0.0, never -0.0
+        y = np.array([1, -1, -1, 1, -1])
+        for value in (0.0, 3.0):
+            a, _ = platt_scale(np.full(5, value), y)
+            assert a == 0.0
+            assert math.copysign(1.0, a) == 1.0
+
     def test_calibrated_scores_give_near_identity(self):
         rng = np.random.default_rng(163)
         s = rng.normal(size=6000)
@@ -227,9 +237,9 @@ class TestPlattScaling:
 
 
     def test_stalled_newton_step_returns_at_float_resolution(self):
-        # After ten Newton steps no damped step changes the coefficients in
-        # float64, while the largest gradient entry (1.6e-6) is still above
-        # the 1e-6 stop rule.  This input used to raise after 100 iterations.
+        # Near the optimum no damped step changes the coefficients in
+        # float64 while the largest gradient entry is still 1.6e-6; an
+        # absolute stop rule of 1e-6 on the gradient raised here.
         rng = np.random.default_rng(39)
         s = rng.normal(-3, 1.5, 3711)
         y = np.where(rng.random(3711) < sigmoid(s), 1, -1)
@@ -239,6 +249,44 @@ class TestPlattScaling:
         resid = (y + 1) / 2.0 - platt_probabilities(s, a, b)
         assert abs(float(resid @ s)) < 1e-5
         assert abs(float(np.sum(resid))) < 1e-5
+
+
+@st.composite
+def two_class_scores(draw):
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(
+        st.floats(-1e100, 1e100, allow_nan=False), min_size=n, max_size=n
+    ))
+    labels = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    labels[i], labels[i - 1] = 1, -1
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(two_class_scores())
+# scores 15 orders of magnitude apart: an unscaled least-squares Newton
+# solve drops the intercept direction and stops far from the optimum
+@example((np.array([2052002280741298.0, 2052002280741306.0, 0.0]), np.array([1, 1, -1])))
+def test_platt_converges_to_float_resolution_or_raises(data):
+    """Either NumericError, or finite coefficients at which the Newton
+    decrement of each coefficient alone, g_i^2 / H_ii (a lower bound on the
+    full decrement), is at the float resolution of the objective."""
+    s, y = data
+    try:
+        a, b = platt_scale(s, y)
+    except NumericError:
+        return
+    assert math.isfinite(a) and math.isfinite(b)
+    u = a * s + b
+    f = float(np.sum(np.where(y == 1, np.logaddexp(0.0, u), np.logaddexp(0.0, -u))))
+    p_pos = platt_probabilities(s, a, b)
+    p_neg = platt_probabilities(s, -a, -b)  # 1 - p_pos without cancellation
+    r = np.where(y == 1, p_neg, p_pos)  # probability of the other class
+    g = np.array([float((y * r) @ s), float(np.sum(y * r))])
+    q = p_pos * p_neg
+    curvature = np.array([float(q @ (s * s)), float(np.sum(q))])
+    assert np.all(g * g <= 4 * np.finfo(float).eps * max(1.0, f) * curvature)
 
 
 class TestEvaluateScores:

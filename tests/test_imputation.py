@@ -1,5 +1,6 @@
 """Imputation strategies against brute-force oracles, plus the ridge baseline."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from softscore.imputation import (
     standardize_columns,
 )
 from softscore.numerics import sigmoid
+from softscore.presets import preset_cohort
 
 
 def brute_force_knn_fill(cohort, variables, k):
@@ -330,6 +332,19 @@ class TestRidgeLogistic:
         fit = ridge_logistic_fit(cohort, lambda_ridge=0.5)
         history = np.array(fit.objective_history)
         assert np.all(np.diff(history) <= 0)
+
+    def test_converges_on_raw_clinical_units(self):
+        # The mean-imputed pediatric_icu preset cohort, unstandardized.  A
+        # gradient-descent fit with an absolute tolerance ran into its
+        # 20,000-iteration cap here at objective 64.70.
+        cohort, _, _ = preset_cohort("pediatric_icu")
+        completed = impute(cohort, ImputationMethod.mean())
+        start = time.perf_counter()
+        fit = ridge_logistic_fit(completed, lambda_ridge=1.0)
+        elapsed = time.perf_counter() - start
+        assert fit.converged
+        assert fit.objective_history[-1] <= 62.77
+        assert elapsed < 1.0
 
     def test_single_class_rejected(self):
         cohort = [rec("a", {"x": 1.0}), rec("b", {"x": 2.0})]

@@ -591,6 +591,37 @@ class TestFit:
         init = ScoreParameters.initial(d, cfg.a_init)
         assert params.weights[3] == init.weights[3]
 
+    def test_identity_projection_reuses_the_accepted_trial(self, monkeypatch):
+        # Log-weight steps are never projected, so after the initial
+        # objective every evaluation is a trial point of some line search.
+        import softscore.optimizer as optimizer
+        from softscore.design import CohortDesign
+
+        rng = np.random.default_rng(109)
+        d, p_true, _ = random_instance(rng, n_records=2)
+        cohort = signal_cohort(rng, d, p_true, n=50)
+        counts = {"trials": 0, "evals": 0}
+        search = optimizer.backtracking_step
+        nll = CohortDesign.nll_of_scores
+
+        def counting_search(objective, *args, **kwargs):
+            def counted(x):
+                counts["trials"] += 1
+                return objective(x)
+
+            return search(counted, *args, **kwargs)
+
+        def counting_nll(self, s):
+            counts["evals"] += 1
+            return nll(self, s)
+
+        monkeypatch.setattr(optimizer, "backtracking_step", counting_search)
+        monkeypatch.setattr(CohortDesign, "nll_of_scores", counting_nll)
+        cfg = OptimizerConfig(optimize_over=("w",), max_outer_iters=20)
+        _, trace = fit(cohort, d, cfg)
+        assert len(trace.steps) > 0
+        assert counts["evals"] == 1 + counts["trials"]
+
     def test_converges_by_tolerance_on_easy_instance(self):
         d = binary_only_definition(weight=2.0)
         cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
