@@ -11,6 +11,8 @@ Public API highlights:
 
 * :class:`ScoreDefinition`, :class:`ScoreParameters` — the score table
   and its trainable parameters.
+* :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — the
+  one place a cohort becomes arrays, serving soft and table scores.
 * :func:`fit` — projected blockwise fitting with monotone objective
   trace.
 * :func:`cross_validate`, :func:`evaluate_scores` — discrimination and
@@ -34,17 +36,13 @@ from .model import (
     AgeBand,
     BinaryFeature,
     FeatureStep,
-    FeatureVector,
     PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
     hard_score,
-    linear_score,
     mortality_probability,
     survival_probability,
-    transform_feature,
-    transform_record,
     validate_cohort,
 )
 from .design import CohortDesign, hard_scores, soft_scores
@@ -99,7 +97,6 @@ __all__ = [
     "DOWN",
     "EvaluationReport",
     "FeatureStep",
-    "FeatureVector",
     "FitTrace",
     "FoldMetrics",
     "GeneratorConfig",
@@ -136,7 +133,6 @@ __all__ = [
     "hard_scores",
     "impute",
     "knn_distances",
-    "linear_score",
     "mortality_probability",
     "negative_log_likelihood",
     "penalized_objective",
@@ -150,8 +146,6 @@ __all__ = [
     "soft_scores",
     "stratified_fold_assignment",
     "survival_probability",
-    "transform_feature",
-    "transform_record",
     "validate_cohort",
     "youden",
 ]

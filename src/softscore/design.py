@@ -1,9 +1,9 @@
-"""Vectorized cohort representation used by the optimizer and batch scoring.
+"""Numeric layout of a cohort: the one place a record becomes numbers.
 
-Per-record transforms are exact but slow in the inner loop of a fit; this
-module lays the cohort out as numpy arrays once and evaluates scores,
-likelihoods, and gradients column-wise.  The arithmetic mirrors the scalar
-operations in :mod:`softscore.model` entry for entry.
+`CohortDesign` reads each raw variable of a cohort once, into one value column
+and one observed mask, and resolves every step feature's age band with
+``np.searchsorted``.  From these arrays it evaluates the soft scores,
+likelihoods and gradients of a fit, and the classic table score.
 """
 from __future__ import annotations
 
@@ -26,6 +26,9 @@ class CohortDesign:
 
     Attributes
     ----------
+    n : number of records
+    ids : (n,) record ids in cohort order
+    ages : (n,) ages in months
     y : (n,) outcomes in {-1, +1}
     step_x : (n, n_slopes) raw values of step features, NaN where missing
     step_observed : (n, n_slopes) bool
@@ -48,37 +51,52 @@ class CohortDesign:
         self.ages = np.array([r.age_months for r in cohort], dtype=float)
         self.y = np.array([r.outcome for r in cohort], dtype=float)
 
-        m_a = d.n_slopes
-        self.step_x = np.full((n, m_a), np.nan)
-        self.step_observed = np.zeros((n, m_a), dtype=bool)
-        self.t_index = np.zeros((n, m_a), dtype=np.int64)
-        self.step_up = np.array(
-            [d.features[fi].direction == UP for fi in d.step_feature_indices],
-            dtype=bool,
-        ).reshape(-1)
+        steps = [d.features[fi] for fi in d.step_feature_indices]
+        binary = [d.features[fi] for fi in d.binary_feature_indices]
+        self.step_x = np.empty((n, len(steps)))
+        self.step_observed = np.empty((n, len(steps)), dtype=bool)
+        self.bin_z = np.empty((n, len(binary)))
+        self.bin_observed = np.empty((n, len(binary)), dtype=bool)
+        for name in dict.fromkeys(f.variable.name for f in d.features):
+            raw = [r.values.get(name) for r in cohort]
+            x = np.array(raw, dtype=float)  # None becomes NaN
+            observed = np.array([v is not None for v in raw], dtype=bool)
+            cols = [j for j, f in enumerate(steps) if f.variable.name == name]
+            self.step_x[:, cols] = x[:, None]
+            self.step_observed[:, cols] = observed[:, None]
+            cols = [b for b, f in enumerate(binary) if f.variable.name == name]
+            self.bin_z[:, cols] = (x == 1.0)[:, None]
+            self.bin_observed[:, cols] = observed[:, None]
+        self.step_up = np.array([f.direction == UP for f in steps], dtype=bool)
         self.step_wcol = np.array(d.step_feature_indices, dtype=np.int64)
-
-        m_b = len(d.binary_feature_indices)
-        self.bin_z = np.zeros((n, m_b))
-        self.bin_observed = np.zeros((n, m_b), dtype=bool)
         self.bin_wcol = np.array(d.binary_feature_indices, dtype=np.int64)
+        self.t_index = self._threshold_indices(cohort)
 
-        for r_idx, rec in enumerate(cohort):
-            for j, fi in enumerate(d.step_feature_indices):
-                f = d.features[fi]
-                lab = d.resolve_band(fi, rec.age_months)
-                self.t_index[r_idx, j] = d.threshold_index[(fi, lab)]
-                x = rec.value(f.variable.name)
-                if x is not None:
-                    self.step_x[r_idx, j] = x
-                    self.step_observed[r_idx, j] = True
-            for b, fi in enumerate(d.binary_feature_indices):
-                f = d.features[fi]
-                x = rec.value(f.variable.name)
-                if x is not None:
-                    self.bin_observed[r_idx, b] = True
-                    if x == 1.0:
-                        self.bin_z[r_idx, b] = 1.0
+    def _threshold_indices(self, cohort: Sequence[PatientRecord]) -> np.ndarray:
+        """Threshold-vector index of every (record, step feature) cell.
+
+        Each variable's bands tile the population age range, so an age outside
+        it lies outside every band of every step feature.
+        """
+        d = self.definition
+        t_index = np.empty((self.n, d.n_slopes), dtype=np.int64)
+        if not d.n_slopes:
+            return t_index
+        lo, hi = d.population_age_range
+        outside = (self.ages < lo) | (self.ages >= hi)
+        if outside.any():
+            age = cohort[int(np.argmax(outside))].age_months
+            key = d.features[d.step_feature_indices[0]].key
+            raise ValidationError(
+                f"age {age} months falls outside every age band of feature {key!r}"
+            )
+        layout = d.threshold_layout  # each feature's bands, by start age
+        for j, fi in enumerate(d.step_feature_indices):
+            pos = [m for m, (i, _) in enumerate(layout) if i == fi]
+            starts = [d.band_by_label[layout[m][1]].min_age_months for m in pos]
+            t_index[:, j] = np.searchsorted(starts, self.ages, "right")
+            t_index[:, j] += pos[0] - 1
+        return t_index
 
     # ------------------------------------------------------------------
 
@@ -102,8 +120,8 @@ class CohortDesign:
     ) -> np.ndarray:
         """Soft step values for the selected slope columns; 0 where missing.
 
-        Matches transform_feature exactly: up gives sigmoid(a (x - t)), down
-        gives 1 minus that value.
+        Up-steps give sigmoid(a (x - t)), down-steps 1 minus that value, so
+        the two directions sum to exactly 1 for any observed x.
         """
         sel = slice(None) if cols is None else cols
         obs = self.step_observed[:, sel]
@@ -148,13 +166,50 @@ class CohortDesign:
         """Sum over records of log(1 + exp(-y * s))."""
         return float(np.sum(log1pexp(-self.y * s)))
 
+    def table_scores(self) -> np.ndarray:
+        """Classic table scores: the summed weights of triggered features.
+
+        A step triggers where its observed value crosses the table threshold
+        strictly (above for up-steps, below for down-steps), a binary feature
+        where its value is exactly 1.  Steps outside OR-groups add up; each
+        OR-group adds its largest triggered weight.  Sums run left to right:
+        ungrouped weights in feature order, then the group maxima in the order
+        each record first triggers them, which keeps every score bit-identical
+        to adding up one record's triggered features in feature order.
+        """
+        d = self.definition
+        table = ScoreParameters.initial(d)
+        w = table.weights
+        t = table.thresholds[self.t_index]
+        hit = np.empty((self.n, d.n_weights), dtype=bool)
+        hit[:, self.step_wcol] = self.step_observed & np.where(
+            self.step_up, self.step_x > t, self.step_x < t
+        )
+        hit[:, self.bin_wcol] = self.bin_z == 1.0
+        total = np.zeros(self.n)
+        groups: dict[str, list[int]] = {}
+        for fi, f in enumerate(d.features):
+            if f.or_group is None:
+                total += np.where(hit[:, fi], w[fi], 0.0)
+            else:
+                groups.setdefault(f.or_group, []).append(fi)
+        if not groups:
+            return total
+        best = np.empty((self.n, len(groups)))
+        first = np.empty((self.n, len(groups)), dtype=np.int64)
+        for g, m in enumerate(groups.values()):
+            best[:, g] = np.where(hit[:, m], w[m], 0.0).max(axis=1)
+            first[:, g] = np.where(hit[:, m], m, d.n_weights).min(axis=1)
+        best = np.take_along_axis(best, np.argsort(first, axis=1), axis=1)
+        return total + np.cumsum(best, axis=1)[:, -1]
+
 
 def soft_scores(
     cohort: Sequence[PatientRecord],
     definition: ScoreDefinition,
     params: ScoreParameters,
 ) -> np.ndarray:
-    """Batch linear scores; equals transform_record + linear_score per record."""
+    """Batch linear scores w'z of a cohort."""
     return CohortDesign(cohort, definition).scores_for(params)
 
 
@@ -162,6 +217,4 @@ def hard_scores(
     cohort: Sequence[PatientRecord], definition: ScoreDefinition
 ) -> np.ndarray:
     """Batch classic table scores."""
-    from .model import hard_score
-
-    return np.array([hard_score(r, definition) for r in cohort], dtype=float)
+    return CohortDesign(cohort, definition).table_scores()

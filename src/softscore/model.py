@@ -1,19 +1,18 @@
-"""Domain types and feature transforms for soft-threshold additive risk scores.
+"""Domain types for soft-threshold additive risk scores.
 
 A score definition lists raw clinical variables, age bands, and an ordered set
 of scoring features.  A step feature turns a continuous variable into a value
 in [0, 1] through a logistic ramp around an age-resolved threshold; a binary
-feature contributes an indicator.  The classic table-based score is recovered
-by `hard_score`, and the smooth replacement by `transform_record` plus
-`linear_score`.
+feature contributes an indicator.  Records become numbers in one place,
+:class:`softscore.design.CohortDesign`, which evaluates both the smooth score
+and the classic table score (`hard_score` here for a single record).
 """
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +27,6 @@ BINARY = "binary"
 
 UP = "up"
 DOWN = "down"
-
-#: provenance flags carried by FeatureVector entries
-TRANSFORMED = "transformed"
-MISSING_ZERO = "missing-zero"
-BINARY_ENTRY = "binary"
 
 
 @dataclass(frozen=True)
@@ -389,18 +383,6 @@ class ScoreDefinition:
             max(b.max_age_months for b in self.age_bands),
         )
 
-    def resolve_band(self, feature_index: int, age_months: float) -> str:
-        """Age-band label applying to ``age_months`` for a step feature."""
-        f = self.features[feature_index]
-        if not isinstance(f, FeatureStep):
-            raise ContractViolation(f"feature {f.key!r} has no age-banded thresholds")
-        for lab in f.thresholds:
-            if self.band_by_label[lab].contains(age_months):
-                return lab
-        raise ValidationError(
-            f"age {age_months} months falls outside every age band of feature {f.key!r}"
-        )
-
 
 @dataclass(frozen=True)
 class PatientRecord:
@@ -504,93 +486,9 @@ class ScoreParameters:
         return cls(definition, a, t, w)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Transformed feature values z with per-entry provenance flags."""
-
-    z: np.ndarray
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        if z.ndim != 1 or len(self.provenance) != z.shape[0]:
-            raise ContractViolation("provenance must carry one flag per entry")
-        if np.any(z < 0) or np.any(z > 1):
-            raise ContractViolation("feature values must lie in [0, 1]")
-        for flag, v in zip(self.provenance, z):
-            if flag == MISSING_ZERO and v != 0.0:
-                raise ContractViolation("missing entries must transform to exactly 0")
-            if flag not in (TRANSFORMED, MISSING_ZERO, BINARY_ENTRY):
-                raise ContractViolation(f"unknown provenance flag {flag!r}")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-
-    def __len__(self):
-        return self.z.shape[0]
-
-
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-
-def transform_feature(
-    x: Optional[float], direction: str, a: float, t: float
-) -> float:
-    """Soft step value of a single observation.
-
-    Up-steps rise from 0 to 1 as x crosses t; down-steps fall from 1 to 0.
-    Missing observations (``x is None``) contribute exactly 0.  The two
-    directions sum to exactly 1 for any observed x.
-    """
-    if direction not in (UP, DOWN):
-        raise ContractViolation(f"unknown direction {direction!r}")
-    if not (a >= 0):
-        raise ContractViolation("slope must be non-negative; project first")
-    if x is None:
-        return 0.0
-    u = a * (float(x) - float(t))
-    s = float(sigmoid(u))
-    return s if direction == UP else 1.0 - s
-
-
-def transform_record(
-    record: PatientRecord, definition: ScoreDefinition, params: ScoreParameters
-) -> FeatureVector:
-    """Full feature vector of one record under the given parameters."""
-    _check_same_definition(definition, params)
-    z = np.zeros(definition.n_weights)
-    prov: list[str] = []
-    for i, f in enumerate(definition.features):
-        x = record.value(f.variable.name)
-        if isinstance(f, FeatureStep):
-            if x is None:
-                prov.append(MISSING_ZERO)
-                continue
-            lab = definition.resolve_band(i, record.age_months)
-            a = params.slopes[definition.slope_index[i]]
-            t = params.thresholds[definition.threshold_index[(i, lab)]]
-            z[i] = transform_feature(x, f.direction, a, t)
-            prov.append(TRANSFORMED)
-        else:
-            if x is None:
-                prov.append(MISSING_ZERO)
-                continue
-            z[i] = 1.0 if x == 1.0 else 0.0
-            prov.append(BINARY_ENTRY)
-    return FeatureVector(z, tuple(prov))
-
-
-def linear_score(z, w) -> float:
-    """Weighted sum w'z of a feature vector."""
-    zv = z.z if isinstance(z, FeatureVector) else np.asarray(z, dtype=float)
-    wv = np.asarray(w, dtype=float)
-    if zv.shape != wv.shape:
-        raise ContractViolation(
-            f"dimension mismatch: z has shape {zv.shape}, w has shape {wv.shape}"
-        )
-    return float(np.dot(wv, zv))
 
 
 def mortality_probability(score: float) -> float:
@@ -604,35 +502,10 @@ def survival_probability(score: float) -> float:
 
 
 def hard_score(record: PatientRecord, definition: ScoreDefinition) -> float:
-    """Classic table score: sum of weights of triggered steps and indicators.
+    """Classic table score of one record; see `CohortDesign.table_scores`."""
+    from .design import hard_scores
 
-    A step triggers when the observed value crosses its age-resolved hard
-    threshold strictly (above for max-valued, below for min-valued); a value
-    exactly at the threshold does not trigger.  Missing values never trigger.
-    Within an OR-group the group contributes the maximum triggered weight;
-    multiple triggered steps of one variable outside OR-groups add up.
-    """
-    total = 0.0
-    group_best: dict[str, float] = {}
-    for i, f in enumerate(definition.features):
-        x = record.value(f.variable.name)
-        if x is None:
-            continue
-        if isinstance(f, FeatureStep):
-            lab = definition.resolve_band(i, record.age_months)
-            t = f.thresholds[lab]
-            triggered = x > t if f.direction == UP else x < t
-        else:
-            triggered = x == 1.0
-        if not triggered:
-            continue
-        if f.or_group is not None:
-            group_best[f.or_group] = max(
-                group_best.get(f.or_group, 0.0), f.initial_weight
-            )
-        else:
-            total += f.initial_weight
-    return total + sum(group_best.values())
+    return float(hard_scores([record], definition)[0])
 
 
 def validate_cohort(
@@ -669,7 +542,3 @@ def validate_cohort(
         logger.warning(msg)
     return warnings
 
-
-def _check_same_definition(definition: ScoreDefinition, params: ScoreParameters):
-    if params.definition is not definition and params.definition != definition:
-        raise ContractViolation("parameters belong to a different score definition")

@@ -1,12 +1,15 @@
-"""Hand-built definitions, cohorts, and random instances shared by the tests."""
+"""Hand-built definitions, cohorts, random instances, and the per-record
+reference computations the tests compare `CohortDesign` against."""
 from __future__ import annotations
 
 import numpy as np
 
+from softscore.errors import ValidationError
 from softscore.model import (
     BINARY,
     MAX_VALUED,
     MIN_VALUED,
+    UP,
     AgeBand,
     BinaryFeature,
     FeatureStep,
@@ -15,6 +18,7 @@ from softscore.model import (
     ScoreDefinition,
     ScoreParameters,
 )
+from softscore.numerics import sigmoid
 
 BAND_ALL = AgeBand("all", 0, 1200)
 
@@ -69,14 +73,22 @@ def banded_definition():
 
 
 def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
-                    missing_rate=0.2, max_slope=3.0):
+                    missing_rate=0.2, max_slope=3.0, or_groups=False):
     """A random small (definition, parameters, cohort) triple.
 
     Variables are a random mix of up and down step variables (one or two
     steps each) plus an optional binary indicator; thresholds, slopes,
     weights, values, and the missingness pattern are all drawn from ``rng``.
+    With ``or_groups`` each feature also draws membership of one of three
+    OR-groups or of none; without it nothing extra is drawn from ``rng``.
     The cohort always contains both outcome classes.
     """
+
+    def group():
+        if not or_groups:
+            return None
+        return (None, "g0", "g1", "g2")[int(rng.integers(0, 4))]
+
     n_up = int(rng.integers(0, 3))
     n_down = int(rng.integers(0, 3))
     if n_up + n_down == 0:
@@ -99,7 +111,8 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
         for s in range(n_steps):
             th = {lab: base[lab] + s * float(rng.uniform(0.5, 2.0)) for lab in labels}
             features.append(
-                FeatureStep(v, s, th, initial_weight=float(rng.uniform(0.5, 4.0)))
+                FeatureStep(v, s, th, initial_weight=float(rng.uniform(0.5, 4.0)),
+                            or_group=group())
             )
     for k in range(n_down):
         v = RawVariable(f"down{k}", MIN_VALUED, "", (-8.0, 8.0))
@@ -109,12 +122,14 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
         for s in range(n_steps):
             th = {lab: base[lab] - s * float(rng.uniform(0.5, 2.0)) for lab in labels}
             features.append(
-                FeatureStep(v, s, th, initial_weight=float(rng.uniform(0.5, 4.0)))
+                FeatureStep(v, s, th, initial_weight=float(rng.uniform(0.5, 4.0)),
+                            or_group=group())
             )
     if use_binary:
         v = RawVariable("flag", BINARY, "", (0.0, 1.0))
         variables.append(v)
-        features.append(BinaryFeature(v, initial_weight=float(rng.uniform(0.5, 4.0))))
+        features.append(BinaryFeature(v, initial_weight=float(rng.uniform(0.5, 4.0)),
+                                      or_group=group()))
 
     definition = ScoreDefinition(
         name="random-test-score",
@@ -149,3 +164,70 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
             PatientRecord(id=f"r{i}", age_months=age, outcome=outcome, values=values)
         )
     return definition, params, cohort
+
+
+# ----------------------------------------------------------------------
+# per-record reference: one record, one feature at a time
+# ----------------------------------------------------------------------
+
+
+def band_label(definition, feature_index, age_months):
+    """Age-band label of a step feature's threshold for a record of this age."""
+    f = definition.features[feature_index]
+    for lab in f.thresholds:
+        if definition.band_by_label[lab].contains(age_months):
+            return lab
+    raise ValidationError(
+        f"age {age_months} months falls outside every age band of feature {f.key!r}"
+    )
+
+
+def reference_z(record, definition, params):
+    """Feature vector z of one record: soft steps, 0/1 indicators, 0 if missing."""
+    z = np.zeros(definition.n_weights)
+    for i, f in enumerate(definition.features):
+        x = record.value(f.variable.name)
+        if x is None:
+            continue
+        if isinstance(f, FeatureStep):
+            lab = band_label(definition, i, record.age_months)
+            a = params.slopes[definition.slope_index[i]]
+            t = params.thresholds[definition.threshold_index[(i, lab)]]
+            s = float(sigmoid(a * (x - t)))
+            z[i] = s if f.direction == UP else 1.0 - s
+        else:
+            z[i] = 1.0 if x == 1.0 else 0.0
+    return z
+
+
+def reference_score(record, definition, params):
+    """Linear score w'z of one record."""
+    return float(np.dot(params.weights, reference_z(record, definition, params)))
+
+
+def reference_hard_score(record, definition):
+    """Classic table score of one record.
+
+    Steps trigger on strict crossing of the table threshold, binary features
+    at exactly 1, missing values never; each OR-group adds its largest
+    triggered weight, summed in the order the record first triggers them.
+    """
+    total = 0.0
+    group_best = {}
+    for i, f in enumerate(definition.features):
+        x = record.value(f.variable.name)
+        if x is None:
+            continue
+        if isinstance(f, FeatureStep):
+            t = f.thresholds[band_label(definition, i, record.age_months)]
+            triggered = x > t if f.direction == UP else x < t
+        else:
+            triggered = x == 1.0
+        if not triggered:
+            continue
+        if f.or_group is not None:
+            best = group_best.get(f.or_group, 0.0)
+            group_best[f.or_group] = max(best, f.initial_weight)
+        else:
+            total += f.initial_weight
+    return total + sum(group_best.values())

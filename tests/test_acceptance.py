@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import random_instance
+from helpers import band_label, random_instance
 from test_evaluation import confusion_at, mann_whitney_auc, random_scored_instance
 from test_imputation import brute_force_knn_fill, random_missing_cohort
 from test_optimizer import (
@@ -79,7 +79,7 @@ def _clear_of_thresholds(record, definition, params, margin):
         x = record.value(f.variable.name)
         if x is None:
             continue
-        lab = definition.resolve_band(fi, record.age_months)
+        lab = band_label(definition, fi, record.age_months)
         t = params.thresholds[definition.threshold_index[(fi, lab)]]
         if abs(x - t) < margin:
             return False

@@ -390,6 +390,29 @@ class TestEvaluate:
         result = run_fail(base + ["--filter", "child"], 1)
         assert "expected age:BAND_LABEL" in result.output
 
+    def test_age_outside_every_band_exits_one(self, ws, tmp_path):
+        """Soft and hard scoring both reject an age outside every band, also
+        for a record whose step values are all missing."""
+        cohort = load_cohort(ws["cohort"])
+        stray = PatientRecord(id="stray", age_months=1300, outcome=-1, values={})
+        path = tmp_path / "stray.csv"
+        save_cohort(path, cohort + [stray], list(cohort[0].values))
+        for fitted in ((), ("--fitted", ws["fitted"])):
+            result = run_fail(
+                [
+                    "evaluate",
+                    "--cohort", path,
+                    "--score-def", ws["definition"],
+                    "--out", tmp_path / "r.json",
+                    *fitted,
+                ],
+                1,
+            )
+            assert (
+                "age 1300 months falls outside every age band of feature "
+                "'lactate_max:step0'" in result.output
+            )
+
     def test_missing_fitted_file_names_the_path(self, ws, tmp_path):
         missing = tmp_path / "fitted-nowhere.json"
         result = run_fail(

@@ -1,18 +1,26 @@
 """Vectorized cohort layout against the per-record reference computations."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import mixed_definition, random_instance, rec
+from helpers import (
+    banded_definition,
+    mixed_definition,
+    random_instance,
+    rec,
+    reference_hard_score,
+    reference_score,
+    reference_z,
+)
 from softscore.design import CohortDesign, hard_scores, soft_scores
 from softscore.errors import ValidationError
-from softscore.model import (
-    ScoreParameters,
-    hard_score,
-    linear_score,
-    transform_record,
-)
+from softscore.model import ScoreParameters, hard_score
+
+OUT_OF_BAND = "age {} months falls outside every age band of feature 'hr_max:step0'"
 
 
 class TestCohortDesign:
@@ -26,21 +34,33 @@ class TestCohortDesign:
             d, p, cohort = random_instance(rng)
             design = CohortDesign(cohort, d)
             batch = design.scores_for(p)
-            reference = [
-                linear_score(transform_record(r, d, p), p.weights) for r in cohort
-            ]
+            reference = [reference_score(r, d, p) for r in cohort]
             np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
 
     def test_z_matrix_matches_per_record_transform(self):
         rng = np.random.default_rng(37)
-        for _ in range(20):
-            d, p, cohort = random_instance(rng)
+        instances = [random_instance(rng) for _ in range(20)]
+        # slopes up to 1e8 drive the ramps into saturation without overflow
+        instances += [random_instance(rng, max_slope=1e8) for _ in range(5)]
+        for d, p, cohort in instances:
             design = CohortDesign(cohort, d)
             Z = design.z_matrix(p.slopes, p.thresholds)
             for i, r in enumerate(cohort):
                 np.testing.assert_allclose(
-                    Z[i], transform_record(r, d, p).z, rtol=0, atol=1e-12
+                    Z[i], reference_z(r, d, p), rtol=0, atol=1e-12
                 )
+
+    def test_age_bands_resolve_by_age(self):
+        d = banded_definition()  # bands young [0, 120) and old [120, 1200)
+        cohort = [rec("a", {}, age=12), rec("b", {"hr_max": 99.0}, age=120)]
+        t_index = CohortDesign(cohort, d).t_index
+        young, old = (d.threshold_index[(0, lab)] for lab in ("young", "old"))
+        assert t_index[:, 0].tolist() == [young, old]
+        cohort = [rec("a", {}), rec("b", {}, age=5000), rec("c", {}, age=1200)]
+        with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(5000))):
+            CohortDesign(cohort, d)
+        with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1200))):
+            CohortDesign(cohort[2:], d)
 
     def test_nll_of_scores_is_log1pexp_sum(self):
         d = mixed_definition()
@@ -94,8 +114,49 @@ class TestBatchHelpers:
 
     def test_hard_scores_matches_scalar_hard_score(self):
         rng = np.random.default_rng(43)
-        for _ in range(10):
-            d, _, cohort = random_instance(rng)
-            np.testing.assert_array_equal(
-                hard_scores(cohort, d), [hard_score(r, d) for r in cohort]
-            )
+        instances = [random_instance(rng) for _ in range(10)]
+        instances += [random_instance(rng, or_groups=True) for _ in range(10)]
+        for d, _, cohort in instances:
+            reference = [reference_hard_score(r, d) for r in cohort]
+            np.testing.assert_array_equal(hard_scores(cohort, d), reference)
+            assert [hard_score(r, d) for r in cohort] == reference
+
+    def test_hard_scores_reject_ages_outside_every_band(self):
+        """Also when every step value of the record is missing."""
+        d = banded_definition()
+        with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1300))):
+            hard_scores([rec("a", {"hr_max": 150.0}), rec("b", {}, age=1300)], d)
+        with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1300))):
+            hard_score(rec("b", {}, age=1300), d)
+
+    def test_hard_scores_of_empty_cohort_rejected(self):
+        with pytest.raises(ValidationError, match="cohort is empty"):
+            hard_scores([], mixed_definition())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(2, 40),
+    missing_rate=st.sampled_from((0.0, 0.2, 0.6)),
+    max_slope=st.sampled_from((3.0, 1e8)),
+)
+def test_design_matches_per_record_reference(seed, n_records, missing_rate, max_slope):
+    """Random definitions with up and down steps, one or two age bands,
+    binary features and OR-groups: soft values to 1e-12, table scores exactly."""
+    d, p, cohort = random_instance(
+        np.random.default_rng(seed), n_records=n_records, missing_rate=missing_rate,
+        max_slope=max_slope, or_groups=True,
+    )
+    design = CohortDesign(cohort, d)
+    np.testing.assert_allclose(
+        design.z_matrix(p.slopes, p.thresholds),
+        [reference_z(r, d, p) for r in cohort], rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        design.scores_for(p), [reference_score(r, d, p) for r in cohort],
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_array_equal(
+        design.table_scores(), [reference_hard_score(r, d) for r in cohort]
+    )

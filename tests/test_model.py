@@ -1,34 +1,31 @@
-"""Domain types, the soft feature transform, and the classic hard score."""
+"""Domain types, the soft feature transform, and the classic hard score.
+
+Records become numbers only in `CohortDesign`, so the transform tests here
+evaluate one-record cohorts through it."""
 import math
 
 import numpy as np
 import pytest
 
 from helpers import BAND_ALL, banded_definition, mixed_definition, rec, random_instance
+from softscore.design import CohortDesign
 from softscore.errors import ContractViolation, ValidationError
 from softscore.model import (
     BINARY,
-    BINARY_ENTRY,
     DOWN,
     MAX_VALUED,
     MIN_VALUED,
-    MISSING_ZERO,
-    TRANSFORMED,
     UP,
     AgeBand,
     BinaryFeature,
     FeatureStep,
-    FeatureVector,
     PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
     hard_score,
-    linear_score,
     mortality_probability,
     survival_probability,
-    transform_feature,
-    transform_record,
     validate_cohort,
 )
 
@@ -183,13 +180,6 @@ class TestScoreDefinition:
             chains[chain] = direction
         assert chains == {(0, 2): UP, (1, 3): UP}
 
-    def test_resolve_band(self):
-        d = banded_definition()
-        assert d.resolve_band(0, 12) == "young"
-        assert d.resolve_band(0, 120) == "old"
-        with pytest.raises(ValidationError):
-            d.resolve_band(0, 5000)
-
 
 class TestPatientRecord:
     def test_outcome_must_be_plus_or_minus_one(self):
@@ -245,11 +235,29 @@ class TestScoreParameters:
             p.slopes[0] = 2.0
 
 
+def _up_down(x, a, t):
+    """Up- and down-step values of one observation x, with slope a and
+    threshold t, from a one-record CohortDesign."""
+    up = RawVariable("up", MAX_VALUED)
+    down = RawVariable("down", MIN_VALUED)
+    d = ScoreDefinition(
+        name="one-step-each-way",
+        variables=(up, down),
+        features=(
+            FeatureStep(up, 0, {"all": 0.0}, initial_weight=1.0),
+            FeatureStep(down, 0, {"all": 0.0}, initial_weight=1.0),
+        ),
+        age_bands=(BAND_ALL,),
+    )
+    z = CohortDesign([rec("r", {"up": x, "down": x})], d).step_z(
+        np.array([a, a]), np.array([t, t])
+    )
+    return float(z[0, 0]), float(z[0, 1])
+
+
 class TestTransformFeature:
     def test_up_value_at_unit_margin(self):
-        assert transform_feature(1.0, UP, 1.0, 0.0) == pytest.approx(
-            SIGMOID_1, abs=1e-15
-        )
+        assert _up_down(1.0, 1.0, 0.0)[0] == pytest.approx(SIGMOID_1, abs=1e-15)
 
     def test_down_complements_up_exactly(self):
         rng = np.random.default_rng(7)
@@ -257,28 +265,18 @@ class TestTransformFeature:
             x = float(rng.uniform(-10, 10))
             t = float(rng.uniform(-10, 10))
             a = float(rng.uniform(0, 5))
-            up = transform_feature(x, UP, a, t)
-            down = transform_feature(x, DOWN, a, t)
+            up, down = _up_down(x, a, t)
             assert up + down == pytest.approx(1.0, abs=1e-15)
 
     def test_missing_is_exactly_zero(self):
-        assert transform_feature(None, UP, 3.0, 1.0) == 0.0
-        assert transform_feature(None, DOWN, 3.0, 1.0) == 0.0
+        assert _up_down(None, 3.0, 1.0) == (0.0, 0.0)
 
     def test_value_at_threshold_is_half(self):
-        assert transform_feature(2.0, UP, 10.0, 2.0) == 0.5
-
-    def test_negative_slope_rejected(self):
-        with pytest.raises(ContractViolation):
-            transform_feature(1.0, UP, -0.5, 0.0)
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ContractViolation):
-            transform_feature(1.0, "sideways", 1.0, 0.0)
+        assert _up_down(2.0, 10.0, 2.0)[0] == 0.5
 
     def test_extreme_slope_does_not_overflow(self):
-        assert transform_feature(100.0, UP, 1e8, 0.0) == 1.0
-        assert transform_feature(-100.0, UP, 1e8, 0.0) == pytest.approx(0.0, abs=1e-200)
+        assert _up_down(100.0, 1e8, 0.0)[0] == 1.0
+        assert _up_down(-100.0, 1e8, 0.0)[0] == pytest.approx(0.0, abs=1e-200)
 
 
 class TestTransformRecord:
@@ -288,20 +286,21 @@ class TestTransformRecord:
                             np.array([4.0, 8.0, 8.0]),
                             np.array([2.0, 3.0, 5.0, 4.0]))
         r = rec("r", {"lactate_max": 5.0, "gcs_min": None, "pupils_fixed": 1.0})
-        fv = transform_record(r, d, p)
-        assert fv.provenance == (TRANSFORMED, TRANSFORMED, MISSING_ZERO, BINARY_ENTRY)
-        assert fv.z[0] == pytest.approx(SIGMOID_1, abs=1e-15)  # x - t = +1
-        assert fv.z[1] == pytest.approx(0.04742587317756678, abs=1e-15)  # x - t = -3
-        assert fv.z[2] == 0.0
-        assert fv.z[3] == 1.0
+        design = CohortDesign([r], d)
+        assert design.step_observed.tolist() == [[True, True, False]]
+        assert design.bin_observed.tolist() == [[True]]
+        z = design.z_matrix(p.slopes, p.thresholds)[0]
+        assert z[0] == pytest.approx(SIGMOID_1, abs=1e-15)  # x - t = +1
+        assert z[1] == pytest.approx(0.04742587317756678, abs=1e-15)  # x - t = -3
+        assert z[2] == 0.0
+        assert z[3] == 1.0
 
     def test_binary_nonunit_value_counts_as_zero(self):
         d = mixed_definition()
         p = ScoreParameters.initial(d)
-        r = rec("r", {"pupils_fixed": 2.0})
-        fv = transform_record(r, d, p)
-        assert fv.z[3] == 0.0
-        assert fv.provenance[3] == BINARY_ENTRY
+        design = CohortDesign([rec("r", {"pupils_fixed": 2.0})], d)
+        assert design.z_matrix(p.slopes, p.thresholds)[0, 3] == 0.0
+        assert design.bin_observed[0, 0]
 
     def test_age_band_resolution_changes_threshold(self):
         d = banded_definition()
@@ -310,46 +309,31 @@ class TestTransformRecord:
                             np.array([2.0, 3.0]))
         young = rec("y", {"hr_max": 150.0}, age=12)
         old = rec("o", {"hr_max": 150.0}, age=400)
-        z_young = transform_record(young, d, p).z
-        z_old = transform_record(old, d, p).z
+        z = CohortDesign([young, old], d).z_matrix(p.slopes, p.thresholds)
         # 150 is below the young step-0 threshold but above the old one
-        assert z_young[0] < 0.5 < z_old[0]
+        assert z[0, 0] < 0.5 < z[1, 0]
 
     def test_z_bounds_hold_on_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             d, p, cohort = random_instance(rng)
-            for r in cohort:
-                fv = transform_record(r, d, p)
-                assert np.all(fv.z >= 0) and np.all(fv.z <= 1)
-                for flag, z in zip(fv.provenance, fv.z):
-                    if flag == MISSING_ZERO:
-                        assert z == 0.0
-
-
-class TestFeatureVector:
-    def test_rejects_out_of_range_entries(self):
-        with pytest.raises(ContractViolation):
-            FeatureVector(np.array([1.2]), (TRANSFORMED,))
-
-    def test_rejects_nonzero_missing_entry(self):
-        with pytest.raises(ContractViolation):
-            FeatureVector(np.array([0.3]), (MISSING_ZERO,))
-
-    def test_rejects_unknown_provenance(self):
-        with pytest.raises(ContractViolation):
-            FeatureVector(np.array([0.3]), ("guessed",))
+            design = CohortDesign(cohort, d)
+            z = design.z_matrix(p.slopes, p.thresholds)
+            assert np.all(z >= 0) and np.all(z <= 1)
+            assert np.all(z[:, design.step_wcol][~design.step_observed] == 0.0)
+            assert np.all(z[:, design.bin_wcol][~design.bin_observed] == 0.0)
 
 
 class TestScoreAndProbability:
     def test_linear_score_is_dot_product(self):
-        z = np.array([0.5, 1.0, 0.0])
-        w = np.array([2.0, 3.0, 7.0])
-        assert linear_score(z, w) == 4.0
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            linear_score(np.ones(2), np.ones(3))
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            d, p, cohort = random_instance(rng)
+            design = CohortDesign(cohort, d)
+            z = design.z_matrix(p.slopes, p.thresholds)
+            np.testing.assert_allclose(
+                design.scores_for(p), z @ p.weights, rtol=0, atol=1e-12
+            )
 
     def test_probabilities_complement(self):
         for s in (-5.0, 0.0, 0.3, 12.0):
@@ -450,7 +434,6 @@ class TestHardLimitAgreement:
             if not clear:
                 continue
             checked += 1
-            fv = transform_record(r, d, p)
-            soft = linear_score(fv, p.weights)
+            soft = float(CohortDesign([r], d).scores_for(p)[0])
             assert soft == pytest.approx(hard_score(r, d), abs=1e-6)
         assert checked > 200

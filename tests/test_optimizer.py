@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BAND_ALL, mixed_definition, random_instance, rec
+from helpers import (
+    BAND_ALL,
+    band_label,
+    mixed_definition,
+    random_instance,
+    rec,
+    reference_z,
+)
 from softscore.errors import ContractViolation, NumericError, ValidationError
 from softscore.model import (
     MAX_VALUED,
@@ -15,7 +22,6 @@ from softscore.model import (
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
-    transform_record,
 )
 from softscore.optimizer import (
     FitTrace,
@@ -154,7 +160,7 @@ class TestObjectiveOracles:
             cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=0.0)
             nll = 0.0
             for r in cohort:
-                z = transform_record(r, d, p).z
+                z = reference_z(r, d, p)
                 s = float(np.dot(p.weights, z))
                 nll += math.log1p(math.exp(-r.outcome * s))
             v = np.log(p.weights)
@@ -216,7 +222,7 @@ def _saturated_slope_cols(d, p, cohort, margin=30.0):
             x = r.value(d.features[fi].variable.name)
             if x is None:
                 continue
-            lab = d.resolve_band(fi, r.age_months)
+            lab = band_label(d, fi, r.age_months)
             t = p.thresholds[d.threshold_index[(fi, lab)]]
             if abs(p.slopes[j] * (x - t)) > margin:
                 bad.add(j)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BAND_ALL
+from helpers import BAND_ALL, reference_score
 from softscore.errors import ValidationError
 from softscore.evaluation import roc_and_auc
 from softscore.model import (
@@ -17,8 +17,6 @@ from softscore.model import (
     RawVariable,
     ScoreParameters,
     ScoreDefinition,
-    linear_score,
-    transform_record,
 )
 from softscore.numerics import sigmoid
 from softscore.optimizer import OptimizerConfig, fit
@@ -188,8 +186,7 @@ class TestGenerate:
         config = demo_generator(n=300)
         cohort, probabilities = generate(config)
         for r, p in zip(cohort, probabilities):
-            fv = transform_record(r, config.definition, config.true_params)
-            s = linear_score(fv, config.true_params.weights)
+            s = reference_score(r, config.definition, config.true_params)
             assert p == pytest.approx(sigmoid(config.intercept + s), abs=1e-12)
 
     def test_missing_is_applied_before_scoring(self):
