@@ -12,11 +12,12 @@ Public API highlights:
 * :class:`ScoreDefinition`, :class:`ScoreParameters` — the score table
   and its trainable parameters.
 * :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — the
-  one place a cohort becomes arrays, serving soft and table scores.
-* :func:`fit` — projected blockwise fitting with monotone objective
-  trace.
+  one place a cohort becomes arrays, serving soft and table scores, the
+  likelihood gradients, and row slices for cross-validation.
+* :func:`fit` — projected blockwise fitting of a design with monotone
+  objective trace.
 * :func:`cross_validate`, :func:`evaluate_scores` — discrimination and
-  calibration metrics on held-out folds.
+  calibration metrics on held-out folds of one design.
 * :func:`impute`, :func:`ridge_logistic_fit` — reference baselines.
 * :func:`generate` with :mod:`softscore.presets` — synthetic cohorts
   with known ground truth.

@@ -51,7 +51,7 @@ from .io import (
     _dump_json,
 )
 from .model import validate_cohort
-from .design import hard_scores, soft_scores
+from .design import CohortDesign, hard_scores, soft_scores
 from .optimizer import KINDS, OptimizerConfig, fit as fit_params
 from .presets import PRESETS, preset
 from .synthetic import generate
@@ -291,7 +291,14 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path, seed):
     validate_cohort(cohort, definition)
     config = _optimizer_config(config_path, optimize, seed)
     manifest.seed = config.seed
-    params, trace = fit_params(cohort, definition, config)
+    params, trace = fit_params(CohortDesign(cohort, definition), config)
+    if trace.stopped_at_cap:
+        log.warning(
+            "fit stopped at the iteration cap (%d outer iterations) before its "
+            "relative decrease fell below %g",
+            trace.outer_iterations,
+            config.rel_tol,
+        )
     save_fitted(out, params, config, trace)
     manifest.add_output(out)
     manifest.write(out)
@@ -372,13 +379,6 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
 @click.option("--optimize", help="Comma-separated subset of a,t,w.")
 @click.option("--config", "config_path", type=click.Path())
 @click.option("--seed", type=int)
-@click.option(
-    "--parallel-folds",
-    default=1,
-    show_default=True,
-    type=int,
-    help="Number of folds fitted concurrently.",
-)
 @_exits
 def cv_cmd(
     cohort_path,
@@ -389,7 +389,6 @@ def cv_cmd(
     optimize,
     config_path,
     seed,
-    parallel_folds,
 ):
     """Cross-validate a fitted score on held-out folds."""
     manifest = _Manifest("cv")
@@ -402,7 +401,7 @@ def cv_cmd(
     config = _optimizer_config(config_path, optimize, seed)
     manifest.seed = config.seed
     report, rows = cross_validate(
-        cohort, definition, config, folds=_parse_folds(folds), n_jobs=parallel_folds
+        CohortDesign(cohort, definition), config, folds=_parse_folds(folds)
     )
     save_report(out, report)
     manifest.add_output(out)

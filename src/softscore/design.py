@@ -2,8 +2,10 @@
 
 `CohortDesign` reads each raw variable of a cohort once, into one value column
 and one observed mask, and resolves every step feature's age band with
-``np.searchsorted``.  From these arrays it evaluates the soft scores,
-likelihoods and gradients of a fit, and the classic table score.
+``np.searchsorted``.  From these arrays it evaluates the soft scores, the
+likelihood and its gradients in slopes, thresholds and weights, and the
+classic table score.  ``take`` slices the design by rows, so cross-validation
+reads a cohort's records once and fits every fold on a slice.
 """
 from __future__ import annotations
 
@@ -19,6 +21,11 @@ from .model import (
     ScoreParameters,
 )
 from .numerics import log1pexp, sigmoid
+
+# The per-record arrays of a design, in record order.
+_ROW_ARRAYS = (
+    "ages", "y", "step_x", "step_observed", "t_index", "bin_z", "bin_observed"
+)
 
 
 class CohortDesign:
@@ -98,6 +105,23 @@ class CohortDesign:
             t_index[:, j] += pos[0] - 1
         return t_index
 
+    def take(self, rows: Sequence[int]) -> "CohortDesign":
+        """The design of the records at positions ``rows``, in that order.
+
+        Equals ``CohortDesign([cohort[i] for i in rows], definition)`` without
+        reading any record again; rows may repeat.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            raise ValidationError("cohort is empty")
+        out = object.__new__(CohortDesign)
+        out.__dict__.update(self.__dict__)
+        out.n = int(rows.size)
+        out.ids = tuple(self.ids[i] for i in rows)
+        for name in _ROW_ARRAYS:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
     # ------------------------------------------------------------------
 
     @property
@@ -153,18 +177,52 @@ class CohortDesign:
             raise ValidationError("parameters belong to a different score definition")
         return self.scores(params.slopes, params.thresholds, params.weights)
 
-    def z_matrix(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Full (n, n_weights) feature matrix in definition feature order."""
-        Z = np.zeros((self.n, self.definition.n_weights))
-        if self.step_wcol.size:
-            Z[:, self.step_wcol] = self.step_z(a, t)
-        if self.bin_wcol.size:
-            Z[:, self.bin_wcol] = self.bin_z
+    def z_matrix(
+        self, a: np.ndarray, t: np.ndarray, fcols: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Feature matrix z: the columns of the weight indices ``fcols`` in
+        that order, or all (n, n_weights) columns in definition order."""
+        d = self.definition
+        if fcols is None:
+            fcols = range(d.n_weights)
+        Z = np.empty((self.n, len(fcols)))
+        for pos, fi in enumerate(fcols):
+            if fi in d.slope_index:
+                Z[:, pos] = self.step_z(a, t, np.array([d.slope_index[fi]]))[:, 0]
+            else:
+                Z[:, pos] = self.bin_z[:, d.binary_feature_indices.index(fi)]
         return Z
 
     def nll_of_scores(self, s: np.ndarray) -> float:
         """Sum over records of log(1 + exp(-y * s))."""
         return float(np.sum(log1pexp(-self.y * s)))
+
+    def loss_derivative(self, s: np.ndarray) -> np.ndarray:
+        """Per-record derivative of log(1 + exp(-y * s)) with respect to s."""
+        return -self.y * sigmoid(-self.y * s)
+
+    def slope_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
+        """d NLL / d a of the slope columns ``cols``, at scores s = scores(a, t, w)."""
+        z = self.step_z(a, t, cols)
+        sp = z * (1.0 - z)
+        diff = self.step_diff(t, cols)
+        sign = np.where(self.step_up[cols], 1.0, -1.0)
+        dl = self.loss_derivative(s)
+        return (dl @ (diff * sp)) * w[self.step_wcol[cols]] * sign
+
+    def threshold_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
+        """Full-length d NLL / d t with contributions from slope columns
+        ``cols`` only; each entry collects the records in its age band."""
+        z = self.step_z(a, t, cols)
+        sp = z * (1.0 - z)
+        sign = np.where(self.step_up[cols], 1.0, -1.0)
+        coef = w[self.step_wcol[cols]] * (-sign) * a[cols]
+        term = self.loss_derivative(s)[:, None] * coef * sp
+        return np.bincount(
+            self.t_index[:, cols].ravel(),
+            weights=term.ravel(),
+            minlength=self.definition.n_thresholds,
+        )
 
     def table_scores(self) -> np.ndarray:
         """Classic table scores: the summed weights of triggered features.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
-from .model import PatientRecord, ScoreDefinition
+from .model import PatientRecord
 from .numerics import logistic_newton, sigmoid
 from .optimizer import OptimizerConfig, fit
 
@@ -339,56 +338,40 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
 
 
 def cross_validate(
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    config: OptimizerConfig,
-    folds="loo",
-    n_jobs: int = 1,
+    design: CohortDesign, config: OptimizerConfig, folds="loo"
 ) -> tuple[EvaluationReport, tuple[ScoredRow, ...]]:
     """Fit on each training split, score its held-out records, pool.
 
-    ``folds`` is "loo" or a fold count for seeded stratified k-fold.  Platt
-    coefficients are fitted within each training split and produce the
-    held-out probabilities; pooled metrics are computed over all held-out
-    scores, and the report's own Platt pair is refitted on the pooled scores
-    as a descriptive summary.  Per-fold rows are omitted for leave-one-out,
-    where single-record test splits make fold metrics undefined.
+    ``design`` lays out the whole cohort; every split is a row slice of it
+    (``CohortDesign.take``), so no record is read twice.  ``folds`` is "loo"
+    or a fold count for seeded stratified k-fold.  Platt coefficients are
+    fitted within each training split and produce the held-out
+    probabilities; pooled metrics are computed over all held-out scores, and
+    the report's own Platt pair is refitted on the pooled scores as a
+    descriptive summary.  Per-fold rows are omitted for leave-one-out, where
+    single-record test splits make fold metrics undefined.  Logs one warning
+    when any fold fit stopped at the iteration cap.
 
-    Deterministic given (cohort, definition, config, folds); folds may be
-    evaluated concurrently with ``n_jobs`` > 1 without changing any output.
+    Deterministic given (design, config, folds).
     """
-    records = list(cohort)
-    labels = np.array([r.outcome for r in records])
+    labels = design.y.astype(int)
     assignment, k = _fold_assignment(labels, folds, config.seed)
     loo = folds == "loo"
 
-    def run_fold(f: int):
-        test_mask = assignment == f
-        train = [r for r, m in zip(records, test_mask) if not m]
-        test = [r for r, m in zip(records, test_mask) if m]
-        params, _ = fit(train, definition, config)
-        train_design = CohortDesign(train, definition)
-        s_train = train_design.scores_for(params)
-        y_train = train_design.y.astype(int)
-        a, b = platt_scale(s_train, y_train)
-        test_design = CohortDesign(test, definition)
-        s_test = test_design.scores_for(params)
-        p_test = platt_probabilities(s_test, a, b)
-        return f, np.flatnonzero(test_mask), s_test, p_test, (a, b)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(f) for f in range(k)]
-    results.sort(key=lambda r: r[0])
-
-    n = len(records)
+    n = design.n
     scores = np.empty(n)
     probs = np.empty(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_rows: list[FoldMetrics] = []
-    for f, idx, s_test, p_test, (a, b) in results:
+    capped = 0
+    for f in range(k):
+        idx = np.flatnonzero(assignment == f)
+        train = design.take(np.flatnonzero(assignment != f))
+        params, trace = fit(train, config)
+        capped += trace.stopped_at_cap
+        a, b = platt_scale(train.scores_for(params), train.y.astype(int))
+        s_test = design.take(idx).scores_for(params)
+        p_test = platt_probabilities(s_test, a, b)
         scores[idx] = s_test
         probs[idx] = p_test
         fold_of[idx] = f
@@ -418,6 +401,8 @@ def cross_validate(
             )
         )
 
+    if capped:
+        logger.warning("%d of %d fold fits stopped at the iteration cap", capped, k)
     pooled_platt = platt_scale(scores, labels)
     report = evaluate_scores(
         scores,
@@ -428,12 +413,12 @@ def cross_validate(
     )
     rows = tuple(
         ScoredRow(
-            id=r.id,
+            id=row_id,
             fold=int(fold_of[i]),
             score=float(scores[i]),
             probability=float(probs[i]),
             label=int(labels[i]),
         )
-        for i, r in enumerate(records)
+        for i, row_id in enumerate(design.ids)
     )
     return report, rows

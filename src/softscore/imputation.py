@@ -235,16 +235,6 @@ class RidgeLogisticFit:
         return sigmoid(self.scores(X))
 
 
-def standardize_columns(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column z-scores; constant columns map to zero."""
-    X = np.asarray(X, dtype=float)
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    Z = (X - mu) / np.where(sd > 0, sd, 1.0)
-    Z[:, sd == 0] = 0.0
-    return Z, mu, sd
-
-
 def cohort_matrix(
     cohort: Sequence[PatientRecord], variables: Optional[Sequence[str]] = None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

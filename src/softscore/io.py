@@ -263,11 +263,14 @@ def load_cohort(path) -> list[PatientRecord]:
                     values[name] = None
                 else:
                     try:
-                        values[name] = float(cell)
+                        value = float(cell)
                     except ValueError:
+                        value = math.nan  # rejected with nan, inf and -inf
+                    if not math.isfinite(value):
                         raise ValidationError(
                             f"{path}:{line_no}: bad number {cell!r} for {name}"
-                        ) from None
+                        )
+                    values[name] = value
             try:
                 records.append(
                     PatientRecord(

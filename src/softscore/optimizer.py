@@ -1,5 +1,10 @@
 """Penalized likelihood objective and projected block coordinate descent.
 
+Everything here works on a `CohortDesign`: the likelihood, its derivative in
+the scores and the slope and threshold gradients are the design's kernels;
+this module adds the lognormal weight prior, the projections, the line search
+and the fit loop.
+
 Slopes, thresholds, and weights are updated block by block, one raw variable
 at a time.  Every kind takes the same block step: a backtracking (Armijo)
 line search along the negative block gradient, started from the objective
@@ -16,24 +21,23 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .design import CohortDesign
 from .errors import ContractViolation, NumericError, ValidationError
 from .model import (
-    PatientRecord,
     ScoreDefinition,
     ScoreParameters,
     UP,
 )
-from .numerics import sigmoid
 
 logger = logging.getLogger("softscore")
 
 KINDS = ("a", "t", "w")
 MAX_HALVINGS = 60
+MAX_ITERS_REASON = "max outer iterations"
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,11 @@ class FitTrace:
         if not (self.final_objective <= self.initial_objective):
             raise ContractViolation("final objective exceeds the initial objective")
 
+    @property
+    def stopped_at_cap(self) -> bool:
+        """True when the fit ran ``max_outer_iters`` without meeting ``rel_tol``."""
+        return self.converged_reason == MAX_ITERS_REASON
+
 
 # ----------------------------------------------------------------------
 # projections and line search
@@ -237,144 +246,68 @@ def backtracking_step(
 # ----------------------------------------------------------------------
 
 
-class _Engine:
-    """Raw-array objective and gradient evaluations over one cohort design."""
-
-    def __init__(self, design: CohortDesign, mu: np.ndarray, lam: float):
-        self.design = design
-        self.mu = mu
-        self.lam = lam
-
-    def nll(self, a, t, w) -> float:
-        return self.design.nll_of_scores(self.design.scores(a, t, w))
-
-    def prior(self, v: np.ndarray) -> float:
-        return float(np.sum(v) + self.lam * np.sum((v - self.mu) ** 2))
-
-    def dloss(self, s: np.ndarray) -> np.ndarray:
-        """Per-record derivative of the loss with respect to the score."""
-        y = self.design.y
-        return -y * sigmoid(-y * s)
-
-    def grad_a_cols(self, s, a, t, w, cols) -> np.ndarray:
-        de = self.design
-        z = de.step_z(a, t, cols)
-        sp = z * (1.0 - z)
-        diff = de.step_diff(t, cols)
-        sign = np.where(de.step_up[cols], 1.0, -1.0)
-        dl = self.dloss(s)
-        return (dl @ (diff * sp)) * w[de.step_wcol[cols]] * sign
-
-    def grad_t_restricted(self, s, a, t, w, cols) -> np.ndarray:
-        """Full-length threshold gradient with contributions from ``cols`` only."""
-        de = self.design
-        z = de.step_z(a, t, cols)
-        sp = z * (1.0 - z)
-        sign = np.where(de.step_up[cols], 1.0, -1.0)
-        coef = w[de.step_wcol[cols]] * (-sign) * a[cols]
-        term = self.dloss(s)[:, None] * coef * sp
-        return np.bincount(
-            de.t_index[:, cols].ravel(),
-            weights=term.ravel(),
-            minlength=self.design.definition.n_thresholds,
-        )
-
-    def z_columns(self, a, t, fcols) -> np.ndarray:
-        """Feature matrix columns for the given weight (feature) indices."""
-        de = self.design
-        d = de.definition
-        out = np.empty((de.n, len(fcols)))
-        bin_pos = {fi: b for b, fi in enumerate(d.binary_feature_indices)}
-        for pos, fi in enumerate(fcols):
-            if fi in d.slope_index:
-                out[:, pos] = de.step_z(a, t, np.array([d.slope_index[fi]]))[:, 0]
-            else:
-                out[:, pos] = de.bin_z[:, bin_pos[fi]]
-        return out
-
-    def grad_v_cols(self, s, v, w, zsub, fcols) -> np.ndarray:
-        data = (zsub.T @ self.dloss(s)) * w[fcols]
-        return data + 1.0 + 2.0 * self.lam * (v[fcols] - self.mu[fcols])
+def _log_prior(v: np.ndarray, mu: np.ndarray, lam: float) -> float:
+    """Lognormal weight prior in v = log w: sum(v) + lambda ||v - mu||^2."""
+    return float(np.sum(v) + lam * np.sum((v - mu) ** 2))
 
 
-def _engine_for(
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    config: Optional[OptimizerConfig] = None,
-) -> _Engine:
-    design = CohortDesign(cohort, definition)
-    cfg = config or OptimizerConfig()
-    return _Engine(design, cfg.mu_vector(definition.n_weights), cfg.prior_lambda)
+def _log_weight_gradient(design, s, v, w, Z, fcols, mu, lam) -> np.ndarray:
+    """Gradient of NLL plus prior in v[fcols]; ``Z`` holds z's ``fcols`` columns."""
+    data = (Z.T @ design.loss_derivative(s)) * w[fcols]
+    return data + 1.0 + 2.0 * lam * (v[fcols] - mu[fcols])
 
 
-def negative_log_likelihood(
-    params: ScoreParameters,
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-) -> float:
+def negative_log_likelihood(params: ScoreParameters, design: CohortDesign) -> float:
     """Sum over the cohort of log(1 + exp(-y w'z))."""
-    eng = _engine_for(cohort, definition)
-    value = eng.nll(params.slopes, params.thresholds, params.weights)
+    value = design.nll_of_scores(design.scores_for(params))
     if not np.isfinite(value):
         raise NumericError("negative log-likelihood is not finite")
     return value
 
 
 def penalized_objective(
-    params: ScoreParameters,
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    config: OptimizerConfig,
+    params: ScoreParameters, design: CohortDesign, config: OptimizerConfig
 ) -> float:
     """NLL plus the lognormal weight penalty: sum(log w) + lambda ||log w - mu||^2."""
-    eng = _engine_for(cohort, definition, config)
-    v = np.log(params.weights)
-    value = eng.nll(params.slopes, params.thresholds, params.weights) + eng.prior(v)
+    mu = config.mu_vector(design.definition.n_weights)
+    value = design.nll_of_scores(design.scores_for(params)) + _log_prior(
+        np.log(params.weights), mu, config.prior_lambda
+    )
     if not np.isfinite(value):
         raise NumericError("penalized objective is not finite")
     return value
 
 
-def gradient_slopes(
-    params: ScoreParameters,
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-) -> np.ndarray:
+def gradient_slopes(params: ScoreParameters, design: CohortDesign) -> np.ndarray:
     """d NLL / d a, one entry per step feature; missing cells contribute 0."""
-    eng = _engine_for(cohort, definition)
     a, t, w = params.slopes, params.thresholds, params.weights
-    s = eng.design.scores(a, t, w)
-    cols = np.arange(definition.n_slopes)
-    return eng.grad_a_cols(s, a, t, w, cols)
+    cols = np.arange(design.definition.n_slopes)
+    return design.slope_gradient(design.scores_for(params), a, t, w, cols)
 
 
-def gradient_thresholds(
-    params: ScoreParameters,
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-) -> np.ndarray:
+def gradient_thresholds(params: ScoreParameters, design: CohortDesign) -> np.ndarray:
     """d NLL / d t; each age-band entry collects only patients in that band."""
-    eng = _engine_for(cohort, definition)
     a, t, w = params.slopes, params.thresholds, params.weights
-    s = eng.design.scores(a, t, w)
-    cols = np.arange(definition.n_slopes)
-    return eng.grad_t_restricted(s, a, t, w, cols)
+    cols = np.arange(design.definition.n_slopes)
+    return design.threshold_gradient(design.scores_for(params), a, t, w, cols)
 
 
 def gradient_log_weights(
-    params: ScoreParameters,
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    config: OptimizerConfig,
+    params: ScoreParameters, design: CohortDesign, config: OptimizerConfig
 ) -> np.ndarray:
     """Gradient in v = log w of NLL plus prior, including 1 + 2 lambda (v - mu)."""
-    eng = _engine_for(cohort, definition, config)
     a, t, w = params.slopes, params.thresholds, params.weights
-    v = np.log(w)
-    s = eng.design.scores(a, t, w)
-    fcols = np.arange(definition.n_weights)
-    zsub = eng.design.z_matrix(a, t)
-    return eng.grad_v_cols(s, v, w, zsub, fcols)
+    n_weights = design.definition.n_weights
+    return _log_weight_gradient(
+        design,
+        design.scores_for(params),
+        np.log(w),
+        w,
+        design.z_matrix(a, t),
+        np.arange(n_weights),
+        config.mu_vector(n_weights),
+        config.prior_lambda,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -383,23 +316,21 @@ def gradient_log_weights(
 
 
 def fit(
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    config: OptimizerConfig,
+    design: CohortDesign, config: OptimizerConfig
 ) -> tuple[ScoreParameters, FitTrace]:
     """Projected block coordinate descent from the table-score initialization.
 
-    Slopes start at ``config.a_init`` for every step feature; thresholds and
-    weights start at the definition's table values.  Deterministic: identical
-    inputs produce an identical trace.
+    Fits the score of ``design.definition`` to the cohort laid out in
+    ``design``.  Slopes start at ``config.a_init`` for every step feature;
+    thresholds and weights start at the definition's table values.
+    Deterministic: identical inputs produce an identical trace.
     """
-    design = CohortDesign(cohort, definition)
     if not design.has_both_classes:
         raise ValidationError("cohort must contain both outcomes to fit")
-    d = definition
+    d = design.definition
     include_prior = "w" in config.optimize_over
     mu = config.mu_vector(d.n_weights)
-    eng = _Engine(design, mu, config.prior_lambda)
+    lam = config.prior_lambda
 
     init = ScoreParameters.initial(d, config.a_init)
     a = np.array(init.slopes)
@@ -423,7 +354,7 @@ def fit(
     blocks = _build_blocks(d)
     all_t = np.arange(d.n_thresholds)
     raw = {"a": a, "t": t, "w": v}  # each kind's raw variables, updated in place
-    prior_cache = eng.prior(v) if include_prior else 0.0
+    prior_cache = _log_prior(v, mu, lam) if include_prior else 0.0
     s_full = design.scores(a, t, w_cur)
     f_cur = design.nll_of_scores(s_full) + prior_cache
     if not np.isfinite(f_cur):
@@ -433,7 +364,7 @@ def fit(
     steps: list[TraceStep] = []
     stalls = 0
     outer = 0
-    reason = "max outer iterations"
+    reason = MAX_ITERS_REASON
     for outer in range(1, config.max_outer_iters + 1):
         f_start = f_cur
         for kind in config.order:
@@ -446,8 +377,10 @@ def fit(
                     idx = cols[~frozen_w[cols]]
                     if idx.size == 0:
                         continue
-                    zsub = eng.z_columns(a, t, idx)
-                    g = eng.grad_v_cols(s_full, v, w_cur, zsub, idx)
+                    zsub = design.z_matrix(a, t, idx)
+                    g = _log_weight_gradient(
+                        design, s_full, v, w_cur, zsub, idx, mu, lam
+                    )
                     if not g.any():
                         continue
                     s_base = s_full - zsub @ w_cur[idx]
@@ -459,16 +392,16 @@ def fit(
                         v_try = v.copy()
                         v_try[idx] = x
                         s = s_base + zsub @ np.exp(x)
-                        return s, design.nll_of_scores(s) + eng.prior(v_try)
+                        return s, design.nll_of_scores(s) + _log_prior(v_try, mu, lam)
 
                 else:
                     if kind == "a":
                         idx = cols
-                        g = eng.grad_a_cols(s_full, a, t, w_cur, cols)
+                        g = design.slope_gradient(s_full, a, t, w_cur, cols)
                         project = project_slopes
                     else:
                         idx = all_t
-                        g = eng.grad_t_restricted(s_full, a, t, w_cur, cols)
+                        g = design.threshold_gradient(s_full, a, t, w_cur, cols)
 
                         def project(x):
                             return project_thresholds(x, d)
@@ -511,7 +444,7 @@ def fit(
                 raw[kind][idx] = x_new
                 if kind == "w":
                     w_cur[idx] = np.exp(x_new)
-                    prior_cache = eng.prior(v)
+                    prior_cache = _log_prior(v, mu, lam)
                 steps.append(TraceStep(outer, kind, label, f_cur, f_new, h))
                 s_full, f_cur = s_new, f_new
 

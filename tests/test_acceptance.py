@@ -27,7 +27,7 @@ from test_optimizer import (
 )
 
 from softscore.cli import main as cli_main
-from softscore.design import hard_scores, soft_scores
+from softscore.design import CohortDesign, hard_scores, soft_scores
 from softscore.evaluation import (
     brier,
     cross_validate,
@@ -136,7 +136,7 @@ def test_02_gradients_match_finite_differences(capsys):
         instances += 1
 
         saturated = _saturated_slope_cols(d, p, cohort)
-        g_a = gradient_slopes(p, cohort, d)
+        g_a = gradient_slopes(p, CohortDesign(cohort, d))
         for j in range(d.n_slopes):
             if j in saturated:
                 continue
@@ -150,14 +150,14 @@ def test_02_gradients_match_finite_differences(capsys):
             for (fi2, _), m in d.threshold_index.items()
             if fi2 == fi
         }
-        g_t = gradient_thresholds(p, cohort, d)
+        g_t = gradient_thresholds(p, CohortDesign(cohort, d))
         for m in range(d.n_thresholds):
             if m in saturated_t:
                 continue
             worst = max(worst, _rel_err(g_t[m], _fd_threshold(d, p, cohort, m)))
             checked += 1
 
-        g_v = gradient_log_weights(p, cohort, d, cfg)
+        g_v = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
         for j in range(d.n_weights):
             worst = max(
                 worst, _rel_err(g_v[j], _fd_log_weight(d, p, cohort, j, cfg))
@@ -207,7 +207,7 @@ def test_03_quasilinearity_sign_suite(capsys):
 
         def loss(tt):
             p = ScoreParameters(d, np.array([a]), np.array([tt]), np.array([w]))
-            return negative_log_likelihood(p, cohort, d)
+            return negative_log_likelihood(p, CohortDesign(cohort, d))
 
         lo, mid, hi = loss(t - step), loss(t), loss(t + step)
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -223,10 +223,10 @@ def test_03_quasilinearity_sign_suite(capsys):
 
         p = ScoreParameters(d, np.array([a]), np.array([t]), np.array([w]))
         flip = 1.0 if direction == "up" else -1.0
-        g_a = gradient_slopes(p, cohort, d)[0]
+        g_a = gradient_slopes(p, CohortDesign(cohort, d))[0]
         if g_a * (flip * (-y * w * (x - t))) < -slack:
             violations += 1
-        g_t = gradient_thresholds(p, cohort, d)[0]
+        g_t = gradient_thresholds(p, CohortDesign(cohort, d))[0]
         if rising:
             if g_t < -slack:
                 violations += 1
@@ -258,7 +258,7 @@ def test_04_monotone_descent(capsys):
             d, p_true, _ = random_instance(rng, n_records=2)
             cohort = signal_cohort(rng, d, p_true, n=60)
             cfg = OptimizerConfig(optimize_over=over, max_outer_iters=40)
-            params, trace = fit(cohort, d, cfg)
+            params, trace = fit(CohortDesign(cohort, d), cfg)
             if trace.final_objective > trace.initial_objective:
                 violations += 1
             previous = trace.initial_objective
@@ -297,7 +297,7 @@ def test_05_discrimination_recovery(capsys):
     for s in range(10):
         train, _ = generate(demo_generator(n=2000, seed=1000 + s))
         test, truth = generate(demo_generator(n=2000, seed=2000 + s))
-        params, _ = fit(train, d, cfg)
+        params, _ = fit(CohortDesign(train, d), cfg)
         labels = [r.outcome for r in test]
         _, soft_auc = roc_and_auc(soft_scores(test, d, params), labels)
         _, hard_auc = roc_and_auc(hard_scores(test, d), labels)
@@ -389,7 +389,7 @@ def test_07_platt_calibration(capsys):
     )
     train, _ = generate(train_config)
     test, truth = generate(test_config)
-    params, _ = fit(train, d, OptimizerConfig(optimize_over=("a", "w")))
+    params, _ = fit(CohortDesign(train, d), OptimizerConfig(optimize_over=("a", "w")))
     calibration = platt_scale(
         soft_scores(train, d, params), [r.outcome for r in train]
     )
@@ -518,7 +518,7 @@ def test_10_cross_validation_protocols(capsys):
     adult, _, _ = preset_cohort("adult_icu")
     started = time.perf_counter()
     adult_report, _ = cross_validate(
-        adult, preset("adult_icu").definition(), cfg, folds=10
+        CohortDesign(adult, preset("adult_icu").definition()), cfg, folds=10
     )
     adult_elapsed = time.perf_counter() - started
     adult_ok = (
@@ -530,7 +530,7 @@ def test_10_cross_validation_protocols(capsys):
     pediatric, _, _ = preset_cohort("pediatric_icu")
     started = time.perf_counter()
     pediatric_report, _ = cross_validate(
-        pediatric, preset("pediatric_icu").definition(), cfg, folds="loo"
+        CohortDesign(pediatric, preset("pediatric_icu").definition()), cfg, folds="loo"
     )
     pediatric_elapsed = time.perf_counter() - started
     pediatric_ok = (

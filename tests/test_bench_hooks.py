@@ -1,7 +1,9 @@
-"""The names the benchmark's tracer wraps (bench/tracer.py) exist in the package.
+"""The names the benchmark's tracer wraps (bench/tracer.py) exist in the
+package, and the kernels among them are still called.
 
 The tracer replaces functions by attribute name, so renaming one of them
-breaks traced benchmark runs; this test makes the rename fail here instead.
+breaks traced benchmark runs, and a kernel the code no longer calls leaves its
+per-layer metric at 0; these tests make either fail here instead.
 """
 import importlib.util
 import pathlib
@@ -9,6 +11,8 @@ import pathlib
 import softscore
 import softscore.cli  # noqa: F401  (binds softscore.cli, which the tracer wraps)
 from softscore.design import CohortDesign
+from softscore.optimizer import OptimizerConfig
+from softscore.presets import preset, preset_cohort
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -29,3 +33,22 @@ def test_every_traced_function_resolves():
 def test_every_traced_design_method_is_defined_on_the_class():
     for attr in _tracer_module()._DESIGN_METHODS:
         assert attr in CohortDesign.__dict__, attr
+
+
+def test_cross_validation_calls_every_traced_kernel():
+    """A traced a,t,w cross-validation reaches every wrapped design method and
+    optimizer function, so no per-layer metric of the benchmark reads 0
+    because the code stopped calling the name it wraps."""
+    tracer_module = _tracer_module()
+    cohort, _, _ = preset_cohort("pediatric_icu", n=90, seed=4)
+    d = preset("pediatric_icu").definition()
+    config = OptimizerConfig(optimize_over=("a", "t", "w"), max_outer_iters=3)
+    tracer = tracer_module.Tracer()
+    tracer.install(softscore)
+    try:
+        softscore.evaluation.cross_validate(CohortDesign(cohort, d), config, folds=3)
+    finally:
+        tracer.uninstall()
+    names = list(tracer_module._DESIGN_METHODS.values())
+    names += [n for _, n in tracer_module._TARGETS if n.startswith("optimizer.")]
+    assert {name: tracer.calls(name) for name in names if not tracer.calls(name)} == {}

@@ -2,13 +2,16 @@
 import csv
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import rec
 from softscore import __version__
 from softscore.cli import main
+from softscore.design import CohortDesign
 from softscore.errors import NumericError
 from softscore.evaluation import platt_probabilities, roc_and_auc
 from softscore.io import (
@@ -16,8 +19,10 @@ from softscore.io import (
     load_score_definition,
     params_to_dict,
     save_cohort,
+    save_score_definition,
 )
 from softscore.model import PatientRecord, ScoreParameters
+from test_optimizer import binary_only_definition
 
 runner = CliRunner()
 
@@ -283,6 +288,35 @@ class TestFit:
         )
         assert "numeric error: objective became non-finite" in result.output
 
+    @pytest.mark.parametrize("max_outer_iters, warnings", [(500, 0), (1, 1)])
+    def test_iteration_cap_is_warned_once(
+        self, tmp_path, caplog, max_outer_iters, warnings
+    ):
+        # the easy instance of test_converges_by_tolerance_on_easy_instance
+        definition = tmp_path / "binary.definition.json"
+        save_score_definition(definition, binary_only_definition(weight=2.0))
+        cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
+        cohort += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
+        cohort_path = tmp_path / "easy.csv"
+        save_cohort(cohort_path, cohort, ["flag"])
+        config = tmp_path / "optimizer.json"
+        config.write_text(
+            json.dumps({"optimize_over": ["w"], "max_outer_iters": max_outer_iters}),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="softscore"):
+            run_ok(
+                [
+                    "fit",
+                    "--cohort", cohort_path,
+                    "--score-def", definition,
+                    "--out", tmp_path / "fit.json",
+                    "--config", config,
+                ]
+            )
+        capped = [r for r in caplog.records if "iteration cap" in r.getMessage()]
+        assert len(capped) == warnings
+
     def test_unknown_optimize_kind_exits_one(self, ws, tmp_path):
         result = run_fail(
             [
@@ -428,8 +462,45 @@ class TestEvaluate:
         assert str(missing) in result.output
 
 
+class TestNonFiniteCells:
+    @staticmethod
+    def _cohort_with_cell(ws, path, cell):
+        """The shared cohort with its first observed value cell set to ``cell``;
+        returns the line number and variable name of that cell."""
+        with open(ws["cohort"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        line, col = next(
+            (i + 1, j)
+            for i, row in enumerate(rows[1:], start=1)
+            for j in range(3, len(row))
+            if row[j] != ""
+        )
+        rows[line - 1][col] = cell
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return line, rows[0][col]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["fit", "evaluate-soft", "evaluate-hard"])
+    def test_exits_one_naming_the_cell(self, ws, tmp_path, command, cell):
+        path = tmp_path / "cohort.csv"
+        line, name = self._cohort_with_cell(ws, path, cell)
+        args = {
+            "fit": ["fit"],
+            "evaluate-soft": ["evaluate", "--fitted", ws["fitted"]],
+            "evaluate-hard": ["evaluate"],
+        }[command]
+        args += [
+            "--cohort", path,
+            "--score-def", ws["definition"],
+            "--out", tmp_path / "out.json",
+        ]
+        result = run_fail(args, 1)
+        assert f"{path}:{line}: bad number {cell!r} for {name}" in result.output
+
+
 class TestCv:
-    def _cv(self, ws, out, scores, extra=()):
+    def _cv(self, ws, out, scores):
         return run_ok(
             [
                 "cv",
@@ -439,7 +510,6 @@ class TestCv:
                 "--out", out,
                 "--scores", scores,
                 "--optimize", "a",
-                *extra,
             ]
         )
 
@@ -459,19 +529,26 @@ class TestCv:
         )
         assert report["pooled"]["auc"] == auc
 
-    def test_rerun_and_parallel_are_byte_identical(self, ws, tmp_path):
+    def test_rerun_is_byte_identical(self, ws, tmp_path):
         artifacts = []
-        for tag, extra in (
-            ("serial", ()),
-            ("rerun", ()),
-            ("parallel", ("--parallel-folds", "2")),
-        ):
+        for tag in ("first", "rerun"):
             report_path = tmp_path / f"{tag}.json"
             scores_path = tmp_path / f"{tag}.csv"
-            self._cv(ws, report_path, scores_path, extra)
+            self._cv(ws, report_path, scores_path)
             artifacts.append((report_path.read_bytes(), scores_path.read_bytes()))
         assert artifacts[0] == artifacts[1]
-        assert artifacts[0] == artifacts[2]
+
+    def test_builds_one_design(self, ws, tmp_path, monkeypatch):
+        builds = []
+        init = CohortDesign.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CohortDesign, "__init__", counting_init)
+        self._cv(ws, tmp_path / "cv.json", tmp_path / "cv.csv")
+        assert len(builds) == 1
 
     def test_leave_one_out(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])

@@ -50,6 +50,18 @@ class TestCohortDesign:
                     Z[i], reference_z(r, d, p), rtol=0, atol=1e-12
                 )
 
+    def test_z_matrix_selects_weight_columns_in_the_given_order(self):
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            d, p, cohort = random_instance(rng, or_groups=True)
+            design = CohortDesign(cohort, d)
+            full = design.z_matrix(p.slopes, p.thresholds)
+            k = int(rng.integers(1, d.n_weights + 1))
+            fcols = rng.permutation(d.n_weights)[:k]
+            np.testing.assert_array_equal(
+                design.z_matrix(p.slopes, p.thresholds, fcols), full[:, fcols]
+            )
+
     def test_age_bands_resolve_by_age(self):
         d = banded_definition()  # bands young [0, 120) and old [120, 1200)
         cohort = [rec("a", {}, age=12), rec("b", {"hr_max": 99.0}, age=120)]
@@ -102,6 +114,42 @@ class TestCohortDesign:
         d2 = mixed_definition()
         design = CohortDesign([rec("a", {"lactate_max": 5.0})], d1)
         assert design.scores_for(ScoreParameters.initial(d2)).shape == (1,)
+
+
+class TestTake:
+    def test_equals_a_design_built_from_the_chosen_records(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            d, _, cohort = random_instance(rng, missing_rate=0.4, or_groups=True)
+            design = CohortDesign(cohort, d)
+            n = len(cohort)
+            for rows in (
+                np.arange(1, n, 2),  # sorted
+                rng.permutation(n)[: n - 2],  # unsorted
+                [n - 1, 0, n - 1, 2, 0, 0],  # repeated
+            ):
+                taken = design.take(rows)
+                built = CohortDesign([cohort[i] for i in rows], d)
+                assert vars(taken).keys() == vars(built).keys()
+                for name, value in vars(built).items():
+                    if isinstance(value, np.ndarray):
+                        assert getattr(taken, name).dtype == value.dtype, name
+                        # NaN (missing) cells must sit in the same places
+                        np.testing.assert_array_equal(
+                            getattr(taken, name), value, err_msg=name
+                        )
+                    else:
+                        assert getattr(taken, name) == value, name
+                np.testing.assert_array_equal(
+                    np.isnan(taken.step_x), np.isnan(built.step_x)
+                )
+                assert taken.unobserved_features() == built.unobserved_features()
+                assert taken.has_both_classes == built.has_both_classes
+
+    def test_no_rows_rejected(self):
+        design = CohortDesign([rec("a", {})], mixed_definition())
+        with pytest.raises(ValidationError, match="cohort is empty"):
+            design.take([])
 
 
 class TestBatchHelpers:

@@ -1,4 +1,5 @@
 """Metric oracles, Platt scaling, report assembly, and cross-validation."""
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_definition, rec
+from softscore.design import CohortDesign
 from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
     EvaluationReport,
@@ -416,14 +418,18 @@ class TestCrossValidate:
         self.cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=20)
 
     def test_loo_scores_every_record_once(self):
-        report, rows = cross_validate(self.cohort, self.d, self.cfg, folds="loo")
+        report, rows = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
+        )
         assert report.n == len(self.cohort)
         assert report.folds == ()  # no per-fold table for leave-one-out
         assert [r.id for r in rows] == [r.id for r in self.cohort]
         assert sorted(r.fold for r in rows) == list(range(len(self.cohort)))
 
     def test_kfold_rows_and_fold_table(self):
-        report, rows = cross_validate(self.cohort, self.d, self.cfg, folds=4)
+        report, rows = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds=4
+        )
         assert len(report.folds) == 4
         assert sum(f.n_test for f in report.folds) == len(self.cohort)
         by_fold = {f.fold: f for f in report.folds}
@@ -434,16 +440,21 @@ class TestCrossValidate:
             )[0]
             assert row.probability == pytest.approx(expected, rel=1e-12)
 
-    def test_parallel_folds_change_nothing(self):
-        r1, rows1 = cross_validate(self.cohort, self.d, self.cfg, folds=4, n_jobs=1)
-        r2, rows2 = cross_validate(self.cohort, self.d, self.cfg, folds=4, n_jobs=3)
-        assert rows1 == rows2
-        assert r1.auc == r2.auc
-        assert r1.brier == r2.brier
+    def test_fold_fits_at_the_iteration_cap_log_one_line(self, caplog):
+        cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=1)
+        with caplog.at_level(logging.WARNING, logger="softscore"):
+            cross_validate(CohortDesign(self.cohort, self.d), cfg, folds=4)
+        capped = [r.getMessage() for r in caplog.records]
+        capped = [m for m in capped if "iteration cap" in m]
+        assert capped == ["4 of 4 fold fits stopped at the iteration cap"]
 
     def test_rerun_is_identical(self):
-        _, rows1 = cross_validate(self.cohort, self.d, self.cfg, folds="loo")
-        _, rows2 = cross_validate(self.cohort, self.d, self.cfg, folds="loo")
+        _, rows1 = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
+        )
+        _, rows2 = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
+        )
         assert rows1 == rows2
 
     def test_loo_needs_two_per_class(self):
@@ -451,10 +462,12 @@ class TestCrossValidate:
             rec(f"n{i}", {"lactate_max": 2.0}, outcome=-1) for i in range(5)
         ]
         with pytest.raises(ValidationError):
-            cross_validate(lonely, self.d, self.cfg, folds="loo")
+            cross_validate(CohortDesign(lonely, self.d), self.cfg, folds="loo")
 
     def test_pooled_auc_uses_held_out_scores(self):
-        report, rows = cross_validate(self.cohort, self.d, self.cfg, folds=4)
+        report, rows = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds=4
+        )
         s = np.array([r.score for r in rows])
         y = np.array([r.label for r in rows])
         _, auc = roc_and_auc(s, y)

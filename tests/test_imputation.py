@@ -13,7 +13,6 @@ from softscore.imputation import (
     impute,
     knn_distances,
     ridge_logistic_fit,
-    standardize_columns,
 )
 from softscore.numerics import sigmoid
 from softscore.presets import preset_cohort
@@ -369,10 +368,3 @@ class TestRidgeLogistic:
         np.testing.assert_allclose(
             fit.probabilities(X), sigmoid(fit.scores(X)), atol=1e-15
         )
-
-    def test_standardize_columns(self):
-        X = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
-        Z, mu, sd = standardize_columns(X)
-        np.testing.assert_allclose(Z[:, 0].mean(), 0.0, atol=1e-15)
-        np.testing.assert_allclose(Z[:, 0].std(), 1.0, atol=1e-15)
-        np.testing.assert_array_equal(Z[:, 1], 0.0)  # constant column

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import banded_definition, mixed_definition, rec
+from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.evaluation import ScoredRow, evaluate_scores
 from softscore.io import (
@@ -152,7 +153,7 @@ def _quick_fit(tmp_path):
         rec("d", {"lactate_max": 2.0, "gcs_min": 14.0}),
     ]
     config = OptimizerConfig(optimize_over=("a",), max_outer_iters=3)
-    _, trace = fit(cohort, mixed_definition(), config)
+    _, trace = fit(CohortDesign(cohort, mixed_definition()), config)
     return config, trace
 
 
@@ -256,6 +257,18 @@ class TestCohortCsv:
         path.write_text("id,age_months,outcome,x\na,12,2,0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="bad.csv:2"):
             load_cohort(path)
+
+    def test_non_finite_cells_are_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for cell in ("nan", "NaN", "inf", "-inf", "Infinity"):
+            path.write_text(
+                f"id,age_months,outcome,x,y\na,12,1,0.5,\nb,12,-1,1.5,{cell}\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(
+                ValidationError, match=f"bad.csv:3: bad number '{cell}' for y"
+            ):
+                load_cohort(path)
 
     def test_truth_sidecar_preserves_probabilities(self, tmp_path):
         cohort, probabilities = generate(demo_generator(n=25))

@@ -13,6 +13,7 @@ from helpers import (
     rec,
     reference_z,
 )
+from softscore.design import CohortDesign
 from softscore.errors import ContractViolation, NumericError, ValidationError
 from softscore.model import (
     MAX_VALUED,
@@ -100,7 +101,7 @@ class TestObjectiveOracles:
         d = mixed_definition()
         p = ScoreParameters.initial(d)
         cohort = [rec(f"r{i}", {}, outcome=1 if i % 2 else -1) for i in range(7)]
-        assert negative_log_likelihood(p, cohort, d) == pytest.approx(
+        assert negative_log_likelihood(p, CohortDesign(cohort, d)) == pytest.approx(
             7 * math.log(2), rel=1e-15
         )
 
@@ -109,20 +110,20 @@ class TestObjectiveOracles:
         p = ScoreParameters.initial(d)
         positive = [rec("p", {"flag": 1.0}, outcome=1)]
         negative = [rec("n", {"flag": 1.0}, outcome=-1)]
-        assert negative_log_likelihood(p, positive, d) == pytest.approx(
+        assert negative_log_likelihood(p, CohortDesign(positive, d)) == pytest.approx(
             LOG1PEXP_MINUS5, rel=1e-12
         )
-        assert negative_log_likelihood(p, negative, d) == pytest.approx(
+        assert negative_log_likelihood(p, CohortDesign(negative, d)) == pytest.approx(
             LOG1PEXP_PLUS5, rel=1e-12
         )
 
     def test_invariant_under_record_reordering(self):
         rng = np.random.default_rng(53)
         d, p, cohort = random_instance(rng)
-        value = negative_log_likelihood(p, cohort, d)
-        assert negative_log_likelihood(p, cohort[::-1], d) == pytest.approx(
-            value, rel=1e-14
-        )
+        value = negative_log_likelihood(p, CohortDesign(cohort, d))
+        assert negative_log_likelihood(
+            p, CohortDesign(cohort[::-1], d)
+        ) == pytest.approx(value, rel=1e-14)
 
     def test_non_finite_score_raises(self):
         d = mixed_definition()
@@ -130,15 +131,15 @@ class TestObjectiveOracles:
                             np.array([4.0, 8.0, 8.0]), np.ones(4))
         bad = [rec("r", {"lactate_max": math.inf}, outcome=1)]
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            negative_log_likelihood(p, bad, d)
+            negative_log_likelihood(p, CohortDesign(bad, d))
 
     def test_penalty_vanishes_at_unit_weights_with_zero_lambda(self):
         rng = np.random.default_rng(59)
         d, p0, cohort = random_instance(rng)
         p = ScoreParameters(d, p0.slopes, p0.thresholds, np.ones(d.n_weights))
         cfg = OptimizerConfig(prior_lambda=0.0, prior_mu=0.0)
-        assert penalized_objective(p, cohort, d, cfg) == pytest.approx(
-            negative_log_likelihood(p, cohort, d), rel=1e-14
+        assert penalized_objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
+            negative_log_likelihood(p, CohortDesign(cohort, d)), rel=1e-14
         )
 
     def test_quadratic_term_vanishes_at_w_equal_exp_mu(self):
@@ -148,8 +149,10 @@ class TestObjectiveOracles:
         w = np.full(d.n_weights, math.exp(mu))
         p = ScoreParameters(d, p0.slopes, p0.thresholds, w)
         cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=mu)
-        expected = negative_log_likelihood(p, cohort, d) + d.n_weights * mu
-        assert penalized_objective(p, cohort, d, cfg) == pytest.approx(
+        expected = (
+            negative_log_likelihood(p, CohortDesign(cohort, d)) + d.n_weights * mu
+        )
+        assert penalized_objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -165,9 +168,9 @@ class TestObjectiveOracles:
                 nll += math.log1p(math.exp(-r.outcome * s))
             v = np.log(p.weights)
             prior = float(np.sum(v) + 0.25 * np.sum(v**2))
-            assert penalized_objective(p, cohort, d, cfg) == pytest.approx(
-                nll + prior, rel=1e-10
-            )
+            assert penalized_objective(
+                p, CohortDesign(cohort, d), cfg
+            ) == pytest.approx(nll + prior, rel=1e-10)
 
 
 def _fd_slope(d, p, cohort, j, h=1e-5):
@@ -176,10 +179,10 @@ def _fd_slope(d, p, cohort, j, h=1e-5):
     a_plus[j] += h
     a_minus[j] = max(a_minus[j] - h, 0.0)
     f_plus = negative_log_likelihood(
-        ScoreParameters(d, a_plus, p.thresholds, p.weights), cohort, d
+        ScoreParameters(d, a_plus, p.thresholds, p.weights), CohortDesign(cohort, d)
     )
     f_minus = negative_log_likelihood(
-        ScoreParameters(d, a_minus, p.thresholds, p.weights), cohort, d
+        ScoreParameters(d, a_minus, p.thresholds, p.weights), CohortDesign(cohort, d)
     )
     return (f_plus - f_minus) / (a_plus[j] - a_minus[j])
 
@@ -190,10 +193,10 @@ def _fd_threshold(d, p, cohort, m, h=1e-5):
     t_plus[m] += h
     t_minus[m] -= h
     f_plus = negative_log_likelihood(
-        ScoreParameters(d, p.slopes, t_plus, p.weights), cohort, d
+        ScoreParameters(d, p.slopes, t_plus, p.weights), CohortDesign(cohort, d)
     )
     f_minus = negative_log_likelihood(
-        ScoreParameters(d, p.slopes, t_minus, p.weights), cohort, d
+        ScoreParameters(d, p.slopes, t_minus, p.weights), CohortDesign(cohort, d)
     )
     return (f_plus - f_minus) / (2 * h)
 
@@ -205,10 +208,14 @@ def _fd_log_weight(d, p, cohort, j, cfg, h=1e-5):
     v_plus[j] += h
     v_minus[j] -= h
     f_plus = penalized_objective(
-        ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_plus)), cohort, d, cfg
+        ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_plus)),
+        CohortDesign(cohort, d),
+        cfg,
     )
     f_minus = penalized_objective(
-        ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_minus)), cohort, d, cfg
+        ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_minus)),
+        CohortDesign(cohort, d),
+        cfg,
     )
     return (f_plus - f_minus) / (2 * h)
 
@@ -249,12 +256,12 @@ class TestGradientFiniteDifferences:
                 continue
             instances += 1
             bad = _saturated_slope_cols(d, p, cohort)
-            g_a = gradient_slopes(p, cohort, d)
+            g_a = gradient_slopes(p, CohortDesign(cohort, d))
             for j in range(d.n_slopes):
                 if j in bad:
                     continue
                 assert _rel_err(g_a[j], _fd_slope(d, p, cohort, j)) < 1e-5
-            g_t = gradient_thresholds(p, cohort, d)
+            g_t = gradient_thresholds(p, CohortDesign(cohort, d))
             bad_t = {
                 m
                 for fi, j in d.slope_index.items()
@@ -266,7 +273,7 @@ class TestGradientFiniteDifferences:
                 if m in bad_t:
                     continue
                 assert _rel_err(g_t[m], _fd_threshold(d, p, cohort, m)) < 1e-5
-            g_v = gradient_log_weights(p, cohort, d, cfg)
+            g_v = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
             for j in range(d.n_weights):
                 assert _rel_err(g_v[j], _fd_log_weight(d, p, cohort, j, cfg)) < 1e-5
 
@@ -281,9 +288,9 @@ class TestGradientStructure:
             rec("a", {"lactate_max": 5.0, "gcs_min": None}, outcome=1),
             rec("b", {"lactate_max": 2.0}, outcome=-1),
         ]
-        g_a = gradient_slopes(p, cohort, d)
+        g_a = gradient_slopes(p, CohortDesign(cohort, d))
         assert g_a[2] == 0.0  # gcs never observed
-        g_t = gradient_thresholds(p, cohort, d)
+        g_t = gradient_thresholds(p, CohortDesign(cohort, d))
         assert g_t[2] == 0.0
 
     def test_tiny_weight_kills_slope_gradient(self):
@@ -294,7 +301,7 @@ class TestGradientStructure:
             rec("a", {"lactate_max": 5.0, "gcs_min": 6.0}, outcome=1),
             rec("b", {"lactate_max": 3.0, "gcs_min": 12.0}, outcome=-1),
         ]
-        g = gradient_slopes(p, cohort, d)
+        g = gradient_slopes(p, CohortDesign(cohort, d))
         assert abs(g[0]) < 1e-290 and abs(g[1]) < 1e-290
         assert abs(g[2]) > 1e-6
 
@@ -322,7 +329,7 @@ class TestGradientStructure:
                     PatientRecord(id="r", age_months=1, outcome=y,
                                   values={var.name: x})
                 ]
-                g = gradient_slopes(p, cohort, d)[0]
+                g = gradient_slopes(p, CohortDesign(cohort, d))[0]
                 expected = flip * (-y * w * (x - t))
                 assert g * expected >= 0.0
                 if abs(x - t) > 1e-6:
@@ -347,7 +354,7 @@ class TestGradientStructure:
             cohort = [
                 PatientRecord(id="r", age_months=1, outcome=y, values={"u": x})
             ]
-            g = gradient_thresholds(p, cohort, d)[0]
+            g = gradient_thresholds(p, CohortDesign(cohort, d))[0]
             if y == -1:
                 assert g <= 0.0
             else:
@@ -358,7 +365,7 @@ class TestGradientStructure:
         cohort = [rec("a", {}, outcome=1), rec("b", {}, outcome=-1)]
         cfg = OptimizerConfig(optimize_over=("w",), prior_lambda=0.25, prior_mu=0.0)
         p = ScoreParameters.initial(d)
-        g = gradient_log_weights(p, cohort, d, cfg)
+        g = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
         # data term vanishes (z = 0 everywhere): 1 + 2*lambda*(v - mu) = 2
         assert g[0] == pytest.approx(2.0, rel=1e-12)
 
@@ -474,8 +481,6 @@ class TestBacktracking:
 
 def signal_cohort(rng, d, p, n=60):
     """Cohort drawn so higher true scores mean likelier positive outcomes."""
-    from softscore.design import CohortDesign
-
     records = []
     for i in range(n):
         values = {}
@@ -511,7 +516,7 @@ class TestFit:
         d = mixed_definition()
         cohort = [rec("a", {}, outcome=-1), rec("b", {}, outcome=-1)]
         with pytest.raises(ValidationError):
-            fit(cohort, d, OptimizerConfig())
+            fit(CohortDesign(cohort, d), OptimizerConfig())
 
     def test_trace_decreases_across_optimize_sets(self):
         rng = np.random.default_rng(97)
@@ -519,7 +524,7 @@ class TestFit:
             d, p_true, _ = random_instance(rng, n_records=2)
             cohort = signal_cohort(rng, d, p_true, n=50)
             cfg = OptimizerConfig(optimize_over=over, max_outer_iters=40)
-            params, trace = fit(cohort, d, cfg)
+            params, trace = fit(CohortDesign(cohort, d), cfg)
             assert trace.final_objective <= trace.initial_objective
             prev = trace.initial_objective
             for step in trace.steps:
@@ -537,7 +542,7 @@ class TestFit:
         d, p_true, _ = random_instance(rng, n_records=2)
         cohort = signal_cohort(rng, d, p_true, n=50)
         cfg = OptimizerConfig(optimize_over=("a",), max_outer_iters=25)
-        params, _ = fit(cohort, d, cfg)
+        params, _ = fit(CohortDesign(cohort, d), cfg)
         init = ScoreParameters.initial(d, cfg.a_init)
         np.testing.assert_array_equal(params.thresholds, init.thresholds)
         np.testing.assert_array_equal(params.weights, init.weights)
@@ -547,7 +552,7 @@ class TestFit:
         d, p_true, _ = random_instance(rng, n_records=2)
         cohort = signal_cohort(rng, d, p_true, n=60)
         cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=60)
-        params, trace = fit(cohort, d, cfg)
+        params, trace = fit(CohortDesign(cohort, d), cfg)
         init = ScoreParameters.initial(d, cfg.a_init)
         assert not np.array_equal(params.weights, init.weights)
         assert not np.array_equal(params.slopes, init.slopes)
@@ -559,14 +564,14 @@ class TestFit:
         cohort = signal_cohort(rng, d, p_true, n=40)
         init = ScoreParameters.initial(d, 0.01)
         cfg_a = OptimizerConfig(optimize_over=("a",), max_outer_iters=1)
-        _, trace_a = fit(cohort, d, cfg_a)
+        _, trace_a = fit(CohortDesign(cohort, d), cfg_a)
         assert trace_a.initial_objective == pytest.approx(
-            negative_log_likelihood(init, cohort, d), rel=1e-14
+            negative_log_likelihood(init, CohortDesign(cohort, d)), rel=1e-14
         )
         cfg_w = OptimizerConfig(optimize_over=("w",), max_outer_iters=1)
-        _, trace_w = fit(cohort, d, cfg_w)
+        _, trace_w = fit(CohortDesign(cohort, d), cfg_w)
         assert trace_w.initial_objective == pytest.approx(
-            penalized_objective(init, cohort, d, cfg_w), rel=1e-14
+            penalized_objective(init, CohortDesign(cohort, d), cfg_w), rel=1e-14
         )
 
     def test_deterministic_rerun_is_bit_identical(self):
@@ -574,8 +579,8 @@ class TestFit:
         d, p_true, _ = random_instance(rng, n_records=2)
         cohort = signal_cohort(rng, d, p_true, n=50)
         cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=30)
-        params1, trace1 = fit(cohort, d, cfg)
-        params2, trace2 = fit(cohort, d, cfg)
+        params1, trace1 = fit(CohortDesign(cohort, d), cfg)
+        params2, trace2 = fit(CohortDesign(cohort, d), cfg)
         np.testing.assert_array_equal(params1.slopes, params2.slopes)
         np.testing.assert_array_equal(params1.thresholds, params2.thresholds)
         np.testing.assert_array_equal(params1.weights, params2.weights)
@@ -592,7 +597,7 @@ class TestFit:
             rec("d", {"lactate_max": 1.0, "gcs_min": 14.0}, outcome=-1),
         ]  # pupils_fixed never observed
         cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=30)
-        params, trace = fit(cohort, d, cfg)
+        params, trace = fit(CohortDesign(cohort, d), cfg)
         assert any("pupils_fixed" in w for w in trace.warnings)
         init = ScoreParameters.initial(d, cfg.a_init)
         assert params.weights[3] == init.weights[3]
@@ -601,7 +606,6 @@ class TestFit:
         # Log-weight steps are never projected, so after the initial
         # objective every evaluation is a trial point of some line search.
         import softscore.optimizer as optimizer
-        from softscore.design import CohortDesign
 
         rng = np.random.default_rng(109)
         d, p_true, _ = random_instance(rng, n_records=2)
@@ -624,7 +628,7 @@ class TestFit:
         monkeypatch.setattr(optimizer, "backtracking_step", counting_search)
         monkeypatch.setattr(CohortDesign, "nll_of_scores", counting_nll)
         cfg = OptimizerConfig(optimize_over=("w",), max_outer_iters=20)
-        _, trace = fit(cohort, d, cfg)
+        _, trace = fit(CohortDesign(cohort, d), cfg)
         assert len(trace.steps) > 0
         assert counts["evals"] == 1 + counts["trials"]
 
@@ -632,7 +636,9 @@ class TestFit:
         d = binary_only_definition(weight=2.0)
         cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
         cohort += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
-        params, trace = fit(cohort, d, OptimizerConfig(optimize_over=("w",)))
+        params, trace = fit(
+            CohortDesign(cohort, d), OptimizerConfig(optimize_over=("w",))
+        )
         assert trace.converged_reason == "relative decrease below tolerance"
         assert trace.outer_iterations < 500
 
@@ -672,7 +678,7 @@ class TestFitPinned:
             beta_thresholds=0.7,
             max_outer_iters=40,
         )
-        _, trace = fit(cohort, preset("pediatric_icu").definition(), cfg)
+        _, trace = fit(CohortDesign(cohort, preset("pediatric_icu").definition()), cfg)
         sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
         assert trace.final_objective.hex() == final_hex
         assert len(trace.steps) == accepted

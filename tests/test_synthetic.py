@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import BAND_ALL, reference_score
+from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.evaluation import roc_and_auc
 from softscore.model import (
@@ -269,7 +270,7 @@ class TestGenerate:
         for s in range(2):
             train, _ = generate(demo_generator(n=600, seed=500 + s))
             test, truth = generate(demo_generator(n=1500, seed=800 + s))
-            params, _ = fit(train, demo_definition(), config)
+            params, _ = fit(CohortDesign(train, demo_definition()), config)
             from softscore.design import soft_scores
 
             labels = [r.outcome for r in test]
