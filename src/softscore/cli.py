@@ -15,6 +15,7 @@ example ``SOFTSCORE_LOG=debug``).
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -135,12 +136,11 @@ def _cohort_variables(cohort):
     return list(cohort[0].values.keys())
 
 
-def _optimizer_config(config_path, optimize, seed) -> OptimizerConfig:
+def _optimizer_config(config_path, optimize) -> OptimizerConfig:
     if config_path is not None:
         config = load_optimizer_config(config_path)
     else:
         config = OptimizerConfig()
-    replacements = {}
     if optimize is not None:
         kinds = tuple(token.strip() for token in optimize.split(","))
         for kind in kinds:
@@ -149,11 +149,7 @@ def _optimizer_config(config_path, optimize, seed) -> OptimizerConfig:
                     f"--optimize: unknown parameter kind {kind!r}; "
                     f"expected a comma-separated subset of {','.join(KINDS)}"
                 )
-        replacements["optimize_over"] = kinds
-    if seed is not None:
-        replacements["seed"] = seed
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
+        config = dataclasses.replace(config, optimize_over=kinds)
     return config
 
 
@@ -188,13 +184,30 @@ def _band_predicate(definition, spec: str):
 _ARGV_KEY = "softscore.argv"
 
 
+@contextlib.contextmanager
+def _usage_errors_exit_invalid():
+    """Click exits 2 on a usage error; 2 is reserved for numeric failures."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INVALID
+        raise
+
+
 class _Group(click.Group):
     """Keeps the argument list click parses, so that a manifest records the
-    command's own arguments also when it is invoked in-process."""
+    command's own arguments also when it is invoked in-process, and makes
+    usage errors (missing, unknown or ill-typed options) exit 1."""
 
     def parse_args(self, ctx, args):
         ctx.meta[_ARGV_KEY] = list(args)
-        return super().parse_args(ctx, args)
+        with _usage_errors_exit_invalid():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        # subcommands parse their options here
+        with _usage_errors_exit_invalid():
+            return super().invoke(ctx)
 
 
 @click.group(cls=_Group)
@@ -278,9 +291,8 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
     help="Comma-separated parameter kinds to optimize (subset of a,t,w).",
 )
 @click.option("--config", "config_path", type=click.Path())
-@click.option("--seed", type=int)
 @_exits
-def fit_cmd(cohort_path, score_def, out, optimize, config_path, seed):
+def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
     manifest = _Manifest("fit")
     manifest.add_input(cohort_path)
@@ -289,8 +301,7 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path, seed):
     definition = load_score_definition(score_def)
     cohort = load_cohort(cohort_path)
     validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize, seed)
-    manifest.seed = config.seed
+    config = _optimizer_config(config_path, optimize)
     params, trace = fit_params(CohortDesign(cohort, definition), config)
     if trace.stopped_at_cap:
         log.warning(
@@ -378,7 +389,9 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
 @click.option("--scores", "scores_path", type=click.Path())
 @click.option("--optimize", help="Comma-separated subset of a,t,w.")
 @click.option("--config", "config_path", type=click.Path())
-@click.option("--seed", type=int)
+@click.option(
+    "--seed", default=0, show_default=True, type=int, help="Seed of the fold assignment."
+)
 @_exits
 def cv_cmd(
     cohort_path,
@@ -398,10 +411,10 @@ def cv_cmd(
     definition = load_score_definition(score_def)
     cohort = load_cohort(cohort_path)
     validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize, seed)
-    manifest.seed = config.seed
+    config = _optimizer_config(config_path, optimize)
+    manifest.seed = seed
     report, rows = cross_validate(
-        CohortDesign(cohort, definition), config, folds=_parse_folds(folds)
+        CohortDesign(cohort, definition), config, folds=_parse_folds(folds), seed=seed
     )
     save_report(out, report)
     manifest.add_output(out)

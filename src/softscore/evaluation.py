@@ -338,24 +338,24 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
 
 
 def cross_validate(
-    design: CohortDesign, config: OptimizerConfig, folds="loo"
+    design: CohortDesign, config: OptimizerConfig, folds="loo", seed: int = 0
 ) -> tuple[EvaluationReport, tuple[ScoredRow, ...]]:
     """Fit on each training split, score its held-out records, pool.
 
     ``design`` lays out the whole cohort; every split is a row slice of it
     (``CohortDesign.take``), so no record is read twice.  ``folds`` is "loo"
-    or a fold count for seeded stratified k-fold.  Platt coefficients are
-    fitted within each training split and produce the held-out
-    probabilities; pooled metrics are computed over all held-out scores, and
-    the report's own Platt pair is refitted on the pooled scores as a
-    descriptive summary.  Per-fold rows are omitted for leave-one-out, where
-    single-record test splits make fold metrics undefined.  Logs one warning
-    when any fold fit stopped at the iteration cap.
+    or a fold count for stratified k-fold, with folds drawn from ``seed``.
+    Platt coefficients are fitted within each training split and produce the
+    held-out probabilities; pooled metrics are computed over all held-out
+    scores, and the report's own Platt pair is refitted on the pooled scores
+    as a descriptive summary.  Per-fold rows are omitted for leave-one-out,
+    where single-record test splits make fold metrics undefined.  Logs one
+    warning when any fold fit stopped at the iteration cap.
 
-    Deterministic given (design, config, folds).
+    Deterministic given (design, config, folds, seed).
     """
     labels = design.y.astype(int)
-    assignment, k = _fold_assignment(labels, folds, config.seed)
+    assignment, k = _fold_assignment(labels, folds, seed)
     loo = folds == "loo"
 
     n = design.n

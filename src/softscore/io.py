@@ -9,6 +9,7 @@ cell means MISSING and outcomes are -1 or 1.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from typing import Mapping, Optional, Sequence
@@ -354,57 +355,22 @@ def params_from_dict(payload: Mapping, definition: ScoreDefinition) -> ScorePara
 
 
 def optimizer_config_to_dict(config: OptimizerConfig) -> dict:
-    return {
-        "optimize_over": list(config.optimize_over),
-        "alternating_order": (
-            None if config.alternating_order is None else list(config.alternating_order)
-        ),
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "beta_thresholds": config.beta_thresholds,
-        "prior_mu": (
-            config.prior_mu
-            if isinstance(config.prior_mu, (int, float))
-            else list(config.prior_mu)
-        ),
-        "prior_lambda": config.prior_lambda,
-        "a_init": config.a_init,
-        "max_outer_iters": config.max_outer_iters,
-        "rel_tol": config.rel_tol,
-        "seed": config.seed,
-    }
+    return dataclasses.asdict(config)
 
 
 def optimizer_config_from_dict(payload: Mapping) -> OptimizerConfig:
-    _require_keys(
-        payload,
-        (),
-        optional=(
-            "optimize_over",
-            "alternating_order",
-            "alpha",
-            "beta",
-            "beta_thresholds",
-            "prior_mu",
-            "prior_lambda",
-            "a_init",
-            "max_outer_iters",
-            "rel_tol",
-            "seed",
-        ),
-        where="optimizer config",
-    )
-    kwargs = dict(payload)
-    for key in ("optimize_over", "alternating_order"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    if isinstance(kwargs.get("prior_mu"), list):
-        kwargs["prior_mu"] = tuple(kwargs["prior_mu"])
-    return OptimizerConfig(**kwargs)
+    names = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
+    _require_keys(payload, (), optional=names, where="optimizer config")
+    return OptimizerConfig(**payload)
 
 
 def load_optimizer_config(path) -> OptimizerConfig:
-    return optimizer_config_from_dict(_load_json(path))
+    """Read an optimizer config file; errors name the path and the key."""
+    payload = _load_json(path)
+    try:
+        return optimizer_config_from_dict(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_fitted(

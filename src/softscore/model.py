@@ -509,15 +509,11 @@ def hard_score(record: PatientRecord, definition: ScoreDefinition) -> float:
 
 
 def validate_cohort(
-    cohort: Sequence[PatientRecord],
-    definition: ScoreDefinition,
-    sanity_margin: float = 0.0,
+    cohort: Sequence[PatientRecord], definition: ScoreDefinition
 ) -> list[str]:
-    """Warn (never reject) about values outside the expected windows.
-
-    The sanity window is the physiological range widened on each side by
-    ``sanity_margin`` times the range width.  Returns the warning messages,
-    which are also emitted on the package logger.
+    """Warn (never reject) about values outside the physiological range and
+    binary values other than 0/1.  Returns the warning messages, which are
+    also emitted on the package logger.
     """
     warnings = []
     for r in cohort:
@@ -532,11 +528,10 @@ def validate_cohort(
                     )
                 continue
             lo, hi = v.physiological_range
-            pad = sanity_margin * (hi - lo)
-            if not (lo - pad <= x <= hi + pad):
+            if not (lo <= x <= hi):
                 warnings.append(
                     f"record {r.id!r}: {v.name} = {x} outside "
-                    f"[{lo - pad}, {hi + pad}] {v.unit}".rstrip()
+                    f"[{lo}, {hi}] {v.unit}".rstrip()
                 )
     for msg in warnings:
         logger.warning(msg)

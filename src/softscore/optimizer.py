@@ -20,8 +20,9 @@ while weights are being optimized (they are constant otherwise).
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,53 +38,70 @@ logger = logging.getLogger("softscore")
 
 KINDS = ("a", "t", "w")
 MAX_HALVINGS = 60
+ARMIJO_ALPHA = 0.2  # sufficient-decrease fraction of the backtracking search
+ARMIJO_BETA = 0.5  # its step reduction factor
 MAX_ITERS_REASON = "max outer iterations"
+
+
+def _number(name: str, value, kind=numbers.Real):
+    """``value`` as a float (or an int for ``kind=numbers.Integral``); booleans
+    are rejected although Python counts them as integers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the block coordinate descent.
+    """What a fit moves, what it minimises and when it stops.
 
-    ``optimize_over`` selects which parameter kinds move; ``alternating_order``
-    (default: the order given in ``optimize_over``) fixes the cycle: one full
-    pass over all blocks of the first kind, then the next, repeated until the
-    relative objective decrease over a whole cycle falls below ``rel_tol``.
-    ``beta_thresholds`` optionally gives threshold searches a gentler halving
-    factor than the default ``beta``.
+    ``optimize_over`` selects which parameter kinds move and fixes the cycle:
+    one full pass over all blocks of the first kind given, then the next,
+    repeated until the relative objective decrease over a whole cycle falls
+    below ``rel_tol`` or ``max_outer_iters`` cycles have run.  ``prior_mu``
+    (one value or one per weight) and ``prior_lambda`` set the lognormal
+    weight prior; ``a_init`` is every slope's starting value.  Values are
+    type-checked: ``optimize_over`` is a list of distinct kinds,
+    ``max_outer_iters`` an integer and the rest numbers, never booleans.
     """
 
     optimize_over: tuple[str, ...] = ("a",)
-    alternating_order: Optional[tuple[str, ...]] = None
-    alpha: float = 0.2
-    beta: float = 0.5
-    beta_thresholds: Optional[float] = None
     prior_mu: float | tuple[float, ...] = 0.0
     prior_lambda: float = 0.25
     a_init: float = 0.01
     max_outer_iters: int = 500
     rel_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
-        over = tuple(self.optimize_over)
-        if not over or any(k not in KINDS for k in over) or len(set(over)) != len(over):
+        over = self.optimize_over
+        if (
+            not isinstance(over, (list, tuple))
+            or not over
+            or any(k not in KINDS for k in over)
+            or len(set(over)) != len(over)
+        ):
             raise ValidationError(
-                f"optimize_over must be a non-empty subset of {KINDS}, got {over!r}"
+                f"optimize_over must be a non-empty list of distinct kinds "
+                f"from {KINDS}, got {over!r}"
             )
-        object.__setattr__(self, "optimize_over", over)
-        if self.alternating_order is not None:
-            order = tuple(self.alternating_order)
-            if not order or set(order) != set(over):
-                raise ValidationError(
-                    "alternating_order must cover exactly the kinds in optimize_over"
-                )
-            object.__setattr__(self, "alternating_order", order)
-        if not (0 < self.alpha < 1):
-            raise ValidationError("alpha must lie in (0, 1)")
-        if not (0 < self.beta < 1):
-            raise ValidationError("beta must lie in (0, 1)")
-        if self.beta_thresholds is not None and not (0 < self.beta_thresholds < 1):
-            raise ValidationError("beta_thresholds must lie in (0, 1)")
+        mu = self.prior_mu
+        if isinstance(mu, (list, tuple)):
+            mu = tuple(_number(f"prior_mu[{i}]", m) for i, m in enumerate(mu))
+        else:
+            mu = _number("prior_mu", mu)
+        checked = {
+            "optimize_over": tuple(over),
+            "prior_mu": mu,
+            "prior_lambda": _number("prior_lambda", self.prior_lambda),
+            "a_init": _number("a_init", self.a_init),
+            "max_outer_iters": _number(
+                "max_outer_iters", self.max_outer_iters, numbers.Integral
+            ),
+            "rel_tol": _number("rel_tol", self.rel_tol),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not (self.prior_lambda >= 0):
             raise ValidationError("prior_lambda must be >= 0")
         if not (self.a_init > 0):
@@ -92,21 +110,10 @@ class OptimizerConfig:
             raise ValidationError("max_outer_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValidationError("rel_tol must be positive")
-        if not isinstance(self.prior_mu, (int, float)):
-            object.__setattr__(self, "prior_mu", tuple(float(m) for m in self.prior_mu))
-
-    @property
-    def order(self) -> tuple[str, ...]:
-        return self.alternating_order or self.optimize_over
-
-    def beta_for(self, kind: str) -> float:
-        if kind == "t" and self.beta_thresholds is not None:
-            return self.beta_thresholds
-        return self.beta
 
     def mu_vector(self, n_weights: int) -> np.ndarray:
-        if isinstance(self.prior_mu, (int, float)):
-            return np.full(n_weights, float(self.prior_mu))
+        if isinstance(self.prior_mu, float):
+            return np.full(n_weights, self.prior_mu)
         mu = np.asarray(self.prior_mu, dtype=float)
         if mu.shape != (n_weights,):
             raise ValidationError(
@@ -217,16 +224,15 @@ def backtracking_step(
     x: np.ndarray,
     f0: float,
     direction: np.ndarray,
-    alpha: float,
-    beta: float,
     max_halvings: int = MAX_HALVINGS,
 ) -> float:
     """Largest h in {1, beta, beta^2, ...} with sufficient decrease.
 
     ``f0`` is objective(x), which the caller already holds; ``objective`` is
     only evaluated at trial points.  Accepts h when
-    objective(x + h d) <= f0 - alpha h ||d||^2 and returns 0.0 once
-    ``max_halvings`` reductions were tried without success.
+    objective(x + h d) <= f0 - alpha h ||d||^2, with alpha = ``ARMIJO_ALPHA``
+    and beta = ``ARMIJO_BETA``, and returns 0.0 once ``max_halvings``
+    reductions were tried without success.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -235,9 +241,9 @@ def backtracking_step(
     d2 = float(np.dot(d, d))
     h = 1.0
     for _ in range(max_halvings + 1):
-        if objective(x + h * d) <= f0 - alpha * h * d2:
+        if objective(x + h * d) <= f0 - ARMIJO_ALPHA * h * d2:
             return h
-        h *= beta
+        h *= ARMIJO_BETA
     return 0.0
 
 
@@ -367,8 +373,7 @@ def fit(
     reason = MAX_ITERS_REASON
     for outer in range(1, config.max_outer_iters + 1):
         f_start = f_cur
-        for kind in config.order:
-            beta = config.beta_for(kind)
+        for kind in config.optimize_over:
             for label, cols in blocks[kind]:
                 # Per kind: the block's indices into raw[kind], the block
                 # gradient, the projection, and evaluate(x) -> (scores,
@@ -427,7 +432,7 @@ def fit(
                     last[:] = [x, evaluate(x)]
                     return last[1][1]
 
-                h = backtracking_step(trial, x0, f_cur, dvec, config.alpha, beta)
+                h = backtracking_step(trial, x0, f_cur, dvec)
                 if h == 0.0:
                     stalls += 1
                     continue

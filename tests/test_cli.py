@@ -233,7 +233,7 @@ class TestFit:
     def test_config_file_is_applied_and_recorded(self, ws, tmp_path):
         config = tmp_path / "optimizer.json"
         config.write_text(
-            json.dumps({"optimize_over": ["a"], "max_outer_iters": 2, "seed": 13}),
+            json.dumps({"optimize_over": ["a"], "max_outer_iters": 2}),
             encoding="utf-8",
         )
         out = tmp_path / "fit.json"
@@ -249,9 +249,46 @@ class TestFit:
         payload = read_json(out)
         assert payload["trace"]["outer_iterations"] <= 2
         assert payload["config"]["max_outer_iters"] == 2
+        assert sorted(payload["config"]) == [
+            "a_init", "max_outer_iters", "optimize_over", "prior_lambda",
+            "prior_mu", "rel_tol",
+        ]
         manifest = read_json(tmp_path / "fit.json.manifest.json")
-        assert manifest["seed"] == 13
+        assert manifest["seed"] is None
         assert str(config) in manifest["inputs"]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"max_outer_iters": 2.5}, "max_outer_iters must be an integer, got 2.5"),
+            ({"max_outer_iters": True}, "max_outer_iters must be an integer, got True"),
+            ({"rel_tol": "1e-6"}, "rel_tol must be a number, got '1e-6'"),
+            ({"prior_mu": "x"}, "prior_mu must be a number, got 'x'"),
+            ({"prior_mu": [0.0, None]}, "prior_mu[1] must be a number, got None"),
+            ({"optimize_over": "aw"}, "optimize_over must be a non-empty list"),
+            ({"seed": 13}, "optimizer config: unknown key 'seed'"),
+        ],
+        ids=["float-iters", "bool-iters", "string-tol", "string-mu", "null-in-mu",
+             "string-kinds", "removed-seed"],
+    )
+    def test_bad_config_value_exits_one_naming_path_and_key(
+        self, ws, tmp_path, payload, message
+    ):
+        config = tmp_path / "optimizer.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_fail(
+            [
+                "fit",
+                "--cohort", ws["cohort"],
+                "--score-def", ws["definition"],
+                "--out", tmp_path / "fit.json",
+                "--config", config,
+            ],
+            1,
+        )
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {config}: {message}" in result.output
+        assert not (tmp_path / "fit.json").exists()
 
     def test_single_class_cohort_exits_one(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])
@@ -665,11 +702,57 @@ class TestManifests:
         assert manifest["inputs"][str(ws["definition"])] == sha256(ws["definition"])
         assert manifest["outputs"][str(ws["fitted"])] == sha256(ws["fitted"])
         assert manifest["wall_time_seconds"] >= 0
-        assert manifest["seed"] == 0
+        assert manifest["seed"] is None
 
     def test_every_primary_output_has_a_manifest(self, ws):
         for key in ("cohort", "fitted"):
             assert (ws["root"] / (ws[key].name + ".manifest.json")).exists()
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 like any invalid input, with click's message;
+    exit code 2 means a numeric failure."""
+
+    @pytest.mark.parametrize(
+        "args, fragments",
+        [
+            (["fit", "--cohort", "c.csv", "--out", "f.json"],
+             ("Missing option", "--score-def")),
+            (["fit", "--bogus", 1], ("No such option", "--bogus")),
+            (["impute", "--cohort", "c.csv", "--method", "knn", "--out", "o.csv",
+              "--k", "x"], ("Invalid value for", "--k")),
+            (["fit", "--cohort", "c.csv", "--score-def", "d.json", "--out", "f.json",
+              "--seed", 3], ("No such option", "--seed")),
+            (["--bogus"], ("No such option", "--bogus")),
+            (["refit"], ("No such command", "refit")),
+        ],
+        ids=["missing", "unknown", "ill-typed", "fit-seed", "group-option",
+             "command"],
+    )
+    def test_exit_one_with_clicks_message(self, args, fragments):
+        result = run_fail(args, 1)
+        assert result.output.startswith("Usage: ")
+        assert all(f in result.output for f in fragments)
+
+    def test_cv_records_its_fold_seed(self, ws, tmp_path):
+        config = tmp_path / "optimizer.json"
+        config.write_text(json.dumps({"max_outer_iters": 2}), encoding="utf-8")
+        for seed, expected in ((None, 0), (4, 4)):
+            out = tmp_path / f"cv-{seed}.json"
+            extra = [] if seed is None else ["--seed", seed]
+            run_ok(
+                [
+                    "cv",
+                    "--cohort", ws["cohort"],
+                    "--score-def", ws["definition"],
+                    "--folds", 3,
+                    "--out", out,
+                    "--optimize", "a",
+                    "--config", config,
+                    *extra,
+                ]
+            )
+            assert read_json(tmp_path / f"{out.name}.manifest.json")["seed"] == expected
 
 
 class TestTopLevel:

@@ -2,9 +2,12 @@
 import csv
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import banded_definition, mixed_definition, rec
 from softscore.design import CohortDesign
@@ -34,7 +37,7 @@ from softscore.io import (
     save_truth,
 )
 from softscore.model import ScoreParameters
-from softscore.optimizer import OptimizerConfig, fit
+from softscore.optimizer import KINDS, OptimizerConfig, fit, project_thresholds
 from softscore.presets import demo_generator, pediatric_icu_generator
 from softscore.synthetic import generate
 
@@ -188,16 +191,11 @@ class TestOptimizerConfigRoundTrip:
     def test_non_default_round_trip(self, tmp_path):
         config = OptimizerConfig(
             optimize_over=("a", "w", "t"),
-            alternating_order=("w", "t", "a"),
-            alpha=0.3,
-            beta=0.4,
-            beta_thresholds=0.7,
             prior_mu=(0.1, 0.2, 0.3, 0.4),
             prior_lambda=0.5,
             a_init=0.05,
             max_outer_iters=77,
             rel_tol=1e-5,
-            seed=9,
         )
         assert optimizer_config_from_dict(optimizer_config_to_dict(config)) == config
         path = tmp_path / "optimizer.json"
@@ -212,6 +210,72 @@ class TestOptimizerConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown key 'momentum'"):
             optimizer_config_from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alternating_order", ["a"]),
+            ("alpha", 0.2),
+            ("beta", 0.5),
+            ("beta_thresholds", None),
+            ("seed", 0),
+        ],
+    )
+    def test_removed_keys_are_unknown(self, key, value):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            optimizer_config_from_dict({key: value})
+
+
+@st.composite
+def optimizer_configs(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return OptimizerConfig(
+        optimize_over=tuple(
+            draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True))
+        ),
+        prior_mu=draw(st.one_of(finite, st.tuples(finite, finite, finite, finite))),
+        prior_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        a_init=draw(positive),
+        max_outer_iters=draw(st.integers(1, 2**62)),
+        rel_tol=draw(positive),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(optimizer_configs())
+def test_optimizer_config_round_trips_through_its_dict_and_json(config):
+    payload = optimizer_config_to_dict(config)
+    assert optimizer_config_from_dict(payload) == config
+    assert optimizer_config_from_dict(json.loads(json.dumps(payload))) == config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    definition=st.sampled_from([mixed_definition(), banded_definition()]),
+    data=st.data(),
+)
+def test_fitted_file_round_trips_bit_for_bit(definition, data):
+    finite = st.floats(min_value=-1e300, max_value=1e300)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    params = ScoreParameters(
+        definition,
+        data.draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                           min_size=definition.n_slopes, max_size=definition.n_slopes)),
+        project_thresholds(
+            data.draw(st.lists(finite, min_size=definition.n_thresholds,
+                               max_size=definition.n_thresholds)),
+            definition,
+        ),
+        data.draw(st.lists(positive, min_size=definition.n_weights,
+                           max_size=definition.n_weights)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fitted.json"
+        save_fitted(path, params, *_quick_fit(tmp))
+        back = load_fitted(path, definition)
+    for name in ("slopes", "thresholds", "weights"):
+        assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
 
 
 class TestCohortCsv:

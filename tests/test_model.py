@@ -392,11 +392,10 @@ class TestValidateCohort:
         assert any("hot" in w for w in warnings)
         assert any("odd" in w for w in warnings)
 
-    def test_margin_widens_the_window(self):
+    def test_value_just_above_the_range_warns(self):
         d = mixed_definition()
         cohort = [rec("r", {"lactate_max": 31.0})]
         assert validate_cohort(cohort, d) != []
-        assert validate_cohort(cohort, d, sanity_margin=0.1) == []
 
     def test_never_rejects(self):
         d = mixed_definition()

@@ -65,27 +65,13 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             OptimizerConfig(optimize_over=("a", "a"))
 
-    def test_alternating_order_must_cover_optimize_over(self):
-        OptimizerConfig(optimize_over=("a", "w"), alternating_order=("w", "a"))
-        with pytest.raises(ValidationError):
-            OptimizerConfig(optimize_over=("a", "w"), alternating_order=("a",))
-
     def test_scalar_bounds(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(alpha=0.0)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(beta=1.0)
         with pytest.raises(ValidationError):
             OptimizerConfig(prior_lambda=-0.1)
         with pytest.raises(ValidationError):
             OptimizerConfig(a_init=0.0)
         with pytest.raises(ValidationError):
             OptimizerConfig(rel_tol=0.0)
-
-    def test_beta_for_thresholds_override(self):
-        cfg = OptimizerConfig(beta=0.5, beta_thresholds=0.8)
-        assert cfg.beta_for("t") == 0.8
-        assert cfg.beta_for("a") == 0.5
 
     def test_mu_vector(self):
         cfg = OptimizerConfig(prior_mu=0.5)
@@ -431,18 +417,18 @@ class TestBacktracking:
         # f(x) = x^2 at x = 1 along d = -2: h = 1 fails the Armijo test
         # (f = 1 > 1 - 0.2*4), h = 0.5 lands at the minimum (0 <= 1 - 0.4).
         h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]), 1.0,
-                              np.array([-2.0]), alpha=0.2, beta=0.5)
+                              np.array([-2.0]))
         assert h == 0.5
 
     def test_returns_zero_when_no_step_decreases(self):
         h = backtracking_step(lambda x: float(x[0]), np.array([0.0]), 0.0,
-                              np.array([1.0]), alpha=0.2, beta=0.5)
+                              np.array([1.0]))
         assert h == 0.0
 
     def test_unit_step_accepted_when_sufficient(self):
         # f(x) = x^2 at x = 1 along d = -1: f(0) = 0 <= 1 - 0.2 * 1.
         h = backtracking_step(lambda x: float(x[0] ** 2), np.array([1.0]), 1.0,
-                              np.array([-1.0]), alpha=0.2, beta=0.5)
+                              np.array([-1.0]))
         assert h == 1.0
 
     def test_armijo_inequality_holds_on_random_quadratics(self):
@@ -456,13 +442,13 @@ class TestBacktracking:
                 return float(np.sum(q * x * x))
 
             g = 2 * q * x0
-            h = backtracking_step(f, x0, f(x0), -g, alpha=0.2, beta=0.5)
+            h = backtracking_step(f, x0, f(x0), -g)
             if h > 0:
                 assert f(x0 - h * g) <= f(x0) - 0.2 * h * float(g @ g) + 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            backtracking_step(lambda x: 0.0, np.zeros(2), 0.0, np.zeros(3), 0.2, 0.5)
+            backtracking_step(lambda x: 0.0, np.zeros(2), 0.0, np.zeros(3))
 
     def test_objective_is_never_evaluated_at_the_start_point(self):
         # The caller passes f(x); every evaluation is at a trial point.
@@ -473,7 +459,7 @@ class TestBacktracking:
             seen.append(np.array(x))
             return float(x @ x)
 
-        h = backtracking_step(f, x0, 5.0, np.array([-2.0, 4.0]), alpha=0.2, beta=0.5)
+        h = backtracking_step(f, x0, 5.0, np.array([-2.0, 4.0]))
         assert h == 0.5
         assert len(seen) == 2
         assert not any(np.array_equal(x, x0) for x in seen)
@@ -647,8 +633,8 @@ class TestFitPinned:
     """Fits pinned bit for bit: final objective, accepted steps, stalls, and
     the (kind, block) order of the trace.
 
-    Both cases optimize all three kinds in a non-default order with a gentler
-    threshold halving factor, on ``pediatric_icu`` cohorts whose pupils
+    Both cases optimize all three kinds in a non-default order on
+    ``pediatric_icu`` cohorts whose pupils
     feature is never observed (so its weight stays frozen).  On the preset's
     outcomes the isotonic projection moves thresholds across age bands; with
     the outcomes reversed, slopes are projected back to zero and searches
@@ -672,12 +658,7 @@ class TestFitPinned:
                           {**r.values, "pupils_fixed": None})
             for r in cohort
         ]
-        cfg = OptimizerConfig(
-            optimize_over=("a", "t", "w"),
-            alternating_order=("t", "w", "a"),
-            beta_thresholds=0.7,
-            max_outer_iters=40,
-        )
+        cfg = OptimizerConfig(optimize_over=("t", "w", "a"), max_outer_iters=40)
         _, trace = fit(CohortDesign(cohort, preset("pediatric_icu").definition()), cfg)
         sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
         assert trace.final_objective.hex() == final_hex
