@@ -17,7 +17,9 @@ Public API highlights:
 * :func:`fit` — projected blockwise fitting of a design with monotone
   objective trace.
 * :func:`cross_validate`, :func:`evaluate_scores` — discrimination and
-  calibration metrics on held-out folds of one design.
+  calibration metrics on held-out folds of one design; :func:`roc_and_auc`
+  returns the ROC table as a :class:`RocCurve` of arrays, from which every
+  cutoff metric of a pooled or per-fold report is read.
 * :func:`impute`, :func:`ridge_logistic_fit` — reference baselines.
 * :func:`generate` with :mod:`softscore.presets` — synthetic cohorts
   with known ground truth.
@@ -64,7 +66,7 @@ from .optimizer import (
 from .evaluation import (
     EvaluationReport,
     FoldMetrics,
-    RocPoint,
+    RocCurve,
     ScoredRow,
     brier,
     cross_validate,
@@ -109,7 +111,7 @@ __all__ = [
     "PatientRecord",
     "RawVariable",
     "RidgeLogisticFit",
-    "RocPoint",
+    "RocCurve",
     "ScoreDefinition",
     "ScoreParameters",
     "ScoredRow",

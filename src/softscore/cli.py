@@ -136,9 +136,13 @@ def _cohort_variables(cohort):
     return list(cohort[0].values.keys())
 
 
-def _optimizer_config(config_path, optimize) -> OptimizerConfig:
+def _optimizer_config(config_path, optimize, definition) -> OptimizerConfig:
     if config_path is not None:
         config = load_optimizer_config(config_path)
+        try:
+            config.mu_vector(definition.n_weights)
+        except ValidationError as exc:
+            raise ValidationError(f"{config_path}: {exc}") from None
     else:
         config = OptimizerConfig()
     if optimize is not None:
@@ -301,7 +305,7 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     definition = load_score_definition(score_def)
     cohort = load_cohort(cohort_path)
     validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize)
+    config = _optimizer_config(config_path, optimize, definition)
     params, trace = fit_params(CohortDesign(cohort, definition), config)
     if trace.stopped_at_cap:
         log.warning(
@@ -411,7 +415,7 @@ def cv_cmd(
     definition = load_score_definition(score_def)
     cohort = load_cohort(cohort_path)
     validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize)
+    config = _optimizer_config(config_path, optimize, definition)
     manifest.seed = seed
     report, rows = cross_validate(
         CohortDesign(cohort, definition), config, folds=_parse_folds(folds), seed=seed

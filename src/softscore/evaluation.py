@@ -1,18 +1,18 @@
 """Discrimination and calibration metrics, Platt scaling, cross-validation.
 
 Conventions: a record is predicted positive when its score is >= the cutoff.
-ROC points are built from every distinct score (ties grouped into a single
+The ROC table has one row per distinct score (ties grouped into a single
 cutoff) plus a sentinel cutoff of +inf where nothing is predicted positive.
 AUC is the trapezoidal area of that curve, which equals the Mann-Whitney
-pair-count with half credit for ties.  A report reads AUC, Youden's J and the
-precision-recall balance from one ROC pass.
+pair-count with half credit for ties.  A report, pooled or per fold, reads
+AUC, Youden's J and the precision-recall balance from one ROC pass.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,15 +25,15 @@ from .optimizer import OptimizerConfig, fit
 logger = logging.getLogger("softscore")
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    """Operating point at one cutoff; precision is None when nothing is
-    predicted positive (the sentinel +inf cutoff)."""
+class RocCurve(NamedTuple):
+    """The ROC table as parallel arrays, one row per cutoff in descending
+    order; row 0 is the +inf sentinel, where nothing is predicted positive
+    and precision is NaN."""
 
-    cutoff: float
-    sensitivity: float
-    specificity: float
-    precision: Optional[float]
+    cutoff: np.ndarray
+    sensitivity: np.ndarray
+    specificity: np.ndarray
+    precision: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class FoldMetrics:
     platt_b: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Pooled metrics, the ROC polyline, and the per-fold table."""
+    """Pooled metrics, the ROC table, and the per-fold table."""
 
     n: int
     n_positive: int
@@ -67,7 +67,7 @@ class EvaluationReport:
     prec_rec_cutoff: float
     brier: float
     platt: Optional[tuple[float, float]]
-    roc: tuple[RocPoint, ...]
+    roc: RocCurve
     folds: tuple[FoldMetrics, ...] = ()
     subgroup: Optional[str] = None
 
@@ -107,39 +107,33 @@ def _check_scores_labels(scores, labels, require_both_classes=True):
     return s, y
 
 
-def roc_and_auc(scores, labels) -> tuple[tuple[RocPoint, ...], float]:
-    """ROC curve over all distinct cutoffs and its trapezoidal area."""
+def roc_and_auc(scores, labels) -> tuple[RocCurve, float]:
+    """ROC table over all distinct cutoffs and its trapezoidal area."""
     s, y = _check_scores_labels(scores, labels)
-    pos_total = int(np.sum(y == 1))
-    neg_total = int(np.sum(y == -1))
-    cutoffs = np.unique(s)[::-1]
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     # records scoring >= a cutoff end at the last index of its run of ties
     last = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
-    tp = np.cumsum(y[order] == 1)[last]
-    fp = last + 1 - tp
-    points = [RocPoint(math.inf, 0.0, 1.0, None)]
-    for c, tp_c, fp_c in zip(cutoffs, tp.tolist(), fp.tolist()):
-        points.append(
-            RocPoint(
-                float(c),
-                tp_c / pos_total,
-                1.0 - fp_c / neg_total,
-                tp_c / (tp_c + fp_c),
-            )
-        )
-    auc = 0.0
-    for prev, cur in zip(points, points[1:]):
-        fpr_prev, fpr_cur = 1.0 - prev.specificity, 1.0 - cur.specificity
-        auc += 0.5 * (cur.sensitivity + prev.sensitivity) * (fpr_cur - fpr_prev)
-    return tuple(points), auc
+    tp = np.append(0, np.cumsum(y[order] == 1)[last])
+    fp = np.append(0, last + 1) - tp
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the sentinel
+        precision = tp / (tp + fp)
+    curve = RocCurve(
+        cutoff=np.append(math.inf, s_sorted[last]),
+        sensitivity=tp / tp[-1],
+        specificity=1.0 - fp / fp[-1],
+        precision=precision,
+    )
+    fpr = 1.0 - curve.specificity
+    terms = 0.5 * (curve.sensitivity[1:] + curve.sensitivity[:-1]) * np.diff(fpr)
+    # a left-to-right running sum: np.sum's pairwise order changes the last bits
+    return curve, float(np.cumsum(terms)[-1])
 
 
 def youden(scores, labels) -> tuple[float, float]:
     """Max of sensitivity + specificity - 1, with the smallest cutoff
     achieving it."""
-    return _youden_of(roc_and_auc(scores, labels)[0])
+    return _cutoff_metrics(roc_and_auc(scores, labels)[0])[0]
 
 
 def prec_rec_balance(scores, labels) -> tuple[float, float]:
@@ -148,33 +142,23 @@ def prec_rec_balance(scores, labels) -> tuple[float, float]:
     Cutoffs predicting nothing positive have undefined precision and are
     skipped.
     """
-    return _prec_rec_of(roc_and_auc(scores, labels)[0])
+    return _cutoff_metrics(roc_and_auc(scores, labels)[0])[1]
 
 
-def _youden_of(points) -> tuple[float, float]:
-    """Youden's J and its cutoff from ROC points in descending-cutoff order."""
-    best_j = -math.inf
-    best_cutoff = math.inf
-    for p in points:
-        j = p.sensitivity + p.specificity - 1.0
-        if j >= best_j:
-            best_j = j
-            best_cutoff = p.cutoff
-    return best_j, best_cutoff
+def _cutoff_metrics(
+    curve: RocCurve,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(Youden's J, cutoff) and (precision-recall balance, cutoff) of one
+    ROC table; each is the last maximum in descending-cutoff order, so the
+    smallest cutoff wins ties, and the balance skips the sentinel row."""
 
+    def last_max(values, cutoffs):
+        i = values.size - 1 - int(np.argmax(values[::-1]))
+        return float(values[i]), float(cutoffs[i])
 
-def _prec_rec_of(points) -> tuple[float, float]:
-    """Precision-recall balance and its cutoff from ROC points."""
-    best = -math.inf
-    best_cutoff = math.inf
-    for p in points:
-        if p.precision is None:
-            continue
-        value = min(p.precision, p.sensitivity)
-        if value >= best:
-            best = value
-            best_cutoff = p.cutoff
-    return best, best_cutoff
+    j = curve.sensitivity + curve.specificity - 1.0
+    balance = np.minimum(curve.precision[1:], curve.sensitivity[1:])
+    return last_max(j, curve.cutoff), last_max(balance, curve.cutoff[1:])
 
 
 def brier(probabilities, labels) -> float:
@@ -241,9 +225,8 @@ def evaluate_scores(
         if platt is None:
             platt = platt_scale(s, y)
         probabilities = platt_probabilities(s, *platt)
-    points, auc = roc_and_auc(s, y)
-    j, j_cut = _youden_of(points)
-    pr, pr_cut = _prec_rec_of(points)
+    curve, auc = roc_and_auc(s, y)
+    (j, j_cut), (pr, pr_cut) = _cutoff_metrics(curve)
     return EvaluationReport(
         n=int(s.size),
         n_positive=int(np.sum(y == 1)),
@@ -254,7 +237,7 @@ def evaluate_scores(
         prec_rec_cutoff=pr_cut,
         brier=brier(probabilities, y),
         platt=platt,
-        roc=points,
+        roc=curve,
         folds=folds,
         subgroup=subgroup,
     )
@@ -314,27 +297,18 @@ def stratified_fold_assignment(labels, k: int, rng: np.random.Generator) -> np.n
 
 
 def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
+    """Fold ids and count.  Two records per class are necessary and enough
+    for every training split to keep both classes: a stratified draw deals
+    each class's records to distinct folds before it reuses one."""
     y = np.asarray(labels)
-    n = y.size
-    if folds == "loo":
-        if np.sum(y == 1) < 2 or np.sum(y == -1) < 2:
-            raise ValidationError(
-                "leave-one-out needs at least two records per class"
-            )
-        return np.arange(n, dtype=np.int64), n
-    k = int(folds)
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        assignment = stratified_fold_assignment(y, k, rng)
-        ok = all(
-            np.any(y[assignment != f] == 1) and np.any(y[assignment != f] == -1)
-            for f in range(k)
+    if np.sum(y == 1) < 2 or np.sum(y == -1) < 2:
+        raise ValidationError(
+            "cross-validation needs at least two records per class"
         )
-        if ok:
-            return assignment, k
-    raise ValidationError(
-        "could not build folds whose training splits keep both classes"
-    )
+    if folds == "loo":
+        return np.arange(y.size, dtype=np.int64), y.size
+    k = int(folds)
+    return stratified_fold_assignment(y, k, np.random.default_rng(seed)), k
 
 
 def cross_validate(
@@ -382,9 +356,8 @@ def cross_validate(
         if single_class:
             auc = j = j_cut = pr = pr_cut = None
         else:
-            points, auc = roc_and_auc(s_test, y_test)
-            j, j_cut = _youden_of(points)
-            pr, pr_cut = _prec_rec_of(points)
+            curve, auc = roc_and_auc(s_test, y_test)
+            (j, j_cut), (pr, pr_cut) = _cutoff_metrics(curve)
         fold_rows.append(
             FoldMetrics(
                 fold=f,

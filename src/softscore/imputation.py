@@ -76,22 +76,20 @@ class ImputationMethod:
         return cls(NORMAL, normal_values=table)
 
 
-def _cohort_matrix(cohort: Sequence[PatientRecord]):
-    variables: list[str] = []
-    seen = set()
-    for r in cohort:
-        for name in r.values:
-            if name not in seen:
-                seen.add(name)
-                variables.append(name)
-    n, m = len(cohort), len(variables)
-    X = np.full((n, m), np.nan)
+def _cohort_matrix(
+    cohort: Sequence[PatientRecord], variables: Optional[Sequence[str]] = None
+):
+    """Variable names and the n x m value matrix, NaN where missing; the
+    variables default to every name in order of first appearance."""
+    if variables is None:
+        variables = list(dict.fromkeys(name for r in cohort for name in r.values))
+    X = np.full((len(cohort), len(variables)), np.nan)
     for i, r in enumerate(cohort):
         for j, name in enumerate(variables):
             v = r.value(name)
             if v is not None:
                 X[i, j] = v
-    return variables, X
+    return list(variables), X
 
 
 def impute(
@@ -239,16 +237,7 @@ def cohort_matrix(
     cohort: Sequence[PatientRecord], variables: Optional[Sequence[str]] = None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Complete-data design matrix plus labels; raises on missing cells."""
-    if variables is None:
-        variables, X = _cohort_matrix(cohort)
-    else:
-        variables = list(variables)
-        X = np.full((len(cohort), len(variables)), np.nan)
-        for i, r in enumerate(cohort):
-            for j, name in enumerate(variables):
-                v = r.value(name)
-                if v is not None:
-                    X[i, j] = v
+    variables, X = _cohort_matrix(cohort, variables)
     if np.isnan(X).any():
         raise ValidationError("cohort still contains missing values; impute first")
     y = np.array([r.outcome for r in cohort], dtype=float)

@@ -524,53 +524,59 @@ def _json_float(x: Optional[float]):
     return float(x)
 
 
+def _json_column(values: np.ndarray) -> list:
+    """One ROC column as floats; JSON has no inf or NaN, so the sentinel
+    row's cutoff and precision are written as null."""
+    column = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        column[i] = None
+    return column
+
+
+def _metric_block(m, platt: Optional[tuple[float, float]]) -> dict:
+    """The metrics shared by the pooled report and every fold row."""
+    return {
+        "auc": m.auc,
+        "youden": {"j": m.youden_j, "cutoff": _json_float(m.youden_cutoff)},
+        "prec_rec": {
+            "value": m.prec_rec_balance,
+            "cutoff": _json_float(m.prec_rec_cutoff),
+        },
+        "brier": m.brier,
+        "platt": None if platt is None else {"a": platt[0], "b": platt[1]},
+    }
+
+
 def report_to_dict(report: EvaluationReport) -> dict:
     pooled = {
         "n": report.n,
         "n_positive": report.n_positive,
         "prevalence": report.prevalence,
-        "auc": report.auc,
-        "youden": {"j": report.youden_j, "cutoff": _json_float(report.youden_cutoff)},
-        "prec_rec": {
-            "value": report.prec_rec_balance,
-            "cutoff": _json_float(report.prec_rec_cutoff),
-        },
-        "brier": report.brier,
-        "platt": (
-            None
-            if report.platt is None
-            else {"a": report.platt[0], "b": report.platt[1]}
-        ),
+        **_metric_block(report, report.platt),
     }
     folds = [
         {
             "fold": f.fold,
             "n_test": f.n_test,
             "n_positive": f.n_positive,
-            "auc": f.auc,
-            "youden": {"j": f.youden_j, "cutoff": _json_float(f.youden_cutoff)},
-            "prec_rec": {
-                "value": f.prec_rec_balance,
-                "cutoff": _json_float(f.prec_rec_cutoff),
-            },
-            "brier": f.brier,
-            "platt": {"a": f.platt_a, "b": f.platt_b},
+            **_metric_block(f, (f.platt_a, f.platt_b)),
         }
         for f in report.folds
     ]
-    roc = [
-        {
-            "cutoff": _json_float(p.cutoff),
-            "sensitivity": p.sensitivity,
-            "specificity": p.specificity,
-            "precision": p.precision,
-        }
-        for p in report.roc
-    ]
+    roc = report.roc
+    rows = zip(
+        _json_column(roc.cutoff),
+        roc.sensitivity.tolist(),
+        roc.specificity.tolist(),
+        _json_column(roc.precision),
+    )
     return {
         "pooled": pooled,
         "folds": folds,
-        "roc": roc,
+        "roc": [
+            {"cutoff": c, "sensitivity": se, "specificity": sp, "precision": p}
+            for c, se, sp, p in rows
+        ],
         "subgroup": report.subgroup,
     }
 

@@ -279,10 +279,6 @@ class ScoreDefinition:
     # ------------------------------------------------------------------
 
     @cached_property
-    def variable_by_name(self) -> Mapping[str, RawVariable]:
-        return {v.name: v for v in self.variables}
-
-    @cached_property
     def band_by_label(self) -> Mapping[str, AgeBand]:
         return {b.label: b for b in self.age_bands}
 

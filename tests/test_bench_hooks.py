@@ -8,6 +8,8 @@ per-layer metric at 0; these tests make either fail here instead.
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import softscore
 import softscore.cli  # noqa: F401  (binds softscore.cli, which the tracer wraps)
 from softscore.design import CohortDesign
@@ -52,3 +54,41 @@ def test_cross_validation_calls_every_traced_kernel():
     names = list(tracer_module._DESIGN_METHODS.values())
     names += [n for _, n in tracer_module._TARGETS if n.startswith("optimizer.")]
     assert {name: tracer.calls(name) for name in names if not tracer.calls(name)} == {}
+
+
+def _traced(name, *args, **kwargs):
+    """Call ``softscore.evaluation.<name>`` with the benchmark's tracer
+    installed; return the tracer and the result."""
+    tracer = _tracer_module().Tracer()
+    tracer.install(softscore)
+    try:
+        result = getattr(softscore.evaluation, name)(*args, **kwargs)
+    finally:
+        tracer.uninstall()
+    return tracer, result
+
+
+def test_one_evaluation_makes_one_roc_pass():
+    """``evaluation.roc_calls`` counts ROC passes per ``evaluate_scores``:
+    one, with Youden's J and the precision-recall balance read from it."""
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=200)
+    y = np.where(rng.uniform(size=200) < 0.3, 1, -1)
+    tracer, _ = _traced("evaluate_scores", s, y)
+    assert tracer.calls("evaluation.evaluate_scores") == 1
+    assert tracer.calls("evaluation.roc_and_auc") == 1
+    assert tracer.calls("evaluation.youden") == 0
+    assert tracer.calls("evaluation.prec_rec_balance") == 0
+
+
+def test_kfold_cross_validation_makes_one_roc_pass_per_fold_and_pooled():
+    cohort, _, _ = preset_cohort("pediatric_icu", n=90, seed=4)
+    d = preset("pediatric_icu").definition()
+    config = OptimizerConfig(optimize_over=("a",), max_outer_iters=2)
+    tracer, (report, _) = _traced(
+        "cross_validate", CohortDesign(cohort, d), config, folds=3
+    )
+    assert all(f.auc is not None for f in report.folds)  # both classes in each
+    assert tracer.calls("evaluation.roc_and_auc") == 4
+    assert tracer.calls("evaluation.youden") == 0
+    assert tracer.calls("evaluation.prec_rec_balance") == 0

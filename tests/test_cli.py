@@ -290,6 +290,33 @@ class TestFit:
         assert f"error: {config}: {message}" in result.output
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    @pytest.mark.parametrize(
+        "payload",
+        [{"prior_mu": [0.1, 0.2]}, {"prior_mu": [0.1, 0.2], "optimize_over": ["a"]}],
+        ids=["a-default", "a-explicit"],
+    )
+    def test_prior_mu_of_the_wrong_length_exits_one_naming_path(
+        self, ws, tmp_path, command, payload
+    ):
+        config = tmp_path / "optimizer.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_fail(
+            [
+                command,
+                "--cohort", ws["cohort"],
+                "--score-def", ws["definition"],
+                "--out", tmp_path / "out.json",
+                "--config", config,
+            ],
+            1,
+        )
+        assert (
+            f"error: {config}: prior_mu must be scalar or length 6, got shape (2,)"
+            in result.output
+        )
+        assert not (tmp_path / "out.json").exists()
+
     def test_single_class_cohort_exits_one(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])
         flipped = [
@@ -608,6 +635,25 @@ class TestCv:
         report = read_json(report_path)
         assert report["folds"] == []
         assert report["pooled"]["n"] == 24
+
+    def test_kfold_with_a_class_of_one_exits_one(self, ws, tmp_path):
+        cohort = load_cohort(ws["cohort"])
+        positives = [r for r in cohort if r.outcome == 1][:1]
+        negatives = [r for r in cohort if r.outcome == -1][:20]
+        path = tmp_path / "lonely.csv"
+        save_cohort(path, positives + negatives, list(cohort[0].values))
+        result = run_fail(
+            [
+                "cv",
+                "--cohort", path,
+                "--score-def", ws["definition"],
+                "--folds", 4,
+                "--out", tmp_path / "cv.json",
+            ],
+            1,
+        )
+        assert "cross-validation needs at least two records per class" in result.output
+        assert not (tmp_path / "cv.json").exists()
 
     def test_invalid_folds_exits_one(self, ws, tmp_path):
         result = run_fail(

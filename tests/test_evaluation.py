@@ -13,7 +13,7 @@ from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
     EvaluationReport,
     FoldMetrics,
-    RocPoint,
+    RocCurve,
     ScoredRow,
     brier,
     cross_validate,
@@ -81,17 +81,20 @@ class TestRocAndAuc:
         rng = np.random.default_rng(113)
         for _ in range(20):
             s, y = random_scored_instance(rng, n_max=60, tie_grid=8)
-            points, auc = roc_and_auc(s, y)
-            assert points[0] == RocPoint(math.inf, 0.0, 1.0, None)
-            assert points[-1].sensitivity == 1.0
-            assert points[-1].specificity == 0.0
-            for prev, cur in zip(points, points[1:]):
-                assert cur.cutoff < prev.cutoff
-                assert cur.sensitivity >= prev.sensitivity
-                assert cur.specificity <= prev.specificity
-                assert 0.0 <= cur.sensitivity <= 1.0
-                assert 0.0 <= cur.specificity <= 1.0
-                assert cur.precision is not None and 0.0 <= cur.precision <= 1.0
+            curve, auc = roc_and_auc(s, y)
+            assert isinstance(curve, RocCurve)
+            assert curve.cutoff[0] == math.inf
+            assert (curve.sensitivity[0], curve.specificity[0]) == (0.0, 1.0)
+            assert math.isnan(curve.precision[0])
+            assert curve.sensitivity[-1] == 1.0
+            assert curve.specificity[-1] == 0.0
+            assert np.all(np.diff(curve.cutoff) < 0)
+            assert np.all(np.diff(curve.sensitivity) >= 0)
+            assert np.all(np.diff(curve.specificity) <= 0)
+            for column in curve:
+                assert column.shape == curve.cutoff.shape
+            for column in (curve.sensitivity, curve.specificity, curve.precision[1:]):
+                assert np.all((0.0 <= column) & (column <= 1.0))
             assert 0.0 <= auc <= 1.0
 
     def test_matches_mann_whitney_with_ties(self):
@@ -116,6 +119,36 @@ class TestRocAndAuc:
             roc_and_auc([1.0, 2.0], [1, 1])  # single class
         with pytest.raises(ValidationError):
             roc_and_auc([1.0, 2.0], [1, 0])  # bad label
+
+
+@st.composite
+def tied_two_class_scores(draw):
+    n = draw(st.integers(2, 30))
+    scores = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    labels[i], labels[i - 1] = 1, -1
+    return np.array(scores, dtype=float), np.array(labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_two_class_scores())
+def test_roc_rows_match_brute_force_counts(data):
+    """Every row of the table, the +inf sentinel included, holds the
+    sensitivity, specificity and precision counted at its cutoff."""
+    s, y = data
+    curve, _ = roc_and_auc(s, y)
+    expected_cutoffs = np.append(math.inf, np.unique(s)[::-1])
+    np.testing.assert_array_equal(curve.cutoff, expected_cutoffs)
+    pos, neg = np.sum(y == 1), np.sum(y == -1)
+    for row, c in enumerate(expected_cutoffs):
+        tp, fp, fn, tn = confusion_at(s, y, c)
+        assert curve.sensitivity[row] == tp / pos
+        assert curve.specificity[row] == pytest.approx(tn / neg, abs=1e-15)
+        if tp + fp == 0:
+            assert math.isnan(curve.precision[row])
+        else:
+            assert curve.precision[row] == tp / (tp + fp)
 
 
 class TestCutoffSearch:
@@ -463,6 +496,17 @@ class TestCrossValidate:
         ]
         with pytest.raises(ValidationError):
             cross_validate(CohortDesign(lonely, self.d), self.cfg, folds="loo")
+
+    def test_kfold_needs_two_per_class_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr("softscore.evaluation.fit", no_fit)
+        lonely = [rec("p", {"lactate_max": 9.0}, outcome=1)] + [
+            rec(f"n{i}", {"lactate_max": 2.0}, outcome=-1) for i in range(7)
+        ]
+        with pytest.raises(ValidationError, match="two records per class"):
+            cross_validate(CohortDesign(lonely, self.d), self.cfg, folds=4)
 
     def test_pooled_auc_uses_held_out_scores(self):
         report, rows = cross_validate(
