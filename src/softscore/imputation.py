@@ -2,15 +2,20 @@
 
 kNN imputation measures record similarity over commonly observed variables
 only: the Euclidean distance between standardized values is divided by the
-number of shared variables, and a missing cell takes the average of that
+number of shared variables.  A missing cell takes the average of that
 variable over the k nearest records that observe it, walking further down
-the neighbor list when closer records lack it.  Every imputed value is
-computed from the original (not already-imputed) cohort, so a second pass is
-a no-op.
+the neighbor list when closer records lack it; with fewer than k such donors
+at a finite distance it takes the average of those found, and with none the
+column mean.  Donors are searched only for records with a missing cell, one
+record at a time, so memory stays O(n * m) for n records and m variables;
+``knn_distances`` is the public n x n reference for those distances.  Every
+imputed value is computed from the original (not already-imputed) cohort, so
+a second pass is a no-op.
 """
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -19,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import PatientRecord, ScoreDefinition
 from .numerics import logistic_newton, sigmoid
+from .optimizer import _number
 
 logger = logging.getLogger("softscore")
 
@@ -39,8 +45,10 @@ class ImputationMethod:
     def __post_init__(self):
         if self.kind not in (KNN, MEAN, NORMAL):
             raise ValidationError(f"unknown imputation method {self.kind!r}")
-        if self.kind == KNN and self.k < 1:
-            raise ValidationError("k must be >= 1")
+        if self.kind == KNN:
+            object.__setattr__(self, "k", _number("k", self.k, numbers.Integral))
+            if self.k < 1:
+                raise ValidationError("k must be >= 1")
         if self.kind == NORMAL:
             if not self.normal_values:
                 raise ValidationError("normal imputation needs a normal-value table")
@@ -107,32 +115,27 @@ def impute(
     observed = ~np.isnan(X)
     n = len(cohort)
 
-    for j, name in enumerate(variables):
-        if method.kind != NORMAL and not observed[:, j].any():
-            raise ValidationError(f"variable {name!r} is observed nowhere")
-
-    if method.kind == MEAN:
-        fill = {
-            j: float(np.mean(X[observed[:, j], j])) for j in range(len(variables))
-        }
-        filled = _fill_constant(X, observed, fill)
-    elif method.kind == NORMAL:
-        fill = {}
+    if method.kind == NORMAL:
         for j, name in enumerate(variables):
-            if not (~observed[:, j]).any():
-                continue
-            if name not in method.normal_values:
+            if not observed[:, j].all() and name not in method.normal_values:
                 raise ValidationError(
                     f"variable {name!r} is missing and has no normal_value"
                 )
-            fill[j] = method.normal_values[name]
-        filled = _fill_constant(X, observed, fill)
+        fill = [method.normal_values.get(name, np.nan) for name in variables]
+        filled = np.where(observed, X, fill)
     else:
-        if method.k > n - 1:
+        for j, name in enumerate(variables):
+            if not observed[:, j].any():
+                raise ValidationError(f"variable {name!r} is observed nowhere")
+        if method.kind == KNN and method.k > n - 1:
             raise ValidationError(
                 f"k = {method.k} exceeds the {n - 1} neighbors available"
             )
-        filled = _fill_knn(X, observed, method.k)
+        mu, Z = _standardized(X, observed)
+        if method.kind == MEAN:
+            filled = np.where(observed, X, mu)
+        else:
+            filled = _fill_knn(X, observed, mu, Z, method.k)
 
     out = []
     for i, r in enumerate(cohort):
@@ -145,22 +148,10 @@ def impute(
     return out
 
 
-def _fill_constant(X, observed, fill):
-    filled = X.copy()
-    for j, value in fill.items():
-        col_missing = ~observed[:, j]
-        filled[col_missing, j] = value
-    return filled
-
-
-def knn_distances(X: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """All-pairs distances over standardized values and shared variables.
-
-    Entry (i, j) is sqrt(sum of squared standardized differences over the
-    variables both records observe) divided by the number of those variables;
-    infinite when they share none, or on the diagonal.
-    """
-    n, m = X.shape
+def _standardized(X, observed):
+    """Column means over the observed cells, and X standardized by them:
+    NaN where missing, 0 in a column whose observed values are all equal."""
+    m = X.shape[1]
     mu = np.empty(m)
     sd = np.empty(m)
     for j in range(m):
@@ -169,44 +160,45 @@ def knn_distances(X: np.ndarray, observed: np.ndarray) -> np.ndarray:
         sd[j] = np.std(col)
     Z = np.where(observed, (X - mu) / np.where(sd > 0, sd, 1.0), np.nan)
     Z = np.where(observed & (sd > 0), Z, np.where(observed, 0.0, np.nan))
-    D = np.full((n, n), np.inf)
-    for i in range(n):
-        common = observed[i] & observed
-        diff = np.where(common, Z - Z[i], 0.0)
-        counts = common.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            d = np.sqrt(np.sum(diff * diff, axis=1)) / counts
-        d[counts == 0] = np.inf
-        d[i] = np.inf
-        D[i] = d
-    return D
+    return mu, Z
 
 
-def _fill_knn(X, observed, k):
-    n = X.shape[0]
+def _distances_from(i, Z, observed):
+    """Row i of ``knn_distances``: O(n * m) memory, one row at a time."""
+    common = observed[i] & observed
+    diff = np.where(common, Z - Z[i], 0.0)
+    counts = common.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        d = np.sqrt(np.sum(diff * diff, axis=1)) / counts
+    d[counts == 0] = np.inf
+    d[i] = np.inf
+    return d
+
+
+def knn_distances(X: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """All-pairs distances over standardized values and shared variables.
+
+    Entry (i, j) is sqrt(sum of squared standardized differences over the
+    variables both records observe) divided by the number of those variables;
+    infinite when they share none, or on the diagonal.  ``impute`` computes
+    the same rows, but only for records with a missing cell; this n x n
+    matrix is the reference for them.
+    """
+    _, Z = _standardized(X, observed)
+    return np.array([_distances_from(i, Z, observed) for i in range(len(X))])
+
+
+def _fill_knn(X, observed, mu, Z, k):
     filled = X.copy()
-    col_means = {
-        j: float(np.mean(X[observed[:, j], j])) for j in range(X.shape[1])
-    }
-    D = knn_distances(X, observed)
-    for i in range(n):
-        missing_cols = np.flatnonzero(~observed[i])
-        if missing_cols.size == 0:
-            continue
-        order = np.argsort(D[i], kind="stable")
-        for j in missing_cols:
-            donors = []
-            for cand in order:
-                if not np.isfinite(D[i, cand]):
-                    break
-                if observed[cand, j]:
-                    donors.append(X[cand, j])
-                    if len(donors) == k:
-                        break
-            if donors:
-                filled[i, j] = sum(donors) / len(donors)
-            else:
-                filled[i, j] = col_means[j]
+    for i in np.flatnonzero(~observed.all(axis=1)):
+        d = _distances_from(i, Z, observed)
+        order = np.argsort(d, kind="stable")  # ties: the earlier record first
+        order = order[np.isfinite(d[order])]
+        for j in np.flatnonzero(~observed[i]):
+            donors = X[order[observed[order, j]][:k], j]
+            # sum() adds left to right; np.mean's pairwise sum can differ in
+            # the last bit
+            filled[i, j] = sum(donors.tolist()) / donors.size if donors.size else mu[j]
     return filled
 
 

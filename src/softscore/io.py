@@ -525,8 +525,8 @@ def _json_float(x: Optional[float]):
 
 
 def _json_column(values: np.ndarray) -> list:
-    """One ROC column as floats; JSON has no inf or NaN, so the sentinel
-    row's cutoff and precision are written as null."""
+    """One ROC column as floats; JSON has no inf or NaN, so the sentinel's
+    cutoff and precision are written as null."""
     column = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         column[i] = None
@@ -563,20 +563,10 @@ def report_to_dict(report: EvaluationReport) -> dict:
         }
         for f in report.folds
     ]
-    roc = report.roc
-    rows = zip(
-        _json_column(roc.cutoff),
-        roc.sensitivity.tolist(),
-        roc.specificity.tolist(),
-        _json_column(roc.precision),
-    )
     return {
         "pooled": pooled,
         "folds": folds,
-        "roc": [
-            {"cutoff": c, "sensitivity": se, "specificity": sp, "precision": p}
-            for c, se, sp, p in rows
-        ],
+        "roc": {name: _json_column(col) for name, col in report.roc._asdict().items()},
         "subgroup": report.subgroup,
     }
 

@@ -1,6 +1,8 @@
 """Imputation strategies against brute-force oracles, plus the ridge baseline."""
+import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from softscore.imputation import (
     knn_distances,
     ridge_logistic_fit,
 )
+from softscore.io import save_cohort
 from softscore.numerics import sigmoid
 from softscore.presets import preset_cohort
 
@@ -90,6 +93,16 @@ class TestImputationMethod:
         with pytest.raises(ValidationError):
             ImputationMethod.knn(k=0)
         assert ImputationMethod.knn().k == 5  # documented default
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", None])
+    def test_knn_k_must_be_an_integer(self, k):
+        # a fractional k never equals a donor count, and True would act as 1
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            ImputationMethod.knn(k=k)
+
+    def test_knn_k_accepts_numpy_integers(self):
+        k = ImputationMethod.knn(k=np.int64(3)).k
+        assert k == 3 and type(k) is int
 
     def test_normal_needs_a_table(self):
         with pytest.raises(ValidationError):
@@ -273,6 +286,39 @@ class TestKnnOracle:
         assert np.all(np.isinf(np.diag(D)))
         assert math.isinf(D[1, 2])  # no shared observed variable
         np.testing.assert_allclose(D, D.T)
+
+
+class TestKnnAtScale:
+    # SHA-256 of each kNN-imputed (k=5) preset cohort as written by
+    # save_cohort, recorded from the all-pairs implementation; the fill must
+    # keep every bit.
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            ("demo", "925aca06a60205f7dd6020d7c212264839c21040f1eeae66cfa997847a742336"),
+            ("pediatric_icu",
+             "465cb6f9e6e1065d0df0a64d11a70e81077a79b732f115639689c3987391c993"),
+            ("adult_icu",
+             "1fa71f229ee6f423032caea309ec57253fceb9b061e1d57f6cabf69bccdd9b9f"),
+        ],
+    )
+    def test_imputed_preset_bytes_are_pinned(self, tmp_path, name, sha256):
+        cohort, _, _ = preset_cohort(name)
+        path = tmp_path / "imputed.csv"
+        save_cohort(path, impute(cohort, ImputationMethod.knn(k=5)),
+                    list(cohort[0].values))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_memory_stays_bounded_in_n(self):
+        # an n x n float64 distance matrix alone would take 72 MB here
+        cohort, _, _ = preset_cohort("adult_icu", n=3000, seed=7)
+        tracemalloc.start()
+        try:
+            impute(cohort, ImputationMethod.knn(k=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestRidgeLogistic:

@@ -405,7 +405,8 @@ class TestReportAndScores:
         payload = report_to_dict(report)
         assert payload["pooled"]["n"] == 40
         assert payload["pooled"]["platt"] is not None
-        assert payload["roc"][0]["cutoff"] is None  # the infinite sentinel
+        assert payload["roc"]["cutoff"][0] is None  # the infinite sentinel
+        assert payload["roc"]["sensitivity"] == report.roc.sensitivity.tolist()
         assert payload["folds"] == []
         path = tmp_path / "report.json"
         save_report(path, report)
@@ -416,10 +417,8 @@ class TestReportAndScores:
         # but the sentinel stays infinite
         report = evaluate_scores([3.0, 2.0, -1.0, -2.0], [1, 1, -1, -1])
         payload = report_to_dict(report)
-        assert payload["roc"][0]["cutoff"] is None
-        assert all(
-            p["cutoff"] is None or math.isfinite(p["cutoff"]) for p in payload["roc"]
-        )
+        assert payload["roc"]["cutoff"][0] is None
+        assert all(c is None or math.isfinite(c) for c in payload["roc"]["cutoff"])
 
     def test_scores_csv_round_trip(self, tmp_path):
         rows = [
