@@ -4,9 +4,11 @@ Commands: ``presets``, ``simulate``, ``fit``, ``evaluate``, ``cv`` and
 ``impute``.  Every command that writes a primary output also writes a
 ``<output>.manifest.json`` run manifest recording the command line, the
 package version, SHA-256 digests of all inputs and outputs, and the wall
-time.  Manifests are the only outputs that differ between identical
-reruns; all other artifacts are byte-identical for the same inputs and
-seed.
+time; ``fit``, ``evaluate`` and ``cv`` also record the seconds of each stage
+(load, design, fit or cv, write; ``evaluate`` has load, score, write, its
+design build being part of scoring).  Manifests are the only outputs that
+differ between identical reruns; all other artifacts are byte-identical for
+the same inputs and seed.
 
 Exit codes: 0 on success, 1 for invalid inputs or I/O failures, 2 for
 numeric failures (non-convergence or non-finite objectives).  The
@@ -90,7 +92,15 @@ class _Manifest:
         self.started = time.perf_counter()
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+        self.stage_seconds: dict[str, float] = {}
         self.seed = None
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Charge the wall time of the enclosed block to stage ``name``."""
+        start = time.perf_counter()
+        yield
+        self.stage_seconds[name] = time.perf_counter() - start
 
     def add_input(self, path):
         if path is not None:
@@ -110,6 +120,8 @@ class _Manifest:
             "outputs": self.outputs,
             "wall_time_seconds": time.perf_counter() - self.started,
         }
+        if self.stage_seconds:
+            payload["stage_seconds"] = self.stage_seconds
         path = f"{primary_output}.manifest.json"
         _dump_json(path, payload)
         log.info("wrote manifest %s", path)
@@ -299,14 +311,18 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
 def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
     manifest = _Manifest("fit")
-    manifest.add_input(cohort_path)
-    manifest.add_input(score_def)
-    manifest.add_input(config_path)
-    definition = load_score_definition(score_def)
-    cohort = load_cohort(cohort_path)
-    validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize, definition)
-    params, trace = fit_params(CohortDesign(cohort, definition), config)
+    with manifest.stage("load"):
+        manifest.add_input(cohort_path)
+        manifest.add_input(score_def)
+        manifest.add_input(config_path)
+        definition = load_score_definition(score_def)
+        cohort = load_cohort(cohort_path)
+        validate_cohort(cohort, definition)
+        config = _optimizer_config(config_path, optimize, definition)
+    with manifest.stage("design"):
+        design = CohortDesign(cohort, definition)
+    with manifest.stage("fit"):
+        params, trace = fit_params(design, config)
     if trace.stopped_at_cap:
         log.warning(
             "fit stopped at the iteration cap (%d outer iterations) before its "
@@ -314,8 +330,9 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
             trace.outer_iterations,
             config.rel_tol,
         )
-    save_fitted(out, params, config, trace)
-    manifest.add_output(out)
+    with manifest.stage("write"):
+        save_fitted(out, params, config, trace)
+        manifest.add_output(out)
     manifest.write(out)
     click.echo(
         f"fit: objective {trace.initial_objective:.6f} -> "
@@ -340,38 +357,41 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
 def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_spec):
     """Evaluate soft (fitted) or hard (table) scores on a cohort."""
     manifest = _Manifest("evaluate")
-    manifest.add_input(cohort_path)
-    manifest.add_input(score_def)
-    manifest.add_input(fitted_path)
-    definition = load_score_definition(score_def)
-    cohort = load_cohort(cohort_path)
-    validate_cohort(cohort, definition)
-    if fitted_path is not None:
-        params = load_fitted(fitted_path, definition)
-        scores = soft_scores(cohort, definition, params)
-    else:
-        scores = hard_scores(cohort, definition)
-    labels = [r.outcome for r in cohort]
-    report = evaluate_scores(scores, labels)
-    probabilities = platt_probabilities(scores, *report.platt)
-    if filter_spec is not None:
-        predicate, label = _band_predicate(definition, filter_spec)
-        report = evaluate_subgroup(cohort, scores, probabilities, predicate, label)
-    save_report(out, report)
-    manifest.add_output(out)
-    if scores_path is not None:
-        rows = tuple(
-            ScoredRow(
-                id=r.id,
-                fold=0,
-                score=float(s),
-                probability=float(p),
-                label=r.outcome,
+    with manifest.stage("load"):
+        manifest.add_input(cohort_path)
+        manifest.add_input(score_def)
+        manifest.add_input(fitted_path)
+        definition = load_score_definition(score_def)
+        cohort = load_cohort(cohort_path)
+        validate_cohort(cohort, definition)
+        params = None if fitted_path is None else load_fitted(fitted_path, definition)
+    with manifest.stage("score"):
+        if params is None:
+            scores = hard_scores(cohort, definition)
+        else:
+            scores = soft_scores(cohort, definition, params)
+        labels = [r.outcome for r in cohort]
+        report = evaluate_scores(scores, labels)
+        probabilities = platt_probabilities(scores, *report.platt)
+        if filter_spec is not None:
+            predicate, label = _band_predicate(definition, filter_spec)
+            report = evaluate_subgroup(cohort, scores, probabilities, predicate, label)
+    with manifest.stage("write"):
+        save_report(out, report)
+        manifest.add_output(out)
+        if scores_path is not None:
+            rows = tuple(
+                ScoredRow(
+                    id=r.id,
+                    fold=0,
+                    score=float(s),
+                    probability=float(p),
+                    label=r.outcome,
+                )
+                for r, s, p in zip(cohort, scores, probabilities)
             )
-            for r, s, p in zip(cohort, scores, probabilities)
-        )
-        save_scores(scores_path, rows)
-        manifest.add_output(scores_path)
+            save_scores(scores_path, rows)
+            manifest.add_output(scores_path)
     manifest.write(out)
     kind = "soft" if fitted_path is not None else "hard"
     click.echo(
@@ -409,22 +429,27 @@ def cv_cmd(
 ):
     """Cross-validate a fitted score on held-out folds."""
     manifest = _Manifest("cv")
-    manifest.add_input(cohort_path)
-    manifest.add_input(score_def)
-    manifest.add_input(config_path)
-    definition = load_score_definition(score_def)
-    cohort = load_cohort(cohort_path)
-    validate_cohort(cohort, definition)
-    config = _optimizer_config(config_path, optimize, definition)
+    with manifest.stage("load"):
+        manifest.add_input(cohort_path)
+        manifest.add_input(score_def)
+        manifest.add_input(config_path)
+        definition = load_score_definition(score_def)
+        cohort = load_cohort(cohort_path)
+        validate_cohort(cohort, definition)
+        config = _optimizer_config(config_path, optimize, definition)
     manifest.seed = seed
-    report, rows = cross_validate(
-        CohortDesign(cohort, definition), config, folds=_parse_folds(folds), seed=seed
-    )
-    save_report(out, report)
-    manifest.add_output(out)
-    if scores_path is not None:
-        save_scores(scores_path, rows)
-        manifest.add_output(scores_path)
+    with manifest.stage("design"):
+        design = CohortDesign(cohort, definition)
+    with manifest.stage("cv"):
+        report, rows = cross_validate(
+            design, config, folds=_parse_folds(folds), seed=seed
+        )
+    with manifest.stage("write"):
+        save_report(out, report)
+        manifest.add_output(out)
+        if scores_path is not None:
+            save_scores(scores_path, rows)
+            manifest.add_output(scores_path)
     manifest.write(out)
     click.echo(
         f"cv[{folds}]: n={report.n} auc={_fmt(report.auc)} "

@@ -4,8 +4,10 @@
 and one observed mask, and resolves every step feature's age band with
 ``np.searchsorted``.  From these arrays it evaluates the soft scores, the
 likelihood and its gradients in slopes, thresholds and weights, and the
-classic table score.  ``take`` slices the design by rows, so cross-validation
-reads a cohort's records once and fits every fold on a slice.
+classic table score.  Every step-feature kernel runs on a ``step_block``, the
+selected columns sliced once, which a fit builds once per block step.
+``take`` slices the design by rows, so cross-validation reads a cohort's
+records once and fits every fold on a slice.
 """
 from __future__ import annotations
 
@@ -139,6 +141,11 @@ class CohortDesign:
                 keys.append(self.definition.features[fi].key)
         return tuple(keys)
 
+    def step_block(self, cols: Optional[np.ndarray] = None) -> "_StepBlock":
+        """The slope columns ``cols`` (all when None), sliced once, with the
+        step kernels every other step method is built from."""
+        return _StepBlock(self, cols)
+
     def step_z(
         self, a: np.ndarray, t: np.ndarray, cols: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -147,18 +154,12 @@ class CohortDesign:
         Up-steps give sigmoid(a (x - t)), down-steps 1 minus that value, so
         the two directions sum to exactly 1 for any observed x.
         """
-        sel = slice(None) if cols is None else cols
-        obs = self.step_observed[:, sel]
-        diff = np.where(obs, self.step_x[:, sel] - t[self.t_index[:, sel]], 0.0)
-        s = sigmoid(a[sel] * diff)
-        z = np.where(self.step_up[sel], s, 1.0 - s)
-        return np.where(obs, z, 0.0)
+        block = self.step_block(cols)
+        return block.z(a[block.sel] * block.diff(t))
 
     def step_diff(self, t: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
         """x - t with zeros where missing, for the selected columns."""
-        sel = slice(None) if cols is None else cols
-        obs = self.step_observed[:, sel]
-        return np.where(obs, self.step_x[:, sel] - t[self.t_index[:, sel]], 0.0)
+        return self.step_block(cols).diff(t)
 
     def scores(self, a: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Linear scores w'z for every record."""
@@ -186,16 +187,19 @@ class CohortDesign:
         if fcols is None:
             fcols = range(d.n_weights)
         Z = np.empty((self.n, len(fcols)))
-        for pos, fi in enumerate(fcols):
-            if fi in d.slope_index:
-                Z[:, pos] = self.step_z(a, t, np.array([d.slope_index[fi]]))[:, 0]
-            else:
-                Z[:, pos] = self.bin_z[:, d.binary_feature_indices.index(fi)]
+        step_pos = [p for p, fi in enumerate(fcols) if fi in d.slope_index]
+        if step_pos:
+            cols = np.array([d.slope_index[fcols[p]] for p in step_pos])
+            Z[:, step_pos] = self.step_z(a, t, cols)
+        bin_pos = [p for p, fi in enumerate(fcols) if fi not in d.slope_index]
+        if bin_pos:
+            bcols = [d.binary_feature_indices.index(fcols[p]) for p in bin_pos]
+            Z[:, bin_pos] = self.bin_z[:, bcols]
         return Z
 
     def nll_of_scores(self, s: np.ndarray) -> float:
         """Sum over records of log(1 + exp(-y * s))."""
-        return float(np.sum(log1pexp(-self.y * s)))
+        return float(log1pexp(-self.y * s).sum())
 
     def loss_derivative(self, s: np.ndarray) -> np.ndarray:
         """Per-record derivative of log(1 + exp(-y * s)) with respect to s."""
@@ -203,26 +207,17 @@ class CohortDesign:
 
     def slope_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
         """d NLL / d a of the slope columns ``cols``, at scores s = scores(a, t, w)."""
-        z = self.step_z(a, t, cols)
-        sp = z * (1.0 - z)
-        diff = self.step_diff(t, cols)
-        sign = np.where(self.step_up[cols], 1.0, -1.0)
-        dl = self.loss_derivative(s)
-        return (dl @ (diff * sp)) * w[self.step_wcol[cols]] * sign
+        block = self.step_block(cols)
+        diff = block.diff(t)
+        z = block.z(a[cols] * diff)
+        return block.slope_gradient(self.loss_derivative(s), diff, z * (1.0 - z), w)
 
     def threshold_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
         """Full-length d NLL / d t with contributions from slope columns
         ``cols`` only; each entry collects the records in its age band."""
-        z = self.step_z(a, t, cols)
-        sp = z * (1.0 - z)
-        sign = np.where(self.step_up[cols], 1.0, -1.0)
-        coef = w[self.step_wcol[cols]] * (-sign) * a[cols]
-        term = self.loss_derivative(s)[:, None] * coef * sp
-        return np.bincount(
-            self.t_index[:, cols].ravel(),
-            weights=term.ravel(),
-            minlength=self.definition.n_thresholds,
-        )
+        block = self.step_block(cols)
+        z = block.z(a[cols] * block.diff(t))
+        return block.threshold_gradient(self.loss_derivative(s), z * (1.0 - z), a, w)
 
     def table_scores(self) -> np.ndarray:
         """Classic table scores: the summed weights of triggered features.
@@ -260,6 +255,62 @@ class CohortDesign:
             first[:, g] = np.where(hit[:, m], m, d.n_weights).min(axis=1)
         best = np.take_along_axis(best, np.argsort(first, axis=1), axis=1)
         return total + np.cumsum(best, axis=1)[:, -1]
+
+
+class _StepBlock:
+    """The slope columns ``cols`` of a design (all when None), sliced once.
+
+    Every step-feature kernel of the design runs on one of these, and a fit
+    builds one per block step: its line search then evaluates each trial
+    point with ``diff`` and ``z`` alone, without gathering the columns again.
+    """
+
+    __slots__ = (
+        "sel", "x", "observed", "t_index", "up", "n_up", "wcol", "n_thresholds"
+    )
+
+    def __init__(self, design: CohortDesign, cols: Optional[np.ndarray]):
+        self.sel = sel = slice(None) if cols is None else cols
+        self.x = design.step_x[:, sel]
+        self.observed = design.step_observed[:, sel]
+        self.t_index = design.t_index[:, sel]
+        self.up = design.step_up[sel]
+        # the steps of one raw variable share a direction
+        self.n_up = np.count_nonzero(self.up)
+        self.wcol = design.step_wcol[sel]
+        self.n_thresholds = design.definition.n_thresholds
+
+    def diff(self, t: np.ndarray) -> np.ndarray:
+        """x - t with zeros where missing."""
+        return np.where(self.observed, self.x - t[self.t_index], 0.0)
+
+    def z(self, u: np.ndarray) -> np.ndarray:
+        """Soft step values from u = a * diff: sigmoid(u) for up-steps, 1
+        minus that for down-steps, 0 where missing."""
+        s = sigmoid(u)
+        if self.n_up == self.up.size:
+            z = s
+        elif self.n_up == 0:
+            z = 1.0 - s
+        else:
+            z = np.where(self.up, s, 1.0 - s)
+        return np.where(self.observed, z, 0.0)
+
+    def slope_gradient(self, dl, diff, sp, w) -> np.ndarray:
+        """d NLL / d a of the block's slopes from the loss derivative ``dl``,
+        ``diff`` at the current thresholds and ``sp`` = z (1 - z)."""
+        sign = np.where(self.up, 1.0, -1.0)
+        return (dl @ (diff * sp)) * w[self.wcol] * sign
+
+    def threshold_gradient(self, dl, sp, a, w) -> np.ndarray:
+        """Full-length d NLL / d t from the block's columns, with ``dl`` and
+        ``sp`` as in ``slope_gradient``."""
+        sign = np.where(self.up, 1.0, -1.0)
+        coef = w[self.wcol] * (-sign) * a[self.sel]
+        term = dl[:, None] * coef * sp
+        return np.bincount(
+            self.t_index.ravel(), weights=term.ravel(), minlength=self.n_thresholds
+        )
 
 
 def soft_scores(

@@ -18,8 +18,13 @@ NEWTON_MAX_HALVINGS = 40
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), safe for arbitrarily large |x|."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_EXP_CLIP, _EXP_CLIP)))
+    """Logistic function 1 / (1 + exp(-x)), safe for arbitrarily large |x|.
+
+    The exponent is clipped with ``np.minimum(np.maximum(x, -C), C)``, which
+    gives the bits of ``np.clip(x, -C, C)`` (NaN included) without its Python
+    wrapper; the descent loop calls this tens of thousands of times per fit.
+    """
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -_EXP_CLIP), _EXP_CLIP)))
 
 
 def log1pexp(x):

@@ -10,9 +10,12 @@ at a time.  Every kind takes the same block step: a backtracking (Armijo)
 line search along the negative block gradient, started from the objective
 value the fit already holds, then a projection back onto the feasible set,
 then acceptance only if the objective decreased (otherwise a stall is
-counted).  Slopes are projected to be non-negative, thresholds (by pool
-adjacent violators) to keep the step order of the definition within every
-age band; log-weights are unconstrained.  Weights are optimized in the log
+counted).  A slope or threshold block step slices the block's columns once
+(``CohortDesign.step_block``) and computes their current x - t and soft step
+values once; each trial then recomputes only what it moves.  Slopes are
+projected to be non-negative, thresholds (by pool adjacent violators, on the
+chains out of order only) to keep the step order of the definition within
+every age band; log-weights are unconstrained.  Weights are optimized in the log
 domain, where the lognormal prior adds log-weight and squared-deviation
 terms to the objective; those prior terms are part of the objective only
 while weights are being optimized (they are constant otherwise).
@@ -200,16 +203,23 @@ def project_thresholds(t: np.ndarray, definition: ScoreDefinition) -> np.ndarray
     For max-valued variables successive step thresholds must stay
     non-decreasing, for min-valued non-increasing; violating runs collapse to
     their mean (steps are allowed to merge).  Entries already in order are
-    returned unchanged.
+    returned unchanged, and when every chain is in order the copy is returned
+    without running the pooling.
     """
     t = np.array(t, dtype=float)
     if t.shape != (definition.n_thresholds,):
         raise ContractViolation(
             f"thresholds: expected shape ({definition.n_thresholds},), got {t.shape}"
         )
-    for direction, chain in definition.threshold_chains:
-        if len(chain) < 2:
-            continue
+    # the comparison the pooling makes on each adjacent pair of a chain: a
+    # chain with no violating pair is left as it is
+    earlier, later, sign, chain_of = definition.threshold_order_pairs
+    violated = sign * t[earlier] > sign * t[later]
+    if not violated.any():
+        return t
+    chains = definition.threshold_chains
+    for c in dict.fromkeys(chain_of[violated].tolist()):
+        direction, chain = chains[c]
         idx = list(chain)
         vals = t[idx]
         if direction == UP:
@@ -400,29 +410,41 @@ def fit(
                         return s, design.nll_of_scores(s) + _log_prior(v_try, mu, lam)
 
                 else:
+                    # The block's columns are sliced once, and its current
+                    # diff and z computed once, for the gradient and s_base
+                    # both; a trial recomputes only what it moves: z for a
+                    # slope trial, diff and z for a threshold trial.
+                    block = design.step_block(cols)
+                    a_cols = a[cols]
+                    diff = design.step_diff(t, cols)
+                    z0 = block.z(a_cols * diff)
+                    sp = z0 * (1.0 - z0)
+                    dl = design.loss_derivative(s_full)
                     if kind == "a":
                         idx = cols
-                        g = design.slope_gradient(s_full, a, t, w_cur, cols)
+                        g = block.slope_gradient(dl, diff, sp, w_cur)
                         project = project_slopes
+
+                        def trial_z(x):
+                            return block.z(x * diff)
+
                     else:
                         idx = all_t
-                        g = design.threshold_gradient(s_full, a, t, w_cur, cols)
+                        g = block.threshold_gradient(dl, sp, a, w_cur)
 
                         def project(x):
                             return project_thresholds(x, d)
 
+                        def trial_z(x):
+                            return block.z(a_cols * block.diff(x))
+
                     if not g.any():
                         continue
-                    coefs = w_cur[design.step_wcol[cols]]
-                    s_base = s_full - design.step_z(a, t, cols) @ coefs
+                    coefs = w_cur[block.wcol]
+                    s_base = s_full - z0 @ coefs
 
                     def evaluate(x):
-                        if kind == "a":
-                            a_try, t_try = a.copy(), t
-                            a_try[cols] = x
-                        else:
-                            a_try, t_try = a, x
-                        s = s_base + design.step_z(a_try, t_try, cols) @ coefs
+                        s = s_base + trial_z(x) @ coefs
                         return s, design.nll_of_scores(s) + prior_cache
 
                 x0, dvec = raw[kind][idx], -g

@@ -754,6 +754,25 @@ class TestManifests:
         for key in ("cohort", "fitted"):
             assert (ws["root"] / (ws[key].name + ".manifest.json")).exists()
 
+    def test_fit_evaluate_and_cv_manifests_time_their_stages(self, ws, tmp_path):
+        report, cv = tmp_path / "report.json", tmp_path / "cv.json"
+        config = tmp_path / "optimizer.json"
+        config.write_text(json.dumps({"max_outer_iters": 2}), encoding="utf-8")
+        run_ok(["evaluate", "--cohort", ws["cohort"], "--score-def", ws["definition"],
+                "--fitted", ws["fitted"], "--out", report])
+        run_ok(["cv", "--cohort", ws["cohort"], "--score-def", ws["definition"],
+                "--folds", 3, "--out", cv, "--optimize", "a", "--config", config])
+        for out, stages in (
+            (ws["fitted"], {"load", "design", "fit", "write"}),
+            (report, {"load", "score", "write"}),
+            (cv, {"load", "design", "cv", "write"}),
+        ):
+            manifest = read_json(out.parent / f"{out.name}.manifest.json")
+            seconds = manifest["stage_seconds"]
+            assert set(seconds) == stages
+            assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+            assert sum(seconds.values()) <= manifest["wall_time_seconds"]
+
 
 class TestUsageErrors:
     """Usage errors exit 1 like any invalid input, with click's message;

@@ -19,6 +19,7 @@ from helpers import (
 from softscore.design import CohortDesign, hard_scores, soft_scores
 from softscore.errors import ValidationError
 from softscore.model import ScoreParameters, hard_score
+from softscore.numerics import sigmoid
 
 OUT_OF_BAND = "age {} months falls outside every age band of feature 'hr_max:step0'"
 
@@ -208,3 +209,98 @@ def test_design_matches_per_record_reference(seed, n_records, missing_rate, max_
     np.testing.assert_array_equal(
         design.table_scores(), [reference_hard_score(r, d) for r in cohort]
     )
+
+
+# ----------------------------------------------------------------------
+# block kernels against the step formulas written out on the design's arrays
+# ----------------------------------------------------------------------
+
+
+def direct_step_z(design, a, t, cols):
+    """Soft step values of slope columns ``cols``, gathered afresh."""
+    obs = design.step_observed[:, cols]
+    diff = np.where(obs, design.step_x[:, cols] - t[design.t_index[:, cols]], 0.0)
+    s = sigmoid(a[cols] * diff)
+    z = np.where(design.step_up[cols], s, 1.0 - s)
+    return np.where(obs, z, 0.0)
+
+
+def direct_slope_gradient(design, s, a, t, w, cols):
+    z = direct_step_z(design, a, t, cols)
+    sp = z * (1.0 - z)
+    obs = design.step_observed[:, cols]
+    diff = np.where(obs, design.step_x[:, cols] - t[design.t_index[:, cols]], 0.0)
+    sign = np.where(design.step_up[cols], 1.0, -1.0)
+    dl = design.loss_derivative(s)
+    return (dl @ (diff * sp)) * w[design.step_wcol[cols]] * sign
+
+
+def direct_threshold_gradient(design, s, a, t, w, cols):
+    z = direct_step_z(design, a, t, cols)
+    sp = z * (1.0 - z)
+    sign = np.where(design.step_up[cols], 1.0, -1.0)
+    coef = w[design.step_wcol[cols]] * (-sign) * a[cols]
+    term = design.loss_derivative(s)[:, None] * coef * sp
+    return np.bincount(
+        design.t_index[:, cols].ravel(),
+        weights=term.ravel(),
+        minlength=design.definition.n_thresholds,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(2, 40),
+    missing_rate=st.sampled_from((0.0, 0.3, 0.7)),
+    max_slope=st.sampled_from((3.0, 1e8)),
+)
+def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max_slope):
+    """A fit's block step (the columns sliced once, diff and z computed once
+    at the current point, each trial recomputing only what it moves) gives
+    the bits of the step formulas gathered afresh, for one raw variable's
+    columns, for all columns and for a shuffled subset mixing directions."""
+    rng = np.random.default_rng(seed)
+    d, p, cohort = random_instance(
+        rng, n_records=n_records, missing_rate=missing_rate, max_slope=max_slope
+    )
+    design = CohortDesign(cohort, d)
+    a, t, w = p.slopes, p.thresholds, p.weights
+    s = design.scores_for(p)
+    column_sets = [
+        np.array([d.slope_index[i] for i in b.feature_indices if i in d.slope_index])
+        for b in d.blocks
+    ]
+    column_sets = [c for c in column_sets if c.size]
+    column_sets += [np.arange(d.n_slopes), rng.permutation(d.n_slopes)]
+    for cols in column_sets:
+        block = design.step_block(cols)
+        diff = design.step_diff(t, cols)
+        z0 = block.z(a[cols] * diff)
+        sp = z0 * (1.0 - z0)
+        dl = design.loss_derivative(s)
+        np.testing.assert_array_equal(z0, direct_step_z(design, a, t, cols))
+        want = direct_slope_gradient(design, s, a, t, w, cols)
+        np.testing.assert_array_equal(block.slope_gradient(dl, diff, sp, w), want)
+        np.testing.assert_array_equal(design.slope_gradient(s, a, t, w, cols), want)
+        want = direct_threshold_gradient(design, s, a, t, w, cols)
+        np.testing.assert_array_equal(block.threshold_gradient(dl, sp, a, w), want)
+        np.testing.assert_array_equal(design.threshold_gradient(s, a, t, w, cols), want)
+
+        a_try = a.copy()
+        a_try[cols] = rng.uniform(0.0, max_slope, size=cols.size)
+        z = block.z(a_try[cols] * diff)  # a slope trial
+        np.testing.assert_array_equal(z, design.step_z(a_try, t, cols))
+        np.testing.assert_array_equal(z, direct_step_z(design, a_try, t, cols))
+        t_try = t + rng.normal(size=t.size)
+        z = block.z(a[cols] * block.diff(t_try))  # a threshold trial
+        np.testing.assert_array_equal(z, design.step_z(a, t_try, cols))
+        np.testing.assert_array_equal(z, direct_step_z(design, a, t_try, cols))
+
+
+def test_sigmoid_clips_its_exponent_with_the_bits_of_np_clip():
+    x = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 1e300, -1e300,
+                  499.9, 500.0, 500.1, -500.1, 3.3])
+    want = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    assert sigmoid(x).tobytes() == want.tobytes()
+    assert sigmoid(-7.5) == 1.0 / (1.0 + np.exp(7.5))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     BAND_ALL,
@@ -35,6 +37,7 @@ from softscore.optimizer import (
     gradient_thresholds,
     negative_log_likelihood,
     penalized_objective,
+    _pava_nondecreasing,
     project_slopes,
     project_thresholds,
 )
@@ -411,6 +414,69 @@ class TestProjections:
         with pytest.raises(ContractViolation):
             project_thresholds(np.zeros(2), mixed_definition())
 
+    def test_ordered_input_is_returned_as_a_copy_with_equal_bits(self):
+        d = preset("pediatric_icu").definition()
+        t = np.array(ScoreParameters.initial(d).thresholds)
+        out = project_thresholds(t, d)
+        assert out is not t
+        assert out.tobytes() == t.tobytes()
+        out[0] += 1.0
+        assert out[0] != t[0]
+
+    def test_only_the_chain_out_of_order_is_pooled(self):
+        d = preset("pediatric_icu").definition()
+        t = np.array(ScoreParameters.initial(d).thresholds)
+        chains = [c for c in d.threshold_chains if len(c[1]) > 1]
+        assert {direction for direction, _ in chains} == {"up", "down"}
+        for direction, chain in chains:
+            bad = t.copy()
+            bad[chain[0]], bad[chain[1]] = t[chain[1]], t[chain[0]]
+            out = project_thresholds(bad, d)
+            pooled = (bad[chain[0]] + bad[chain[1]]) / 2.0
+            np.testing.assert_array_equal(out[list(chain[:2])], [pooled, pooled])
+            others = np.setdiff1d(np.arange(t.size), chain[:2])
+            assert out[others].tobytes() == bad[others].tobytes()
+
+
+def per_chain_pava(t, definition):
+    """Pool adjacent violators on every chain, in order or not."""
+    out = np.array(t, dtype=float)
+    for direction, chain in definition.threshold_chains:
+        if len(chain) < 2:
+            continue
+        idx = list(chain)
+        if direction == "up":
+            out[idx] = _pava_nondecreasing(out[idx])
+        else:
+            out[idx] = -_pava_nondecreasing(-out[idx])
+    return out
+
+
+_PEDIATRIC = preset("pediatric_icu").definition()
+_PEDIATRIC_T = np.array(ScoreParameters.initial(_PEDIATRIC).thresholds)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    moved=st.dictionaries(
+        st.integers(0, _PEDIATRIC.n_thresholds - 1),
+        st.one_of(
+            st.floats(-400.0, 400.0, allow_nan=False),
+            st.sampled_from((0.0, -0.0, 7.2, 7.25, 7.3, 60.0, 150.0)),
+        ),
+        max_size=6,
+    )
+)
+def test_threshold_projection_matches_per_chain_pava(moved):
+    """Table thresholds with a few entries moved: in order (nothing moved, or
+    moved within their chain's gaps), with ties, or with violations in one
+    or several chains, the projection gives the bits of pooling every chain."""
+    t = _PEDIATRIC_T.copy()
+    for i, value in moved.items():
+        t[i] = value
+    out = project_thresholds(t, _PEDIATRIC)
+    assert out.tobytes() == per_chain_pava(t, _PEDIATRIC).tobytes()
+
 
 class TestBacktracking:
     def test_quadratic_oracle(self):
@@ -633,12 +699,13 @@ class TestFitPinned:
     """Fits pinned bit for bit: final objective, accepted steps, stalls, and
     the (kind, block) order of the trace.
 
-    Both cases optimize all three kinds in a non-default order on
-    ``pediatric_icu`` cohorts whose pupils
+    The two parametrized cases optimize all three kinds in a non-default
+    order on ``pediatric_icu`` cohorts whose pupils
     feature is never observed (so its weight stays frozen).  On the preset's
     outcomes the isotonic projection moves thresholds across age bands; with
     the outcomes reversed, slopes are projected back to zero and searches
-    stall.
+    stall.  The adult case pins the a,w fit of the default ``adult_icu``
+    cohort.
     """
 
     @pytest.mark.parametrize(
@@ -666,6 +733,22 @@ class TestFitPinned:
         assert trace.stall_count == stalls
         assert hashlib.sha256(sequence.encode()).hexdigest() == sequence_sha256
         assert any("pupils_fixed" in w for w in trace.warnings)
+
+    def test_adult_slope_and_weight_fit_matches_recorded_fit(self):
+        """The paper's adult protocol: a,w on the default ``adult_icu`` cohort
+        (n=3711), where every kernel call works on arrays of thousands of
+        records and the fit converges before the iteration cap."""
+        cohort, _, _ = preset_cohort("adult_icu")
+        design = CohortDesign(cohort, preset("adult_icu").definition())
+        _, trace = fit(design, OptimizerConfig(optimize_over=("a", "w")))
+        sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
+        assert trace.final_objective.hex() == "0x1.4612a9a2a245bp+11"
+        assert len(trace.steps) == 771
+        assert trace.stall_count == 33
+        assert trace.outer_iterations == 67
+        assert hashlib.sha256(sequence.encode()).hexdigest() == (
+            "d15a8f86e74b1c2b25a4ff2b8e0831b312334dfc00fca907de8bc6847fecdd17"
+        )
 
 
 class TestFitTraceContract:
