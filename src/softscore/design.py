@@ -4,7 +4,7 @@
 and one observed mask, and resolves every step feature's age band with
 ``np.searchsorted``.  From these arrays it evaluates the soft scores, the
 likelihood and its gradients in slopes, thresholds and weights, and the
-classic table score.  Every step-feature kernel runs on a ``step_block``, the
+classic table score.  Every step-feature kernel runs on one block helper, the
 selected columns sliced once, which a fit builds once per block step.
 ``take`` slices the design by rows, so cross-validation reads a cohort's
 records once and fits every fold on a slice.
@@ -141,11 +141,6 @@ class CohortDesign:
                 keys.append(self.definition.features[fi].key)
         return tuple(keys)
 
-    def step_block(self, cols: Optional[np.ndarray] = None) -> "_StepBlock":
-        """The slope columns ``cols`` (all when None), sliced once, with the
-        step kernels every other step method is built from."""
-        return _StepBlock(self, cols)
-
     def step_z(
         self, a: np.ndarray, t: np.ndarray, cols: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -154,12 +149,12 @@ class CohortDesign:
         Up-steps give sigmoid(a (x - t)), down-steps 1 minus that value, so
         the two directions sum to exactly 1 for any observed x.
         """
-        block = self.step_block(cols)
+        block = _StepBlock(self, cols)
         return block.z(a[block.sel] * block.diff(t))
 
     def step_diff(self, t: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
         """x - t with zeros where missing, for the selected columns."""
-        return self.step_block(cols).diff(t)
+        return _StepBlock(self, cols).diff(t)
 
     def scores(self, a: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Linear scores w'z for every record."""
@@ -207,7 +202,7 @@ class CohortDesign:
 
     def slope_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
         """d NLL / d a of the slope columns ``cols``, at scores s = scores(a, t, w)."""
-        block = self.step_block(cols)
+        block = _StepBlock(self, cols)
         diff = block.diff(t)
         z = block.z(a[cols] * diff)
         return block.slope_gradient(self.loss_derivative(s), diff, z * (1.0 - z), w)
@@ -215,7 +210,7 @@ class CohortDesign:
     def threshold_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
         """Full-length d NLL / d t with contributions from slope columns
         ``cols`` only; each entry collects the records in its age band."""
-        block = self.step_block(cols)
+        block = _StepBlock(self, cols)
         z = block.z(a[cols] * block.diff(t))
         return block.threshold_gradient(self.loss_derivative(s), z * (1.0 - z), a, w)
 
@@ -266,7 +261,7 @@ class _StepBlock:
     """
 
     __slots__ = (
-        "sel", "x", "observed", "t_index", "up", "n_up", "wcol", "n_thresholds"
+        "sel", "x", "observed", "t_index", "up", "wcol", "n_thresholds"
     )
 
     def __init__(self, design: CohortDesign, cols: Optional[np.ndarray]):
@@ -275,8 +270,6 @@ class _StepBlock:
         self.observed = design.step_observed[:, sel]
         self.t_index = design.t_index[:, sel]
         self.up = design.step_up[sel]
-        # the steps of one raw variable share a direction
-        self.n_up = np.count_nonzero(self.up)
         self.wcol = design.step_wcol[sel]
         self.n_thresholds = design.definition.n_thresholds
 
@@ -288,12 +281,7 @@ class _StepBlock:
         """Soft step values from u = a * diff: sigmoid(u) for up-steps, 1
         minus that for down-steps, 0 where missing."""
         s = sigmoid(u)
-        if self.n_up == self.up.size:
-            z = s
-        elif self.n_up == 0:
-            z = 1.0 - s
-        else:
-            z = np.where(self.up, s, 1.0 - s)
+        z = np.where(self.up, s, 1.0 - s)
         return np.where(self.observed, z, 0.0)
 
     def slope_gradient(self, dl, diff, sp, w) -> np.ndarray:

@@ -371,20 +371,17 @@ class ScoreDefinition:
     @cached_property
     def threshold_order_pairs(self) -> tuple[np.ndarray, ...]:
         """Every adjacent pair of every threshold chain, as arrays (earlier
-        index, later index, sign, chain): sign is +1 on up chains and -1 on
-        down chains, so a pair is in order when sign * t[earlier] <=
-        sign * t[later]; chain is the pair's position in ``threshold_chains``."""
-        earlier, later, sign, chain = [], [], [], []
-        for c, (direction, idx) in enumerate(self.threshold_chains):
+        index, later index, sign): sign is +1 on up chains and -1 on down
+        chains, so a pair is in order when sign * t[earlier] <= sign * t[later]."""
+        earlier, later, sign = [], [], []
+        for direction, idx in self.threshold_chains:
             earlier.extend(idx[:-1])
             later.extend(idx[1:])
             sign.extend([1.0 if direction == UP else -1.0] * (len(idx) - 1))
-            chain.extend([c] * (len(idx) - 1))
         return (
             np.array(earlier, dtype=np.int64),
             np.array(later, dtype=np.int64),
             np.array(sign),
-            np.array(chain, dtype=np.int64),
         )
 
     @cached_property

@@ -11,13 +11,12 @@ line search along the negative block gradient, started from the objective
 value the fit already holds, then a projection back onto the feasible set,
 then acceptance only if the objective decreased (otherwise a stall is
 counted).  A slope or threshold block step slices the block's columns once
-(``CohortDesign.step_block``) and computes their current x - t and soft step
-values once; each trial then recomputes only what it moves.  Slopes are
-projected to be non-negative, thresholds (by pool adjacent violators, on the
-chains out of order only) to keep the step order of the definition within
-every age band; log-weights are unconstrained.  Weights are optimized in the log
-domain, where the lognormal prior adds log-weight and squared-deviation
-terms to the objective; those prior terms are part of the objective only
+and computes their current x - t and soft step values once; each trial then
+recomputes only what it moves.  Slopes are projected to be non-negative,
+thresholds (by pool adjacent violators, skipped when every chain is in
+order) to keep the step order of the definition within every age band;
+log-weights are unconstrained.  Weights are optimized in the log domain, where
+the lognormal prior adds log-weight and squared-deviation terms to the objective; those prior terms are part of the objective only
 while weights are being optimized (they are constant otherwise).
 """
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import CohortDesign
+from .design import CohortDesign, _StepBlock
 from .errors import ContractViolation, NumericError, ValidationError
 from .model import (
     ScoreDefinition,
@@ -211,15 +210,14 @@ def project_thresholds(t: np.ndarray, definition: ScoreDefinition) -> np.ndarray
         raise ContractViolation(
             f"thresholds: expected shape ({definition.n_thresholds},), got {t.shape}"
         )
-    # the comparison the pooling makes on each adjacent pair of a chain: a
-    # chain with no violating pair is left as it is
-    earlier, later, sign, chain_of = definition.threshold_order_pairs
-    violated = sign * t[earlier] > sign * t[later]
-    if not violated.any():
+    # the comparison the pooling makes on each adjacent pair of a chain: with
+    # no violating pair anywhere, pooling would leave every chain as it is
+    earlier, later, sign = definition.threshold_order_pairs
+    if not (sign * t[earlier] > sign * t[later]).any():
         return t
-    chains = definition.threshold_chains
-    for c in dict.fromkeys(chain_of[violated].tolist()):
-        direction, chain = chains[c]
+    for direction, chain in definition.threshold_chains:
+        if len(chain) < 2:
+            continue
         idx = list(chain)
         vals = t[idx]
         if direction == UP:
@@ -414,7 +412,7 @@ def fit(
                     # diff and z computed once, for the gradient and s_base
                     # both; a trial recomputes only what it moves: z for a
                     # slope trial, diff and z for a threshold trial.
-                    block = design.step_block(cols)
+                    block = _StepBlock(design, cols)
                     a_cols = a[cols]
                     diff = design.step_diff(t, cols)
                     z0 = block.z(a_cols * diff)

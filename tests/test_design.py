@@ -16,7 +16,7 @@ from helpers import (
     reference_score,
     reference_z,
 )
-from softscore.design import CohortDesign, hard_scores, soft_scores
+from softscore.design import CohortDesign, _StepBlock, hard_scores, soft_scores
 from softscore.errors import ValidationError
 from softscore.model import ScoreParameters, hard_score
 from softscore.numerics import sigmoid
@@ -274,7 +274,7 @@ def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max
     column_sets = [c for c in column_sets if c.size]
     column_sets += [np.arange(d.n_slopes), rng.permutation(d.n_slopes)]
     for cols in column_sets:
-        block = design.step_block(cols)
+        block = _StepBlock(design, cols)
         diff = design.step_diff(t, cols)
         z0 = block.z(a[cols] * diff)
         sp = z0 * (1.0 - z0)
