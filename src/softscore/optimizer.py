@@ -15,9 +15,10 @@ and computes their current x - t and soft step values once; each trial then
 recomputes only what it moves.  Slopes are projected to be non-negative,
 thresholds (by pool adjacent violators, skipped when every chain is in
 order) to keep the step order of the definition within every age band;
-log-weights are unconstrained.  Weights are optimized in the log domain, where
-the lognormal prior adds log-weight and squared-deviation terms to the objective; those prior terms are part of the objective only
-while weights are being optimized (they are constant otherwise).
+log-weights are unconstrained.  Weights are optimized in the log domain,
+where the lognormal prior adds log-weight and squared-deviation terms to the
+objective; those prior terms are part of the objective only while weights are
+being optimized (they are constant otherwise).
 """
 from __future__ import annotations
 
