@@ -20,7 +20,7 @@ Public API highlights:
   calibration metrics on held-out folds of one design; :func:`roc_and_auc`
   returns the ROC table as a :class:`RocCurve` of arrays, from which every
   cutoff metric of a pooled or per-fold report is read.
-* :func:`impute`, :func:`ridge_logistic_fit` — reference baselines.
+* :func:`impute` — kNN, mean or normal-value imputation of missing cells.
 * :func:`generate` with :mod:`softscore.presets` — synthetic cohorts
   with known ground truth.
 """
@@ -44,8 +44,6 @@ from .model import (
     ScoreDefinition,
     ScoreParameters,
     hard_score,
-    mortality_probability,
-    survival_probability,
     validate_cohort,
 )
 from .design import CohortDesign, hard_scores, soft_scores
@@ -81,11 +79,8 @@ from .evaluation import (
 )
 from .imputation import (
     ImputationMethod,
-    RidgeLogisticFit,
-    cohort_matrix,
     impute,
     knn_distances,
-    ridge_logistic_fit,
 )
 from .synthetic import GeneratorConfig, ValueDistribution, generate
 
@@ -110,7 +105,6 @@ __all__ = [
     "OptimizerConfig",
     "PatientRecord",
     "RawVariable",
-    "RidgeLogisticFit",
     "RocCurve",
     "ScoreDefinition",
     "ScoreParameters",
@@ -123,7 +117,6 @@ __all__ = [
     "__version__",
     "backtracking_step",
     "brier",
-    "cohort_matrix",
     "cross_validate",
     "evaluate_scores",
     "evaluate_subgroup",
@@ -136,7 +129,6 @@ __all__ = [
     "hard_scores",
     "impute",
     "knn_distances",
-    "mortality_probability",
     "negative_log_likelihood",
     "penalized_objective",
     "platt_probabilities",
@@ -144,11 +136,9 @@ __all__ = [
     "prec_rec_balance",
     "project_slopes",
     "project_thresholds",
-    "ridge_logistic_fit",
     "roc_and_auc",
     "soft_scores",
     "stratified_fold_assignment",
-    "survival_probability",
     "validate_cohort",
     "youden",
 ]

@@ -189,7 +189,7 @@ def platt_scale(scores, labels) -> tuple[float, float]:
     prevalence fit.  Raises NumericError when the solver does not converge.
     """
     s, y = _check_scores_labels(scores, labels)
-    beta, b, _, _, converged = logistic_newton(s[:, None], y)
+    beta, b, converged = logistic_newton(s[:, None], y)
     if not converged:
         raise NumericError("Platt scaling did not converge")
     # 0.0 - x maps -0.0 to 0.0, so constant scores report A = 0.0

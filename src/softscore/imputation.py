@@ -1,4 +1,4 @@
-"""Missing-value imputation and the ridge logistic reference model.
+"""Missing-value imputation: kNN, column mean, or the score's normal values.
 
 kNN imputation measures record similarity over commonly observed variables
 only: the Euclidean distance between standardized values is divided by the
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PatientRecord, ScoreDefinition
-from .numerics import logistic_newton, sigmoid
 from .optimizer import _number
 
 logger = logging.getLogger("softscore")
@@ -84,20 +83,17 @@ class ImputationMethod:
         return cls(NORMAL, normal_values=table)
 
 
-def _cohort_matrix(
-    cohort: Sequence[PatientRecord], variables: Optional[Sequence[str]] = None
-):
-    """Variable names and the n x m value matrix, NaN where missing; the
-    variables default to every name in order of first appearance."""
-    if variables is None:
-        variables = list(dict.fromkeys(name for r in cohort for name in r.values))
+def _cohort_matrix(cohort: Sequence[PatientRecord]):
+    """Variable names, every name in order of first appearance, and the n x m
+    value matrix, NaN where missing."""
+    variables = list(dict.fromkeys(name for r in cohort for name in r.values))
     X = np.full((len(cohort), len(variables)), np.nan)
     for i, r in enumerate(cohort):
         for j, name in enumerate(variables):
             v = r.value(name)
             if v is not None:
                 X[i, j] = v
-    return list(variables), X
+    return variables, X
 
 
 def impute(
@@ -200,58 +196,3 @@ def _fill_knn(X, observed, mu, Z, k):
             # the last bit
             filled[i, j] = sum(donors.tolist()) / donors.size if donors.size else mu[j]
     return filled
-
-
-# ----------------------------------------------------------------------
-# ridge logistic baseline
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RidgeLogisticFit:
-    """Result of the penalized logistic baseline."""
-
-    variables: tuple[str, ...]
-    weights: np.ndarray
-    intercept: float
-    objective_history: tuple[float, ...]
-    gradient_norm: float
-    converged: bool
-
-    def scores(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights + self.intercept
-
-    def probabilities(self, X) -> np.ndarray:
-        return sigmoid(self.scores(X))
-
-
-def cohort_matrix(
-    cohort: Sequence[PatientRecord], variables: Optional[Sequence[str]] = None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Complete-data design matrix plus labels; raises on missing cells."""
-    variables, X = _cohort_matrix(cohort, variables)
-    if np.isnan(X).any():
-        raise ValidationError("cohort still contains missing values; impute first")
-    y = np.array([r.outcome for r in cohort], dtype=float)
-    return tuple(variables), X, y
-
-
-def ridge_logistic_fit(
-    cohort: Sequence[PatientRecord],
-    lambda_ridge: float = 1.0,
-    variables: Optional[Sequence[str]] = None,
-) -> RidgeLogisticFit:
-    """Minimize NLL + lambda ||beta||^2 with an unpenalized intercept.
-
-    The cohort must be complete (impute first).  Solved by
-    ``numerics.logistic_newton``, a damped Newton method, which converges
-    without standardizing the columns; ``converged`` is False when the solver
-    gives up, and ``gradient_norm`` is taken at the returned point.
-    Deterministic.
-    """
-    if lambda_ridge < 0:
-        raise ValidationError("lambda_ridge must be >= 0")
-    names, X, y = cohort_matrix(cohort, variables)
-    if not (np.any(y == 1) and np.any(y == -1)):
-        raise ValidationError("both outcome classes are required to fit")
-    return RidgeLogisticFit(names, *logistic_newton(X, y, lambda_ridge))

@@ -2,7 +2,8 @@
 
 All JSON writers emit sorted keys and two-space indents so identical inputs
 produce byte-identical files.  Schemas are strict: unknown keys are rejected
-with the offending key named.  The cohort CSV has the fixed header columns
+with the offending key named, and so is a value of the wrong type; every
+``load_*`` error names the file.  The cohort CSV has the fixed header columns
 ``id,age_months,outcome`` followed by one column per raw variable; an empty
 cell means MISSING and outcomes are -1 or 1.
 """
@@ -16,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractViolation, ValidationError
 from .evaluation import EvaluationReport, ScoredRow
 from .model import (
     AgeBand,
@@ -45,18 +46,57 @@ def _require_keys(obj: Mapping, required, optional=(), where="object"):
             raise ValidationError(f"{where}: missing key {key!r}")
 
 
+_KIND_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    list: "a JSON array",
+    Mapping: "a JSON object",
+}
+_REQUIRED = object()
+
+
+def _field(obj: Mapping, key, kind, where, default=_REQUIRED):
+    """``obj[key]`` read as ``kind``: converted by float() or int(), or
+    checked to be a str, list or Mapping; the error names ``where`` and key.
+    A float must be finite: Python's json module accepts NaN and Infinity,
+    which JSON does not.  Given a ``default``, a key that is absent or null
+    reads as it."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
+    value = obj[key]
+    if kind in (float, int):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if kind is int or math.isfinite(number):
+                return number
+    elif isinstance(value, kind):
+        return value
+    what = _KIND_NAMES[kind]
+    raise ValidationError(f"{where}: {key!r} must be {what}, got {value!r}")
+
+
 def _dump_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _load_json(path):
+def _load_json(path, parse, *args):
+    """``parse(payload, *args)`` of the JSON file at ``path``; every error
+    names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return parse(payload, *args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -120,50 +160,54 @@ def definition_from_dict(payload: Mapping) -> ScoreDefinition:
         where="score definition",
     )
     bands = []
-    for i, raw in enumerate(payload["age_bands"]):
+    for i, raw in enumerate(_field(payload, "age_bands", list, "score definition")):
+        where = f"age_bands[{i}]"
         _require_keys(
             raw,
             ("label", "min_age_months", "max_age_months"),
-            where=f"age_bands[{i}]",
+            where=where,
         )
         bands.append(
             AgeBand(
-                label=raw["label"],
-                min_age_months=int(raw["min_age_months"]),
-                max_age_months=int(raw["max_age_months"]),
+                label=_field(raw, "label", str, where),
+                min_age_months=_field(raw, "min_age_months", int, where),
+                max_age_months=_field(raw, "max_age_months", int, where),
             )
         )
     variables = {}
     var_list = []
-    for i, raw in enumerate(payload["variables"]):
+    for i, raw in enumerate(_field(payload, "variables", list, "score definition")):
+        where = f"variables[{i}]"
         _require_keys(
             raw,
             ("name", "kind", "physiological_range"),
             optional=("unit", "normal_value"),
-            where=f"variables[{i}]",
+            where=where,
         )
         rng = raw["physiological_range"]
         if not isinstance(rng, Sequence) or len(rng) != 2:
-            raise ValidationError(
-                f"variables[{i}]: physiological_range must be [lo, hi]"
-            )
+            raise ValidationError(f"{where}: physiological_range must be [lo, hi]")
         v = RawVariable(
-            name=raw["name"],
+            name=_field(raw, "name", str, where),
             kind=raw["kind"],
             unit=raw.get("unit", ""),
-            physiological_range=(float(rng[0]), float(rng[1])),
-            normal_value=raw.get("normal_value"),
+            physiological_range=tuple(
+                _field(rng, i, float, f"{where}: physiological_range") for i in (0, 1)
+            ),
+            normal_value=_field(raw, "normal_value", float, where, default=None),
         )
         variables[v.name] = v
         var_list.append(v)
     features = []
-    for i, raw in enumerate(payload["features"]):
+    for i, raw in enumerate(_field(payload, "features", list, "score definition")):
         where = f"features[{i}]"
         if not isinstance(raw, Mapping) or "kind" not in raw:
             raise ValidationError(f"{where}: missing key 'kind'")
-        var = variables.get(raw.get("variable"))
+        name = raw.get("variable")
+        var = variables.get(name) if isinstance(name, str) else None
         if var is None:
-            raise ValidationError(f"{where}: unknown variable {raw.get('variable')!r}")
+            raise ValidationError(f"{where}: unknown variable {name!r}")
+        or_group = _field(raw, "or_group", str, where, default=None)
         if raw["kind"] == STEP:
             _require_keys(
                 raw,
@@ -171,13 +215,17 @@ def definition_from_dict(payload: Mapping) -> ScoreDefinition:
                 optional=("or_group",),
                 where=where,
             )
+            thresholds = _field(raw, "thresholds", Mapping, where)
             features.append(
                 FeatureStep(
                     variable=var,
-                    step_index=int(raw["step_index"]),
-                    thresholds=raw["thresholds"],
-                    initial_weight=raw["weight"],
-                    or_group=raw.get("or_group"),
+                    step_index=_field(raw, "step_index", int, where),
+                    thresholds={
+                        lab: _field(thresholds, lab, float, f"{where}: thresholds")
+                        for lab in thresholds
+                    },
+                    initial_weight=_field(raw, "weight", float, where),
+                    or_group=or_group,
                 )
             )
         elif raw["kind"] == BINARY:
@@ -190,14 +238,14 @@ def definition_from_dict(payload: Mapping) -> ScoreDefinition:
             features.append(
                 BinaryFeature(
                     variable=var,
-                    initial_weight=raw["weight"],
-                    or_group=raw.get("or_group"),
+                    initial_weight=_field(raw, "weight", float, where),
+                    or_group=or_group,
                 )
             )
         else:
             raise ValidationError(f"{where}: unknown feature kind {raw['kind']!r}")
     return ScoreDefinition(
-        name=payload["name"],
+        name=_field(payload, "name", str, "score definition"),
         variables=tuple(var_list),
         features=tuple(features),
         age_bands=tuple(bands),
@@ -205,7 +253,7 @@ def definition_from_dict(payload: Mapping) -> ScoreDefinition:
 
 
 def load_score_definition(path) -> ScoreDefinition:
-    return definition_from_dict(_load_json(path))
+    return _load_json(path, definition_from_dict)
 
 
 def save_score_definition(path, definition: ScoreDefinition):
@@ -231,9 +279,17 @@ def save_cohort(path, cohort: Sequence[PatientRecord], variables: Sequence[str])
             writer.writerow(row)
 
 
+def _csv_rows(path, fh):
+    """The rows of a CSV file; a decoding or CSV error is invalid input."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+
+
 def load_cohort(path) -> list[PatientRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -314,44 +370,42 @@ def params_to_dict(params: ScoreParameters) -> dict:
     return {"slopes": slopes, "thresholds": thresholds, "weights": weights}
 
 
+def _by_key(payload: Mapping, name: str, keys, what: str) -> np.ndarray:
+    """``payload[name]`` as floats in the order of ``keys``, which must be
+    exactly its keys."""
+    obj = _field(payload, name, Mapping, "parameters")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"parameters: missing {what} for {key!r}")
+    if len(obj) != len(keys):
+        extra = set(obj) - set(keys)
+        raise ValidationError(f"parameters: unexpected {what} keys {sorted(extra)}")
+    return np.array([_field(obj, key, float, f"parameters: {name}") for key in keys])
+
+
 def params_from_dict(payload: Mapping, definition: ScoreDefinition) -> ScoreParameters:
-    _require_keys(
-        payload, ("slopes", "thresholds", "weights"), where="parameters"
-    )
+    _require_keys(payload, ("slopes", "thresholds", "weights"), where="parameters")
     d = definition
-    a = np.empty(d.n_slopes)
-    for fi, j in d.slope_index.items():
-        key = d.features[fi].key
-        if key not in payload["slopes"]:
-            raise ValidationError(f"parameters: missing slope for {key!r}")
-        a[j] = float(payload["slopes"][key])
-    if len(payload["slopes"]) != d.n_slopes:
-        extra = set(payload["slopes"]) - {d.features[fi].key for fi in d.slope_index}
-        raise ValidationError(f"parameters: unexpected slope keys {sorted(extra)}")
+    slope_keys = [d.features[fi].key for fi in d.slope_index]
+    a = _by_key(payload, "slopes", slope_keys, "slope")
+    thresholds = _field(payload, "thresholds", Mapping, "parameters")
+    for key in thresholds:
+        _field(thresholds, key, Mapping, "parameters: thresholds")
     t = np.empty(d.n_thresholds)
-    seen = 0
     for m, (fi, lab) in enumerate(d.threshold_layout):
         key = d.features[fi].key
-        try:
-            t[m] = float(payload["thresholds"][key][lab])
-            seen += 1
-        except (KeyError, TypeError):
+        if lab not in thresholds.get(key, {}):
             raise ValidationError(
                 f"parameters: missing threshold for {key!r} band {lab!r}"
-            ) from None
-    total = sum(len(v) for v in payload["thresholds"].values())
-    if total != seen:
+            )
+        t[m] = _field(thresholds[key], lab, float, f"parameters: thresholds: {key!r}")
+    if sum(len(v) for v in thresholds.values()) != d.n_thresholds:
         raise ValidationError("parameters: unexpected threshold entries")
-    w = np.empty(d.n_weights)
-    for fi in range(d.n_weights):
-        key = d.features[fi].key
-        if key not in payload["weights"]:
-            raise ValidationError(f"parameters: missing weight for {key!r}")
-        w[fi] = float(payload["weights"][key])
-    if len(payload["weights"]) != d.n_weights:
-        extra = set(payload["weights"]) - set(d.feature_keys)
-        raise ValidationError(f"parameters: unexpected weight keys {sorted(extra)}")
-    return ScoreParameters(definition, a, t, w)
+    w = _by_key(payload, "weights", d.feature_keys, "weight")
+    try:
+        return ScoreParameters(definition, a, t, w)
+    except ContractViolation as exc:
+        raise ValidationError(f"parameters: {exc}") from None
 
 
 def optimizer_config_to_dict(config: OptimizerConfig) -> dict:
@@ -366,11 +420,7 @@ def optimizer_config_from_dict(payload: Mapping) -> OptimizerConfig:
 
 def load_optimizer_config(path) -> OptimizerConfig:
     """Read an optimizer config file; errors name the path and the key."""
-    payload = _load_json(path)
-    try:
-        return optimizer_config_from_dict(payload)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _load_json(path, optimizer_config_from_dict)
 
 
 def save_fitted(
@@ -395,7 +445,10 @@ def save_fitted(
 
 
 def load_fitted(path, definition: ScoreDefinition) -> ScoreParameters:
-    payload = _load_json(path)
+    return _load_json(path, _fitted_from_dict, definition)
+
+
+def _fitted_from_dict(payload, definition: ScoreDefinition) -> ScoreParameters:
     _require_keys(
         payload,
         ("slopes", "thresholds", "weights"),
@@ -417,28 +470,28 @@ def load_fitted(path, definition: ScoreDefinition) -> ScoreParameters:
 # ----------------------------------------------------------------------
 
 
+# the JSON names of each distribution kind's parameters p1 (and p2)
+_DISTRIBUTION_PARAMETERS = {
+    "normal": ("mean", "sd"),
+    "uniform": ("lo", "hi"),
+    "bernoulli": ("p",),
+}
+
+
 def _distribution_from_dict(raw: Mapping, where: str) -> ValueDistribution:
     if not isinstance(raw, Mapping) or "kind" not in raw:
         raise ValidationError(f"{where}: expected a distribution object")
     kind = raw["kind"]
-    if kind == "normal":
-        _require_keys(raw, ("kind", "mean", "sd"), where=where)
-        return ValueDistribution.normal(raw["mean"], raw["sd"])
-    if kind == "uniform":
-        _require_keys(raw, ("kind", "lo", "hi"), where=where)
-        return ValueDistribution.uniform(raw["lo"], raw["hi"])
-    if kind == "bernoulli":
-        _require_keys(raw, ("kind", "p"), where=where)
-        return ValueDistribution.bernoulli(raw["p"])
-    raise ValidationError(f"{where}: unknown distribution kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTION_PARAMETERS:
+        raise ValidationError(f"{where}: unknown distribution kind {kind!r}")
+    names = _DISTRIBUTION_PARAMETERS[kind]
+    _require_keys(raw, ("kind", *names), where=where)
+    return ValueDistribution(kind, *(_field(raw, name, float, where) for name in names))
 
 
 def _distribution_to_dict(dist: ValueDistribution) -> dict:
-    if dist.kind == "normal":
-        return {"kind": "normal", "mean": dist.p1, "sd": dist.p2}
-    if dist.kind == "uniform":
-        return {"kind": "uniform", "lo": dist.p1, "hi": dist.p2}
-    return {"kind": "bernoulli", "p": dist.p1}
+    names = _DISTRIBUTION_PARAMETERS[dist.kind]
+    return {"kind": dist.kind, **dict(zip(names, (dist.p1, dist.p2)))}
 
 
 def generator_config_to_dict(config: GeneratorConfig) -> dict:
@@ -464,6 +517,7 @@ def generator_config_to_dict(config: GeneratorConfig) -> dict:
 def generator_config_from_dict(
     payload: Mapping, definition: ScoreDefinition
 ) -> GeneratorConfig:
+    config = "generator config"
     _require_keys(
         payload,
         (
@@ -475,10 +529,10 @@ def generator_config_from_dict(
             "true_params",
         ),
         optional=("missing_rate",),
-        where="generator config",
+        where=config,
     )
     dists: dict = {}
-    for name, raw in payload["value_distributions"].items():
+    for name, raw in _field(payload, "value_distributions", Mapping, config).items():
         where = f"value_distributions[{name!r}]"
         if isinstance(raw, Mapping) and "kind" in raw:
             dists[name] = _distribution_from_dict(raw, where)
@@ -489,22 +543,23 @@ def generator_config_from_dict(
             }
         else:
             raise ValidationError(f"{where}: expected a distribution object")
+    ages = _field(payload, "age_distribution", Mapping, config)
     return GeneratorConfig(
         definition=definition,
         true_params=params_from_dict(payload["true_params"], definition),
-        n=int(payload["n"]),
-        seed=int(payload["seed"]),
-        intercept=float(payload["intercept"]),
+        n=_field(payload, "n", int, config),
+        seed=_field(payload, "seed", int, config),
+        intercept=_field(payload, "intercept", float, config),
         value_distributions=dists,
         age_distribution={
-            str(k): float(v) for k, v in payload["age_distribution"].items()
+            str(k): _field(ages, k, float, f"{config}: age_distribution") for k in ages
         },
-        missing_rate=float(payload.get("missing_rate", 0.0)),
+        missing_rate=_field(payload, "missing_rate", float, config, default=0.0),
     )
 
 
 def load_generator_config(path, definition: ScoreDefinition) -> GeneratorConfig:
-    return generator_config_from_dict(_load_json(path), definition)
+    return _load_json(path, generator_config_from_dict, definition)
 
 
 def save_generator_config(path, config: GeneratorConfig):

@@ -17,7 +17,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .numerics import sigmoid
 
 logger = logging.getLogger("softscore")
 
@@ -64,15 +63,6 @@ class RawVariable:
                     f"variable {self.name!r}: normal_value {v} outside physiological_range"
                 )
             object.__setattr__(self, "normal_value", v)
-
-    @property
-    def direction(self) -> Optional[str]:
-        """UP for max-valued, DOWN for min-valued, None for binary."""
-        if self.kind == MAX_VALUED:
-            return UP
-        if self.kind == MIN_VALUED:
-            return DOWN
-        return None
 
 
 @dataclass(frozen=True)
@@ -384,6 +374,11 @@ class ScoreDefinition:
             np.array(sign),
         )
 
+    def thresholds_in_order(self, t: np.ndarray) -> bool:
+        """Whether every adjacent pair of every chain of ``t`` is in order."""
+        earlier, later, sign = self.threshold_order_pairs
+        return not (sign * t[earlier] > sign * t[later]).any()
+
     @cached_property
     def feature_keys(self) -> tuple[str, ...]:
         return tuple(f.key for f in self.features)
@@ -462,22 +457,15 @@ class ScoreParameters:
             raise ContractViolation("weights must be finite and > 0")
         if not np.all(np.isfinite(t)):
             raise ContractViolation("thresholds must be finite")
-        self._check_threshold_order(d, t)
+        if not d.thresholds_in_order(t):
+            raise ContractViolation(
+                "thresholds must preserve the step order within each variable"
+            )
         for arr in (a, t, w):
             arr.flags.writeable = False
         object.__setattr__(self, "slopes", a)
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "weights", w)
-
-    @staticmethod
-    def _check_threshold_order(d: ScoreDefinition, t: np.ndarray):
-        for direction, chain in d.threshold_chains:
-            vals = t[list(chain)]
-            sign = 1.0 if direction == UP else -1.0
-            if np.any(sign * np.diff(vals) < 0):
-                raise ContractViolation(
-                    "thresholds must preserve the step order within each variable"
-                )
 
     @classmethod
     def initial(
@@ -501,16 +489,6 @@ class ScoreParameters:
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-
-def mortality_probability(score: float) -> float:
-    """P(y = +1) = 1 / (1 + exp(-score)); safe for |score| up to 1e4 and beyond."""
-    return float(sigmoid(score))
-
-
-def survival_probability(score: float) -> float:
-    """P(y = -1); complements mortality_probability to exactly 1."""
-    return 1.0 - mortality_probability(score)
 
 
 def hard_score(record: PatientRecord, definition: ScoreDefinition) -> float:

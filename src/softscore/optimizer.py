@@ -211,10 +211,8 @@ def project_thresholds(t: np.ndarray, definition: ScoreDefinition) -> np.ndarray
         raise ContractViolation(
             f"thresholds: expected shape ({definition.n_thresholds},), got {t.shape}"
         )
-    # the comparison the pooling makes on each adjacent pair of a chain: with
-    # no violating pair anywhere, pooling would leave every chain as it is
-    earlier, later, sign = definition.threshold_order_pairs
-    if not (sign * t[earlier] > sign * t[later]).any():
+    # with no violating pair anywhere, pooling would leave every chain as it is
+    if definition.thresholds_in_order(t):
         return t
     for direction, chain in definition.threshold_chains:
         if len(chain) < 2:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -561,6 +562,79 @@ class TestNonFiniteCells:
         ]
         result = run_fail(args, 1)
         assert f"{path}:{line}: bad number {cell!r} for {name}" in result.output
+
+
+def _first_key(mapping):
+    return next(iter(mapping))
+
+
+def _first_step(definition):
+    return next(f for f in definition["features"] if f["kind"] == "step")
+
+
+def _set_first_slope(value):
+    def edit(fitted):
+        fitted["slopes"][_first_key(fitted["slopes"])] = value
+
+    return edit
+
+
+def _drop_first_slope(fitted):
+    del fitted["slopes"][_first_key(fitted["slopes"])]
+
+
+def _nan_single_step_threshold(definition):
+    """A NaN threshold on a variable with one step, which no step-order check
+    compares."""
+    steps = [f for f in definition["features"] if f["kind"] == "step"]
+    variables = [f["variable"] for f in steps]
+    step = next(f for f in steps if variables.count(f["variable"]) == 1)
+    step["thresholds"] = {lab: math.nan for lab in step["thresholds"]}
+
+
+class TestMalformedFiles:
+    """A malformed input file exits 1 with one error line naming it, never
+    with a traceback."""
+
+    @pytest.mark.parametrize(
+        "role, edit",
+        [
+            ("fitted", _set_first_slope("steep")),
+            ("fitted", lambda p: p.update(weights=5)),
+            ("fitted", _set_first_slope(-1)),
+            ("fitted", _drop_first_slope),
+            ("definition", lambda p: p["age_bands"][0].update(min_age_months="zero")),
+            ("definition", lambda p: _first_step(p).update(thresholds=4.4)),
+            ("definition", _nan_single_step_threshold),
+            ("generator", lambda p: p.update(n="many")),
+            ("cohort", None),
+            ("definition", None),
+        ],
+        ids=["string-slope", "scalar-weights", "negative-slope", "missing-slope",
+             "string-age", "scalar-thresholds", "nan-threshold", "string-n",
+             "binary-cohort", "binary-definition"],
+    )
+    def test_exits_one_naming_the_path(self, ws, tmp_path, role, edit):
+        bad = tmp_path / f"bad-{role}"
+        if edit is None:
+            bad.write_bytes(bytes(range(256)))
+        else:
+            payload = read_json(ws[role])
+            edit(payload)
+            bad.write_text(json.dumps(payload), encoding="utf-8")
+        files = {k: ws[k] for k in ("cohort", "definition", "fitted", "generator")}
+        files[role] = bad
+        if role == "generator":
+            args = ["simulate", "--generator", files["generator"]]
+        else:
+            args = ["evaluate", "--cohort", files["cohort"], "--fitted", files["fitted"]]
+        result = run_fail(
+            [*args, "--score-def", files["definition"], "--out", tmp_path / "out"], 1
+        )
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestCv:

@@ -1,7 +1,6 @@
-"""Imputation strategies against brute-force oracles, plus the ridge baseline."""
+"""Imputation strategies against brute-force oracles."""
 import hashlib
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -9,15 +8,8 @@ import pytest
 
 from helpers import mixed_definition, rec
 from softscore.errors import ValidationError
-from softscore.imputation import (
-    ImputationMethod,
-    cohort_matrix,
-    impute,
-    knn_distances,
-    ridge_logistic_fit,
-)
+from softscore.imputation import ImputationMethod, impute, knn_distances
 from softscore.io import save_cohort
-from softscore.numerics import sigmoid
 from softscore.presets import preset_cohort
 
 
@@ -319,98 +311,3 @@ class TestKnnAtScale:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-
-class TestRidgeLogistic:
-    def _cohort(self, rng, n=80, separable=False):
-        cohort = []
-        for i in range(n):
-            x1 = float(rng.normal())
-            x2 = float(rng.normal())
-            if separable:
-                y = 1 if x1 > 0 else -1
-            else:
-                y = 1 if rng.uniform() < sigmoid(1.2 * x1 - 0.8 * x2 - 0.5) else -1
-            cohort.append(rec(f"r{i}", {"x1": x1, "x2": x2}, outcome=y))
-        ys = [r.outcome for r in cohort]
-        if 1 not in ys:
-            cohort[0] = rec("r0", cohort[0].values, outcome=1)
-        if -1 not in ys:
-            cohort[1] = rec("r1", cohort[1].values, outcome=-1)
-        return cohort
-
-    def test_large_lambda_shrinks_weights_to_prevalence_model(self):
-        rng = np.random.default_rng(223)
-        cohort = self._cohort(rng)
-        fit = ridge_logistic_fit(cohort, lambda_ridge=1e6)
-        assert np.all(np.abs(fit.weights) < 1e-3)
-        prevalence = np.mean([r.outcome == 1 for r in cohort])
-        expected_intercept = math.log(prevalence / (1 - prevalence))
-        assert fit.intercept == pytest.approx(expected_intercept, abs=1e-3)
-
-    def test_separable_data_stays_finite_under_penalty(self):
-        rng = np.random.default_rng(227)
-        cohort = self._cohort(rng, n=20, separable=True)
-        fit = ridge_logistic_fit(cohort, lambda_ridge=1.0)
-        assert np.all(np.isfinite(fit.weights))
-        assert math.isfinite(fit.intercept)
-
-    def test_two_point_separable_set(self):
-        cohort = [
-            rec("p", {"x": 1.0}, outcome=1),
-            rec("n", {"x": -1.0}, outcome=-1),
-        ]
-        fit = ridge_logistic_fit(cohort, lambda_ridge=1.0)
-        assert np.all(np.isfinite(fit.weights))
-        assert fit.converged
-
-    def test_first_order_condition_at_optimum(self):
-        rng = np.random.default_rng(229)
-        cohort = self._cohort(rng)
-        fit = ridge_logistic_fit(cohort, lambda_ridge=1.0)
-        assert fit.converged
-        assert fit.gradient_norm < 1e-6
-
-    def test_objective_history_is_non_increasing(self):
-        rng = np.random.default_rng(233)
-        cohort = self._cohort(rng)
-        fit = ridge_logistic_fit(cohort, lambda_ridge=0.5)
-        history = np.array(fit.objective_history)
-        assert np.all(np.diff(history) <= 0)
-
-    def test_converges_on_raw_clinical_units(self):
-        # The mean-imputed pediatric_icu preset cohort, unstandardized.  A
-        # gradient-descent fit with an absolute tolerance ran into its
-        # 20,000-iteration cap here at objective 64.70.
-        cohort, _, _ = preset_cohort("pediatric_icu")
-        completed = impute(cohort, ImputationMethod.mean())
-        start = time.perf_counter()
-        fit = ridge_logistic_fit(completed, lambda_ridge=1.0)
-        elapsed = time.perf_counter() - start
-        assert fit.converged
-        assert fit.objective_history[-1] <= 62.77
-        assert elapsed < 1.0
-
-    def test_single_class_rejected(self):
-        cohort = [rec("a", {"x": 1.0}), rec("b", {"x": 2.0})]
-        with pytest.raises(ValidationError):
-            ridge_logistic_fit(cohort)
-
-    def test_missing_cells_rejected(self):
-        cohort = [rec("a", {"x": 1.0}, outcome=1), rec("b", {"x": None})]
-        with pytest.raises(ValidationError):
-            ridge_logistic_fit(cohort)
-
-    def test_negative_lambda_rejected(self):
-        cohort = [rec("a", {"x": 1.0}, outcome=1), rec("b", {"x": 2.0})]
-        with pytest.raises(ValidationError):
-            ridge_logistic_fit(cohort, lambda_ridge=-1.0)
-
-    def test_probabilities_are_sigmoid_of_scores(self):
-        rng = np.random.default_rng(239)
-        cohort = self._cohort(rng, n=30)
-        fit = ridge_logistic_fit(cohort, lambda_ridge=1.0)
-        _, X, _ = cohort_matrix(cohort, fit.variables)
-        np.testing.assert_allclose(
-            fit.probabilities(X), sigmoid(fit.scores(X)), atol=1e-15
-        )

@@ -12,7 +12,6 @@ from softscore.design import CohortDesign
 from softscore.errors import ContractViolation, ValidationError
 from softscore.model import (
     BINARY,
-    DOWN,
     MAX_VALUED,
     MIN_VALUED,
     UP,
@@ -24,20 +23,14 @@ from softscore.model import (
     ScoreDefinition,
     ScoreParameters,
     hard_score,
-    mortality_probability,
-    survival_probability,
     validate_cohort,
 )
+from softscore.numerics import sigmoid
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
 class TestRawVariable:
-    def test_direction_by_kind(self):
-        assert RawVariable("a", MAX_VALUED).direction == UP
-        assert RawVariable("b", MIN_VALUED).direction == DOWN
-        assert RawVariable("c", BINARY).direction is None
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             RawVariable("x", "median-valued")
@@ -335,14 +328,10 @@ class TestScoreAndProbability:
                 design.scores_for(p), z @ p.weights, rtol=0, atol=1e-12
             )
 
-    def test_probabilities_complement(self):
-        for s in (-5.0, 0.0, 0.3, 12.0):
-            assert mortality_probability(s) + survival_probability(s) == 1.0
-        assert mortality_probability(0.0) == 0.5
-
     def test_extreme_scores_saturate_without_overflow(self):
-        assert mortality_probability(1e4) == 1.0
-        assert mortality_probability(-1e4) == pytest.approx(0.0, abs=1e-200)
+        with np.errstate(all="raise"):
+            assert sigmoid(1e4) == 1.0
+            assert 0.0 <= sigmoid(-1e4) < 1e-200
 
 
 class TestHardScore:
