@@ -8,7 +8,8 @@ time; ``fit``, ``evaluate`` and ``cv`` also record the seconds of each stage
 (load, design, fit or cv, write; ``evaluate`` has load, score, write, its
 design build being part of scoring).  Manifests are the only outputs that
 differ between identical reruns; all other artifacts are byte-identical for
-the same inputs and seed.
+the same inputs and seed.  The ``cv`` manifest also records ``workers``, the
+number of processes that fitted its folds.
 
 Exit codes: 0 on success, 1 for invalid inputs or I/O failures, 2 for
 numeric failures (non-convergence or non-finite objectives).  The
@@ -35,6 +36,7 @@ from .evaluation import (
     cross_validate,
     evaluate_scores,
     evaluate_subgroup,
+    fold_workers,
     platt_probabilities,
 )
 from .imputation import ImputationMethod, impute
@@ -94,6 +96,7 @@ class _Manifest:
         self.outputs: dict[str, str] = {}
         self.stage_seconds: dict[str, float] = {}
         self.seed = None
+        self.workers = None
 
     @contextlib.contextmanager
     def stage(self, name):
@@ -122,6 +125,8 @@ class _Manifest:
         }
         if self.stage_seconds:
             payload["stage_seconds"] = self.stage_seconds
+        if self.workers is not None:
+            payload["workers"] = self.workers
         path = f"{primary_output}.manifest.json"
         _dump_json(path, payload)
         log.info("wrote manifest %s", path)
@@ -440,10 +445,10 @@ def cv_cmd(
     manifest.seed = seed
     with manifest.stage("design"):
         design = CohortDesign(cohort, definition)
+    fold_spec = _parse_folds(folds)
     with manifest.stage("cv"):
-        report, rows = cross_validate(
-            design, config, folds=_parse_folds(folds), seed=seed
-        )
+        report, rows = cross_validate(design, config, folds=fold_spec, seed=seed)
+    manifest.workers = fold_workers(design.n if fold_spec == "loo" else fold_spec)
     with manifest.stage("write"):
         save_report(out, report)
         manifest.add_output(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -38,8 +39,9 @@ class RocCurve(NamedTuple):
 
 @dataclass(frozen=True)
 class FoldMetrics:
-    """Held-out metrics of one fold; discrimination fields are None when the
-    test split contains a single class."""
+    """Held-out metrics of one fold and the convergence of its fit;
+    discrimination fields are None when the test split contains a single
+    class."""
 
     fold: int
     n_test: int
@@ -52,6 +54,9 @@ class FoldMetrics:
     brier: float
     platt_a: float
     platt_b: float
+    outer_iterations: int
+    converged_reason: str
+    stall_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,6 +316,110 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
     return stratified_fold_assignment(y, k, np.random.default_rng(seed)), k
 
 
+class _FoldFit(NamedTuple):
+    """What one fold contributes: the Platt pair fitted on its training
+    split, its held-out scores, and the summary of its fit's trace."""
+
+    a: float
+    b: float
+    s_test: np.ndarray
+    stopped_at_cap: bool
+    outer_iterations: int
+    converged_reason: str
+    stall_count: int
+
+
+def _fit_fold(design: CohortDesign, config, assignment, f: int) -> _FoldFit:
+    """Fit fold ``f``'s training split, Platt-scale it, score its test rows."""
+    train = design.take(np.flatnonzero(assignment != f))
+    params, trace = fit(train, config)
+    a, b = platt_scale(train.scores_for(params), train.y.astype(int))
+    s_test = design.take(np.flatnonzero(assignment == f)).scores_for(params)
+    return _FoldFit(
+        a,
+        b,
+        s_test,
+        trace.stopped_at_cap,
+        trace.outer_iterations,
+        trace.converged_reason,
+        trace.stall_count,
+    )
+
+
+def _fit_share(design, config, assignment, folds):
+    """Fit ``folds`` in order until one raises.  Returns the fits made and
+    ``(fold, exception)`` of the failing fold, or None."""
+    fits = []
+    for f in folds:
+        try:
+            fits.append(_fit_fold(design, config, assignment, f))
+        except Exception as exc:  # re-raised by the parent, lowest fold first
+            return fits, (f, exc)
+    return fits, None
+
+
+# (design, config, assignment) of the cross-validation that forked this
+# worker process; set by the pool's initializer, never in the parent
+_inherited = None
+
+
+def _inherit(*task):
+    global _inherited
+    _inherited = task
+
+
+def _fit_inherited_share(folds):
+    return _fit_share(*_inherited, folds)
+
+
+def _available_cores() -> int:
+    """Cores this process may run on; 1 where the count or fork is missing."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fold_workers(k: int) -> int:
+    """Processes, the calling one included, that fit ``k`` folds."""
+    return min(k, _available_cores())
+
+
+def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
+    """Every fold's fit, in fold order.
+
+    The folds go to ``fold_workers(k)`` interleaved shares, fold f to share
+    f mod n.  This process fits share 0; each other share goes to a worker
+    forked from it, which inherits the design instead of unpickling it, so
+    only fold numbers and results cross between processes.  With one share
+    no process starts.  A fold's arithmetic does not depend on the process
+    that runs it, so neither do the results, and a failure raises the
+    exception of the lowest failing fold, the one a serial loop would meet
+    first.
+    """
+    n = fold_workers(k)
+    shares = [range(s, k, n) for s in range(n)]
+    task = (design, config, assignment)
+    if n == 1:
+        outcomes = [_fit_share(*task, shares[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(
+            n - 1, mp_context=get_context("fork"), initializer=_inherit, initargs=task
+        ) as pool:
+            futures = [pool.submit(_fit_inherited_share, s) for s in shares[1:]]
+            outcomes = [_fit_share(*task, shares[0])]
+            outcomes += [future.result() for future in futures]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    fits = {}
+    for share, (share_fits, _) in zip(shares, outcomes):
+        fits.update(zip(share, share_fits))
+    return [fits[f] for f in range(k)]
+
+
 def cross_validate(
     design: CohortDesign, config: OptimizerConfig, folds="loo", seed: int = 0
 ) -> tuple[EvaluationReport, tuple[ScoredRow, ...]]:
@@ -319,37 +428,35 @@ def cross_validate(
     ``design`` lays out the whole cohort; every split is a row slice of it
     (``CohortDesign.take``), so no record is read twice.  ``folds`` is "loo"
     or a fold count for stratified k-fold, with folds drawn from ``seed``.
-    Platt coefficients are fitted within each training split and produce the
+    Folds are fitted in up to one process per available core
+    (``fold_workers``); the results do not depend on how many.  Platt
+    coefficients are fitted within each training split and produce the
     held-out probabilities; pooled metrics are computed over all held-out
     scores, and the report's own Platt pair is refitted on the pooled scores
-    as a descriptive summary.  Per-fold rows are omitted for leave-one-out,
-    where single-record test splits make fold metrics undefined.  Logs one
-    warning when any fold fit stopped at the iteration cap.
+    as a descriptive summary.  Per-fold rows, with each fold fit's
+    iterations, stop reason and stalls, are omitted for leave-one-out, where
+    single-record test splits make fold metrics undefined.  Logs one warning
+    when any fold fit stopped at the iteration cap.
 
     Deterministic given (design, config, folds, seed).
     """
     labels = design.y.astype(int)
     assignment, k = _fold_assignment(labels, folds, seed)
-    loo = folds == "loo"
+    fits = _fit_folds(design, config, assignment, k)
 
     n = design.n
     scores = np.empty(n)
     probs = np.empty(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_rows: list[FoldMetrics] = []
-    capped = 0
-    for f in range(k):
+    for f, fold_fit in enumerate(fits):
         idx = np.flatnonzero(assignment == f)
-        train = design.take(np.flatnonzero(assignment != f))
-        params, trace = fit(train, config)
-        capped += trace.stopped_at_cap
-        a, b = platt_scale(train.scores_for(params), train.y.astype(int))
-        s_test = design.take(idx).scores_for(params)
-        p_test = platt_probabilities(s_test, a, b)
+        s_test = fold_fit.s_test
+        p_test = platt_probabilities(s_test, fold_fit.a, fold_fit.b)
         scores[idx] = s_test
         probs[idx] = p_test
         fold_of[idx] = f
-        if loo:
+        if folds == "loo":
             continue
         y_test = labels[idx]
         single_class = not (np.any(y_test == 1) and np.any(y_test == -1))
@@ -369,11 +476,15 @@ def cross_validate(
                 prec_rec_balance=pr,
                 prec_rec_cutoff=pr_cut,
                 brier=brier(p_test, y_test),
-                platt_a=a,
-                platt_b=b,
+                platt_a=fold_fit.a,
+                platt_b=fold_fit.b,
+                outer_iterations=fold_fit.outer_iterations,
+                converged_reason=fold_fit.converged_reason,
+                stall_count=fold_fit.stall_count,
             )
         )
 
+    capped = sum(fold_fit.stopped_at_cap for fold_fit in fits)
     if capped:
         logger.warning("%d of %d fold fits stopped at the iteration cap", capped, k)
     pooled_platt = platt_scale(scores, labels)

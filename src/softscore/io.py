@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .model import (
     ScoreDefinition,
     ScoreParameters,
 )
-from .optimizer import FitTrace, OptimizerConfig
+from .optimizer import FitTrace, OptimizerConfig, _number
 from .synthetic import GeneratorConfig, ValueDistribution
 
 STEP = "step"
@@ -57,7 +58,8 @@ _REQUIRED = object()
 
 
 def _field(obj: Mapping, key, kind, where, default=_REQUIRED):
-    """``obj[key]`` read as ``kind``: converted by float() or int(), or
+    """``obj[key]`` read as ``kind``: a JSON integer for int, any JSON number
+    for float (never a string or boolean, as in the optimizer config), or
     checked to be a str, list or Mapping; the error names ``where`` and key.
     A float must be finite: Python's json module accepts NaN and Infinity,
     which JSON does not.  Given a ``default``, a key that is absent or null
@@ -66,9 +68,10 @@ def _field(obj: Mapping, key, kind, where, default=_REQUIRED):
         return default
     value = obj[key]
     if kind in (float, int):
+        numeric = numbers.Integral if kind is int else numbers.Real
         try:
-            number = kind(value)
-        except (TypeError, ValueError, OverflowError):
+            number = _number(key, value, numeric)
+        except (ValidationError, OverflowError):
             pass
         else:
             if kind is int or math.isfinite(number):
@@ -615,6 +618,9 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "n_test": f.n_test,
             "n_positive": f.n_positive,
             **_metric_block(f, (f.platt_a, f.platt_b)),
+            "outer_iterations": f.outer_iterations,
+            "converged_reason": f.converged_reason,
+            "stall_count": f.stall_count,
         }
         for f in report.folds
     ]

@@ -14,7 +14,7 @@ from softscore import __version__
 from softscore.cli import main
 from softscore.design import CohortDesign
 from softscore.errors import NumericError
-from softscore.evaluation import platt_probabilities, roc_and_auc
+from softscore.evaluation import fold_workers, platt_probabilities, roc_and_auc
 from softscore.io import (
     load_cohort,
     load_score_definition,
@@ -609,10 +609,13 @@ class TestMalformedFiles:
             ("generator", lambda p: p.update(n="many")),
             ("cohort", None),
             ("definition", None),
+            ("generator", lambda p: p.update(n=150.7)),
+            ("definition", lambda p: _first_step(p).update(step_index="0")),
         ],
         ids=["string-slope", "scalar-weights", "negative-slope", "missing-slope",
              "string-age", "scalar-thresholds", "nan-threshold", "string-n",
-             "binary-cohort", "binary-definition"],
+             "binary-cohort", "binary-definition", "fractional-n",
+             "string-step-index"],
     )
     def test_exits_one_naming_the_path(self, ws, tmp_path, role, edit):
         bad = tmp_path / f"bad-{role}"
@@ -666,6 +669,16 @@ class TestCv:
             [float(r["score"]) for r in rows], [int(r["label"]) for r in rows]
         )
         assert report["pooled"]["auc"] == auc
+
+    def test_fold_rows_and_manifest_report_the_fits(self, ws, tmp_path):
+        report_path = tmp_path / "cv.json"
+        self._cv(ws, report_path, tmp_path / "cv-scores.csv")
+        for row in read_json(report_path)["folds"]:
+            assert row["outer_iterations"] >= 1
+            assert isinstance(row["converged_reason"], str)
+            assert row["stall_count"] >= 0
+        manifest = read_json(tmp_path / "cv.json.manifest.json")
+        assert manifest["workers"] == fold_workers(3)
 
     def test_rerun_is_byte_identical(self, ws, tmp_path):
         artifacts = []

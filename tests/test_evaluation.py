@@ -1,13 +1,17 @@
 """Metric oracles, Platt scaling, report assembly, and cross-validation."""
+import dataclasses
+import json
 import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_definition, rec
+from helpers import mixed_definition, random_instance, rec
 from softscore.design import CohortDesign
 from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
@@ -26,8 +30,9 @@ from softscore.evaluation import (
     stratified_fold_assignment,
     youden,
 )
+from softscore.io import report_to_dict
 from softscore.numerics import sigmoid
-from softscore.optimizer import OptimizerConfig
+from softscore.optimizer import OptimizerConfig, fit
 
 
 def mann_whitney_auc(scores, labels):
@@ -481,6 +486,24 @@ class TestCrossValidate:
         capped = [m for m in capped if "iteration cap" in m]
         assert capped == ["4 of 4 fold fits stopped at the iteration cap"]
 
+    def test_capped_fold_warning_is_one_line_with_worker_processes(
+        self, caplog, monkeypatch
+    ):
+        monkeypatch.setattr("softscore.evaluation._available_cores", lambda: 3)
+        self.test_fold_fits_at_the_iteration_cap_log_one_line(caplog)
+
+    def test_fold_rows_carry_their_fits_convergence(self):
+        design = CohortDesign(self.cohort, self.d)
+        report, rows = cross_validate(design, self.cfg, folds=4)
+        fold_of = np.array([r.fold for r in rows])
+        for row in report.folds:
+            _, trace = fit(design.take(np.flatnonzero(fold_of != row.fold)), self.cfg)
+            assert (row.outer_iterations, row.converged_reason, row.stall_count) == (
+                trace.outer_iterations,
+                trace.converged_reason,
+                trace.stall_count,
+            )
+
     def test_rerun_is_identical(self):
         _, rows1 = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
@@ -516,3 +539,87 @@ class TestCrossValidate:
         y = np.array([r.label for r in rows])
         _, auc = roc_and_auc(s, y)
         assert report.auc == pytest.approx(auc, rel=1e-15)
+
+
+class TestParallelFolds:
+    """Folds fitted in forked worker processes give the serial loop's bits,
+    errors and warnings, whatever the core count."""
+
+    cfg = OptimizerConfig(optimize_over=("a", "t", "w"), max_outer_iters=5)
+
+    @pytest.fixture
+    def design(self):
+        definition, _, cohort = random_instance(
+            np.random.default_rng(23), n_records=30
+        )
+        y = np.array([r.outcome for r in cohort])
+        assert min(np.sum(y == 1), np.sum(y == -1)) >= 2
+        return CohortDesign(cohort, definition)
+
+    @staticmethod
+    def _cv(monkeypatch, cores, design, cfg, folds):
+        with monkeypatch.context() as m:
+            m.setattr("softscore.evaluation._available_cores", lambda: cores)
+            return cross_validate(design, cfg, folds=folds, seed=3)
+
+    @pytest.mark.parametrize("folds", [4, "loo"])
+    def test_reports_and_rows_do_not_depend_on_the_core_count(
+        self, monkeypatch, design, folds
+    ):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        def no_pickle(self, protocol):
+            raise AssertionError("the design was pickled")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_process)
+            serial = self._cv(monkeypatch, 1, design, self.cfg, folds)
+        with monkeypatch.context() as m:
+            # workers inherit the design from the forked parent
+            m.setattr(CohortDesign, "__reduce_ex__", no_pickle)
+            parallel = self._cv(monkeypatch, 3, design, self.cfg, folds)
+        assert multiprocessing.active_children() == []
+        (r1, rows1), (r3, rows3) = serial, parallel
+        assert json.dumps(report_to_dict(r3)) == json.dumps(report_to_dict(r1))
+        assert [repr(r) for r in rows3] == [repr(r) for r in rows1]
+
+    def test_fold_f_is_fitted_by_share_f_mod_n(self, monkeypatch, design):
+        parent = os.getpid()
+
+        def pid_fit(train, config):
+            params, trace = fit(train, config)
+            return params, dataclasses.replace(trace, converged_reason=str(os.getpid()))
+
+        monkeypatch.setattr("softscore.evaluation.fit", pid_fit)
+        report, _ = self._cv(monkeypatch, 3, design, self.cfg, 5)
+        pids = [int(row.converged_reason) for row in report.folds]
+        assert pids[0] == pids[3] == parent
+        assert pids[1] == pids[4] != pids[2]
+        assert parent not in (pids[1], pids[2])
+
+    def test_failing_fold_raises_the_serial_loops_exception(
+        self, monkeypatch, design
+    ):
+        _, rows = self._cv(monkeypatch, 1, design, self.cfg, 4)
+        # one record of each of folds 1, 2 and 3; with 3 cores folds 1 and 2
+        # fail in the two workers and fold 3 in the parent's share
+        poisoned = {
+            next(r.id for r in rows if r.fold == f): f for f in (1, 2, 3)
+        }
+        real_fit = fit
+
+        def failing_fit(train, config):
+            held_out = sorted(set(poisoned) - set(train.ids))
+            if held_out:
+                raise NumericError(f"fold {poisoned[held_out[0]]} failed")
+            return real_fit(train, config)
+
+        monkeypatch.setattr("softscore.evaluation.fit", failing_fit)
+        raised = []
+        for cores in (1, 3):
+            with pytest.raises(NumericError) as info:
+                self._cv(monkeypatch, cores, design, self.cfg, 4)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(NumericError, "fold 1 failed")] * 2
+        assert multiprocessing.active_children() == []

@@ -38,7 +38,7 @@ from softscore.io import (
 )
 from softscore.model import ScoreParameters
 from softscore.optimizer import KINDS, OptimizerConfig, fit, project_thresholds
-from softscore.presets import demo_generator, pediatric_icu_generator
+from softscore.presets import PRESETS, demo_generator, pediatric_icu_generator
 from softscore.synthetic import generate
 
 
@@ -389,6 +389,42 @@ class TestGeneratorConfigRoundTrip:
         del payload["seed"]
         with pytest.raises(ValidationError, match="missing key 'seed'"):
             generator_config_from_dict(payload, demo_generator().definition)
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("n", 150.7, "an integer"),
+            ("seed", "7", "an integer"),
+            ("n", True, "an integer"),
+            ("intercept", "-8", "a finite number"),
+            ("intercept", False, "a finite number"),
+        ],
+        ids=["fractional-int", "string-int", "bool-int", "string-float", "bool-float"],
+    )
+    def test_numbers_are_read_strictly(self, tmp_path, key, value, what):
+        payload = generator_config_to_dict(demo_generator(n=10))
+        payload[key] = value
+        path = tmp_path / "generator.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_generator_config(path, demo_generator().definition)
+        assert str(info.value) == (
+            f"{path}: generator config: {key!r} must be {what}, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_file_loads(self, tmp_path, name):
+        preset = PRESETS[name]
+        definition_path = tmp_path / "definition.json"
+        generator_path = tmp_path / "generator.json"
+        save_score_definition(definition_path, preset.definition())
+        save_generator_config(generator_path, preset.generator())
+        definition = load_score_definition(definition_path)
+        assert definition_to_dict(definition) == definition_to_dict(preset.definition())
+        config = load_generator_config(generator_path, definition)
+        assert generator_config_to_dict(config) == generator_config_to_dict(
+            preset.generator()
+        )
 
 
 class TestReportAndScores:
