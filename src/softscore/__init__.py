@@ -13,7 +13,9 @@ Public API highlights:
   and its trainable parameters.
 * :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — the
   one place a cohort becomes arrays, serving soft and table scores, the
-  likelihood gradients, and row slices for cross-validation.
+  likelihood kernels, and row slices for cross-validation.
+* :func:`objective`, :func:`objective_gradient` — what :func:`fit`
+  minimises under its config, and the gradient in (a, t, log w).
 * :func:`fit` — projected blockwise fitting of a design with monotone
   objective trace.
 * :func:`cross_validate`, :func:`evaluate_scores` — discrimination and
@@ -53,11 +55,8 @@ from .optimizer import (
     TraceStep,
     backtracking_step,
     fit,
-    gradient_log_weights,
-    gradient_slopes,
-    gradient_thresholds,
-    negative_log_likelihood,
-    penalized_objective,
+    objective,
+    objective_gradient,
     project_slopes,
     project_thresholds,
 )
@@ -122,15 +121,12 @@ __all__ = [
     "evaluate_subgroup",
     "fit",
     "generate",
-    "gradient_log_weights",
-    "gradient_slopes",
-    "gradient_thresholds",
     "hard_score",
     "hard_scores",
     "impute",
     "knn_distances",
-    "negative_log_likelihood",
-    "penalized_objective",
+    "objective",
+    "objective_gradient",
     "platt_probabilities",
     "platt_scale",
     "prec_rec_balance",

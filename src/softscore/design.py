@@ -200,20 +200,6 @@ class CohortDesign:
         """Per-record derivative of log(1 + exp(-y * s)) with respect to s."""
         return -self.y * sigmoid(-self.y * s)
 
-    def slope_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
-        """d NLL / d a of the slope columns ``cols``, at scores s = scores(a, t, w)."""
-        block = _StepBlock(self, cols)
-        diff = block.diff(t)
-        z = block.z(a[cols] * diff)
-        return block.slope_gradient(self.loss_derivative(s), diff, z * (1.0 - z), w)
-
-    def threshold_gradient(self, s, a, t, w, cols: np.ndarray) -> np.ndarray:
-        """Full-length d NLL / d t with contributions from slope columns
-        ``cols`` only; each entry collects the records in its age band."""
-        block = _StepBlock(self, cols)
-        z = block.z(a[cols] * block.diff(t))
-        return block.threshold_gradient(self.loss_derivative(s), z * (1.0 - z), a, w)
-
     def table_scores(self) -> np.ndarray:
         """Classic table scores: the summed weights of triggered features.
 

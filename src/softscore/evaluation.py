@@ -305,6 +305,8 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
     """Fold ids and count.  Two records per class are necessary and enough
     for every training split to keep both classes: a stratified draw deals
     each class's records to distinct folds before it reuses one."""
+    if seed < 0:
+        raise ValidationError(f"fold seed must be >= 0, got {seed}")
     y = np.asarray(labels)
     if np.sum(y == 1) < 2 or np.sum(y == -1) < 2:
         raise ValidationError(
@@ -438,7 +440,8 @@ def cross_validate(
     single-record test splits make fold metrics undefined.  Logs one warning
     when any fold fit stopped at the iteration cap.
 
-    Deterministic given (design, config, folds, seed).
+    Deterministic given (design, config, folds, seed); ``seed`` must be
+    non-negative.
     """
     labels = design.y.astype(int)
     assignment, k = _fold_assignment(labels, folds, seed)

@@ -341,6 +341,15 @@ def load_cohort(path) -> list[PatientRecord]:
                 raise ValidationError(f"{path}:{line_no}: {exc}") from None
     if not records:
         raise ValidationError(f"{path}: cohort has no records")
+    if len({r.id for r in records}) < len(records):
+        first_line: dict[str, int] = {}  # record id -> first line holding it
+        for line_no, r in enumerate(records, start=2):
+            first = first_line.setdefault(r.id, line_no)
+            if first != line_no:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate record id {r.id!r} "
+                    f"(first on line {first})"
+                )
     return records
 
 

@@ -1,9 +1,10 @@
 """Penalized likelihood objective and projected block coordinate descent.
 
 Everything here works on a `CohortDesign`: the likelihood, its derivative in
-the scores and the slope and threshold gradients are the design's kernels;
-this module adds the lognormal weight prior, the projections, the line search
-and the fit loop.
+the scores and the step-feature kernels are the design's; this module adds
+the lognormal weight prior, `objective` and `objective_gradient` (what `fit`
+minimises and its gradient), the projections, the line search and the fit
+loop.
 
 Slopes, thresholds, and weights are updated block by block, one raw variable
 at a time.  Every kind takes the same block step: a backtracking (Armijo)
@@ -139,7 +140,11 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class FitTrace:
-    """Record of a fit: accepted steps, convergence, and data warnings."""
+    """Record of a fit: accepted steps, convergence, and data warnings.
+
+    ``initial_objective`` and ``final_objective`` are values of `objective`
+    under the fit's config, at the initial and at the fitted parameters.
+    """
 
     steps: tuple[TraceStep, ...]
     initial_objective: float
@@ -255,7 +260,7 @@ def backtracking_step(
 
 
 # ----------------------------------------------------------------------
-# objective and gradients
+# the objective and its gradient
 # ----------------------------------------------------------------------
 
 
@@ -270,57 +275,44 @@ def _log_weight_gradient(design, s, v, w, Z, fcols, mu, lam) -> np.ndarray:
     return data + 1.0 + 2.0 * lam * (v[fcols] - mu[fcols])
 
 
-def negative_log_likelihood(params: ScoreParameters, design: CohortDesign) -> float:
-    """Sum over the cohort of log(1 + exp(-y w'z))."""
-    value = design.nll_of_scores(design.scores_for(params))
-    if not np.isfinite(value):
-        raise NumericError("negative log-likelihood is not finite")
-    return value
-
-
-def penalized_objective(
+def objective(
     params: ScoreParameters, design: CohortDesign, config: OptimizerConfig
 ) -> float:
-    """NLL plus the lognormal weight penalty: sum(log w) + lambda ||log w - mu||^2."""
-    mu = config.mu_vector(design.definition.n_weights)
-    value = design.nll_of_scores(design.scores_for(params)) + _log_prior(
-        np.log(params.weights), mu, config.prior_lambda
-    )
+    """What `fit` minimises under ``config``: the NLL, the sum over the cohort
+    of log(1 + exp(-y w'z)), plus the lognormal weight prior
+    sum(log w) + lambda ||log w - mu||^2 exactly when ``config`` optimizes
+    weights (the prior is constant otherwise, and left out)."""
+    value = design.nll_of_scores(design.scores_for(params))
+    if "w" in config.optimize_over:
+        mu = config.mu_vector(design.definition.n_weights)
+        value += _log_prior(np.log(params.weights), mu, config.prior_lambda)
     if not np.isfinite(value):
-        raise NumericError("penalized objective is not finite")
+        raise NumericError("objective is not finite")
     return value
 
 
-def gradient_slopes(params: ScoreParameters, design: CohortDesign) -> np.ndarray:
-    """d NLL / d a, one entry per step feature; missing cells contribute 0."""
-    a, t, w = params.slopes, params.thresholds, params.weights
-    cols = np.arange(design.definition.n_slopes)
-    return design.slope_gradient(design.scores_for(params), a, t, w, cols)
-
-
-def gradient_thresholds(params: ScoreParameters, design: CohortDesign) -> np.ndarray:
-    """d NLL / d t; each age-band entry collects only patients in that band."""
-    a, t, w = params.slopes, params.thresholds, params.weights
-    cols = np.arange(design.definition.n_slopes)
-    return design.threshold_gradient(design.scores_for(params), a, t, w, cols)
-
-
-def gradient_log_weights(
+def objective_gradient(
     params: ScoreParameters, design: CohortDesign, config: OptimizerConfig
 ) -> np.ndarray:
-    """Gradient in v = log w of NLL plus prior, including 1 + 2 lambda (v - mu)."""
+    """Gradient of `objective` in theta = (a, t, log w), in that order.
+
+    Missing cells contribute 0, and each threshold entry collects only the
+    records in its age band.  The log-weight part includes the prior's
+    1 + 2 lambda (log w - mu) exactly when the objective includes the prior.
+    """
     a, t, w = params.slopes, params.thresholds, params.weights
-    n_weights = design.definition.n_weights
-    return _log_weight_gradient(
-        design,
-        design.scores_for(params),
-        np.log(w),
-        w,
-        design.z_matrix(a, t),
-        np.arange(n_weights),
-        config.mu_vector(n_weights),
-        config.prior_lambda,
-    )
+    dl = design.loss_derivative(design.scores_for(params))
+    block = _StepBlock(design, np.arange(design.definition.n_slopes))
+    diff = block.diff(t)
+    z = block.z(a * diff)
+    sp = z * (1.0 - z)
+    g_v = (design.z_matrix(a, t).T @ dl) * w
+    if "w" in config.optimize_over:
+        mu = config.mu_vector(design.definition.n_weights)
+        g_v = g_v + 1.0 + 2.0 * config.prior_lambda * (np.log(w) - mu)
+    g_a = block.slope_gradient(dl, diff, sp, w)
+    g_t = block.threshold_gradient(dl, sp, a, w)
+    return np.concatenate([g_a, g_t, g_v])
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +327,10 @@ def fit(
 
     Fits the score of ``design.definition`` to the cohort laid out in
     ``design``.  Slopes start at ``config.a_init`` for every step feature;
-    thresholds and weights start at the definition's table values.
+    thresholds and weights start at the definition's table values.  The
+    value minimised is `objective` under ``config``, and the trace's
+    ``initial_objective`` and ``final_objective`` are its values at the
+    start and at the returned parameters.
     Deterministic: identical inputs produce an identical trace.
     """
     if not design.has_both_classes:

@@ -93,6 +93,8 @@ class GeneratorConfig:
             raise ValidationError("true_params belong to a different definition")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if not (0.0 <= self.missing_rate < 1.0):
             raise ValidationError("missing_rate must lie in [0, 1)")
         if not np.isfinite(self.intercept):

@@ -18,9 +18,11 @@ from helpers import band_label, random_instance
 from test_evaluation import confusion_at, mann_whitney_auc, random_scored_instance
 from test_imputation import brute_force_knn_fill, random_missing_cohort
 from test_optimizer import (
+    NLL_ONLY,
     _fd_log_weight,
     _fd_slope,
     _fd_threshold,
+    _gradient_parts,
     _rel_err,
     _saturated_slope_cols,
     signal_cohort,
@@ -50,10 +52,7 @@ from softscore.model import (
 from softscore.optimizer import (
     OptimizerConfig,
     fit,
-    gradient_log_weights,
-    gradient_slopes,
-    gradient_thresholds,
-    negative_log_likelihood,
+    objective,
 )
 from softscore.presets import demo_definition, demo_generator, preset, preset_cohort
 from softscore.synthetic import generate
@@ -118,7 +117,9 @@ def test_01_hard_threshold_limit(capsys):
 def test_02_gradients_match_finite_differences(capsys):
     started = time.perf_counter()
     rng = np.random.default_rng(271)
-    cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=0.0)
+    cfg = OptimizerConfig(
+        optimize_over=("a", "t", "w"), prior_lambda=0.25, prior_mu=0.0
+    )
     worst = 0.0
     checked = 0
     instances = 0
@@ -136,11 +137,11 @@ def test_02_gradients_match_finite_differences(capsys):
         instances += 1
 
         saturated = _saturated_slope_cols(d, p, cohort)
-        g_a = gradient_slopes(p, CohortDesign(cohort, d))
+        g_a, g_t, g_v = _gradient_parts(p, CohortDesign(cohort, d), cfg)
         for j in range(d.n_slopes):
             if j in saturated:
                 continue
-            worst = max(worst, _rel_err(g_a[j], _fd_slope(d, p, cohort, j)))
+            worst = max(worst, _rel_err(g_a[j], _fd_slope(d, p, cohort, j, cfg)))
             checked += 1
 
         saturated_t = {
@@ -150,14 +151,12 @@ def test_02_gradients_match_finite_differences(capsys):
             for (fi2, _), m in d.threshold_index.items()
             if fi2 == fi
         }
-        g_t = gradient_thresholds(p, CohortDesign(cohort, d))
         for m in range(d.n_thresholds):
             if m in saturated_t:
                 continue
-            worst = max(worst, _rel_err(g_t[m], _fd_threshold(d, p, cohort, m)))
+            worst = max(worst, _rel_err(g_t[m], _fd_threshold(d, p, cohort, m, cfg)))
             checked += 1
 
-        g_v = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
         for j in range(d.n_weights):
             worst = max(
                 worst, _rel_err(g_v[j], _fd_log_weight(d, p, cohort, j, cfg))
@@ -207,7 +206,7 @@ def test_03_quasilinearity_sign_suite(capsys):
 
         def loss(tt):
             p = ScoreParameters(d, np.array([a]), np.array([tt]), np.array([w]))
-            return negative_log_likelihood(p, CohortDesign(cohort, d))
+            return objective(p, CohortDesign(cohort, d), NLL_ONLY)
 
         lo, mid, hi = loss(t - step), loss(t), loss(t + step)
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -223,10 +222,10 @@ def test_03_quasilinearity_sign_suite(capsys):
 
         p = ScoreParameters(d, np.array([a]), np.array([t]), np.array([w]))
         flip = 1.0 if direction == "up" else -1.0
-        g_a = gradient_slopes(p, CohortDesign(cohort, d))[0]
+        g_a, g_t, _ = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)
+        g_a, g_t = g_a[0], g_t[0]
         if g_a * (flip * (-y * w * (x - t))) < -slack:
             violations += 1
-        g_t = gradient_thresholds(p, CohortDesign(cohort, d))[0]
         if rising:
             if g_t < -slack:
                 violations += 1

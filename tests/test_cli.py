@@ -171,6 +171,21 @@ class TestSimulate:
         assert outs[0][0].read_bytes() == outs[1][0].read_bytes()
         assert outs[0][1].read_bytes() == outs[1][1].read_bytes()
 
+    def test_negative_seed_exits_one(self, ws, tmp_path):
+        out = tmp_path / "c.csv"
+        result = run_fail(
+            [
+                "simulate",
+                "--score-def", ws["definition"],
+                "--generator", ws["generator"],
+                "--out", out,
+                "--seed", -1,
+            ],
+            1,
+        )
+        assert result.stderr == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_missing_generator_file_names_the_path(self, ws, tmp_path):
         missing = tmp_path / "never-written.json"
         result = run_fail(
@@ -611,11 +626,12 @@ class TestMalformedFiles:
             ("definition", None),
             ("generator", lambda p: p.update(n=150.7)),
             ("definition", lambda p: _first_step(p).update(step_index="0")),
+            ("generator", lambda p: p.update(seed=-1)),
         ],
         ids=["string-slope", "scalar-weights", "negative-slope", "missing-slope",
              "string-age", "scalar-thresholds", "nan-threshold", "string-n",
              "binary-cohort", "binary-definition", "fractional-n",
-             "string-step-index"],
+             "string-step-index", "negative-seed"],
     )
     def test_exits_one_naming_the_path(self, ws, tmp_path, role, edit):
         bad = tmp_path / f"bad-{role}"
@@ -638,6 +654,24 @@ class TestMalformedFiles:
         assert result.stderr.startswith(f"error: {bad}: ")
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_record_id_exits_one_naming_both_lines(self, ws, tmp_path):
+        with open(ws["cohort"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][0] = rows[1][0]  # line 3 reuses the id of line 2
+        bad = tmp_path / "bad-cohort.csv"
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "out.json"
+        result = run_fail(
+            ["evaluate", "--cohort", bad, "--score-def", ws["definition"],
+             "--fitted", ws["fitted"], "--out", out, "--scores", tmp_path / "s.csv"],
+            1,
+        )
+        assert result.stderr == (
+            f"error: {bad}:3: duplicate record id {rows[1][0]!r} (first on line 2)\n"
+        )
+        assert not out.exists() and not (tmp_path / "s.csv").exists()
 
 
 class TestCv:
@@ -741,6 +775,22 @@ class TestCv:
         )
         assert "cross-validation needs at least two records per class" in result.output
         assert not (tmp_path / "cv.json").exists()
+
+    def test_negative_seed_exits_one(self, ws, tmp_path):
+        out = tmp_path / "cv.json"
+        result = run_fail(
+            [
+                "cv",
+                "--cohort", ws["cohort"],
+                "--score-def", ws["definition"],
+                "--folds", 3,
+                "--seed", -1,
+                "--out", out,
+            ],
+            1,
+        )
+        assert result.stderr == "error: fold seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_invalid_folds_exits_one(self, ws, tmp_path):
         result = run_fail(

@@ -520,6 +520,17 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):
             cross_validate(CohortDesign(lonely, self.d), self.cfg, folds="loo")
 
+    @pytest.mark.parametrize("folds", [4, "loo"])
+    def test_negative_seed_rejected_before_any_fit(self, monkeypatch, folds):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr("softscore.evaluation.fit", no_fit)
+        with pytest.raises(ValidationError, match="fold seed must be >= 0, got -1"):
+            cross_validate(
+                CohortDesign(self.cohort, self.d), self.cfg, folds=folds, seed=-1
+            )
+
     def test_kfold_needs_two_per_class_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted")

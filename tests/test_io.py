@@ -36,7 +36,18 @@ from softscore.io import (
     save_scores,
     save_truth,
 )
-from softscore.model import ScoreParameters
+from softscore.model import (
+    BINARY,
+    MAX_VALUED,
+    MIN_VALUED,
+    AgeBand,
+    BinaryFeature,
+    FeatureStep,
+    PatientRecord,
+    RawVariable,
+    ScoreDefinition,
+    ScoreParameters,
+)
 from softscore.optimizer import KINDS, OptimizerConfig, fit, project_thresholds
 from softscore.presets import PRESETS, demo_generator, pediatric_icu_generator
 from softscore.synthetic import generate
@@ -278,6 +289,110 @@ def test_fitted_file_round_trips_bit_for_bit(definition, data):
         assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
 
 
+# any text a UTF-8 file can hold: every code point except lone surrogates
+utf8_text = st.text(st.characters(blacklist_categories=("Cs",)))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cohorts(draw):
+    """(records, variable names): unique ids, every variable present in every
+    record as a finite float or missing."""
+    names = draw(st.lists(utf8_text, max_size=4, unique=True))
+    ids = draw(st.lists(utf8_text, min_size=1, max_size=12, unique=True))
+    cell = st.one_of(st.none(), finite_floats)
+    records = [
+        PatientRecord(
+            id=i,
+            age_months=draw(st.integers(0, 10**6)),
+            outcome=draw(st.sampled_from((-1, 1))),
+            values={name: draw(cell) for name in names},
+        )
+        for i in ids
+    ]
+    return records, names
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cohorts())
+def test_cohort_csv_round_trips_exactly(cohort_and_names):
+    cohort, names = cohort_and_names
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cohort.csv"
+        save_cohort(path, cohort, names)
+        back = load_cohort(path)
+    assert [(r.id, r.age_months, r.outcome) for r in back] == [
+        (r.id, r.age_months, r.outcome) for r in cohort
+    ]
+    for r, b in zip(cohort, back):
+        assert list(b.values) == names
+        # repr tells -0.0 from 0.0 and compares floats bit for bit
+        assert repr(b.values) == repr(r.values)
+
+
+@st.composite
+def score_definitions(draw):
+    """Valid definitions: age bands tiling [0, 1200), up, down and binary
+    variables, one to three strictly ordered steps per step variable, all
+    features in a drawn order, optional OR-groups and normal values."""
+    label = st.text(min_size=1, max_size=6)
+    edges = [0, *sorted(draw(st.sets(st.integers(1, 1199), max_size=3))), 1200]
+    labels = draw(
+        st.lists(label, min_size=len(edges) - 1, max_size=len(edges) - 1, unique=True)
+    )
+    bands = [AgeBand(lab, lo, hi) for lab, lo, hi in zip(labels, edges, edges[1:])]
+    group = st.one_of(st.none(), label)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    variables, features = [], []
+    for name in draw(st.lists(label, min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from((MAX_VALUED, MIN_VALUED, BINARY)))
+        lo, hi = sorted(
+            draw(st.lists(finite_floats, min_size=2, max_size=2, unique=True))
+        )
+        normal = draw(st.one_of(st.none(), st.floats(lo, hi)))
+        var = RawVariable(name, kind, draw(st.text(max_size=6)), (lo, hi), normal)
+        variables.append(var)
+        if kind == BINARY:
+            features.append(BinaryFeature(var, draw(positive), draw(group)))
+            continue
+        n_steps = draw(st.integers(1, 3))
+        indices = sorted(
+            draw(st.sets(st.integers(0, 9), min_size=n_steps, max_size=n_steps))
+        )
+        per_band = {
+            lab: sorted(
+                draw(st.lists(finite_floats, min_size=n_steps, max_size=n_steps,
+                              unique=True)),
+                reverse=kind == MIN_VALUED,
+            )
+            for lab in labels
+        }
+        for s, index in enumerate(indices):
+            thresholds = {lab: per_band[lab][s] for lab in labels}
+            features.append(
+                FeatureStep(var, index, thresholds, draw(positive), draw(group))
+            )
+    return ScoreDefinition(
+        draw(st.text(min_size=1, max_size=12)),
+        tuple(variables),
+        tuple(draw(st.permutations(features))),
+        tuple(draw(st.permutations(bands))),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(score_definitions())
+def test_score_definition_json_round_trips_exactly(definition):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = f"{tmp}/score.json", f"{tmp}/again.json"
+        save_score_definition(path, definition)
+        back = load_score_definition(path)
+        save_score_definition(again, back)
+        with open(path, "rb") as fh, open(again, "rb") as gh:
+            assert fh.read() == gh.read()  # floats bit for bit, -0.0 included
+    assert back == definition
+
+
 class TestCohortCsv:
     def test_round_trip_with_missing_cells(self, tmp_path):
         cohort = [
@@ -320,6 +435,18 @@ class TestCohortCsv:
             load_cohort(path)
         path.write_text("id,age_months,outcome,x\na,12,2,0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="bad.csv:2"):
+            load_cohort(path)
+
+    def test_duplicate_record_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,age_months,outcome,x\na,12,1,0.5\nb,12,-1,\na,3,-1,1.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ValidationError,
+            match=r"bad.csv:4: duplicate record id 'a' \(first on line 2\)$",
+        ):
             load_cohort(path)
 
     def test_non_finite_cells_are_rejected(self, tmp_path):

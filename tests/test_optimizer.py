@@ -32,11 +32,8 @@ from softscore.optimizer import (
     TraceStep,
     backtracking_step,
     fit,
-    gradient_log_weights,
-    gradient_slopes,
-    gradient_thresholds,
-    negative_log_likelihood,
-    penalized_objective,
+    objective,
+    objective_gradient,
     _pava_nondecreasing,
     project_slopes,
     project_thresholds,
@@ -45,6 +42,7 @@ from softscore.presets import preset, preset_cohort
 
 LOG1PEXP_MINUS5 = 0.006715348489118068  # log(1 + e^-5)
 LOG1PEXP_PLUS5 = 5.006715348489118  # log(1 + e^5)
+NLL_ONLY = OptimizerConfig()  # weights stay fixed, so the objective is the NLL
 
 
 def binary_only_definition(weight=5.0):
@@ -90,7 +88,7 @@ class TestObjectiveOracles:
         d = mixed_definition()
         p = ScoreParameters.initial(d)
         cohort = [rec(f"r{i}", {}, outcome=1 if i % 2 else -1) for i in range(7)]
-        assert negative_log_likelihood(p, CohortDesign(cohort, d)) == pytest.approx(
+        assert objective(p, CohortDesign(cohort, d), NLL_ONLY) == pytest.approx(
             7 * math.log(2), rel=1e-15
         )
 
@@ -99,19 +97,19 @@ class TestObjectiveOracles:
         p = ScoreParameters.initial(d)
         positive = [rec("p", {"flag": 1.0}, outcome=1)]
         negative = [rec("n", {"flag": 1.0}, outcome=-1)]
-        assert negative_log_likelihood(p, CohortDesign(positive, d)) == pytest.approx(
+        assert objective(p, CohortDesign(positive, d), NLL_ONLY) == pytest.approx(
             LOG1PEXP_MINUS5, rel=1e-12
         )
-        assert negative_log_likelihood(p, CohortDesign(negative, d)) == pytest.approx(
+        assert objective(p, CohortDesign(negative, d), NLL_ONLY) == pytest.approx(
             LOG1PEXP_PLUS5, rel=1e-12
         )
 
     def test_invariant_under_record_reordering(self):
         rng = np.random.default_rng(53)
         d, p, cohort = random_instance(rng)
-        value = negative_log_likelihood(p, CohortDesign(cohort, d))
-        assert negative_log_likelihood(
-            p, CohortDesign(cohort[::-1], d)
+        value = objective(p, CohortDesign(cohort, d), NLL_ONLY)
+        assert objective(
+            p, CohortDesign(cohort[::-1], d), NLL_ONLY
         ) == pytest.approx(value, rel=1e-14)
 
     def test_non_finite_score_raises(self):
@@ -120,15 +118,15 @@ class TestObjectiveOracles:
                             np.array([4.0, 8.0, 8.0]), np.ones(4))
         bad = [rec("r", {"lactate_max": math.inf}, outcome=1)]
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            negative_log_likelihood(p, CohortDesign(bad, d))
+            objective(p, CohortDesign(bad, d), NLL_ONLY)
 
     def test_penalty_vanishes_at_unit_weights_with_zero_lambda(self):
         rng = np.random.default_rng(59)
         d, p0, cohort = random_instance(rng)
         p = ScoreParameters(d, p0.slopes, p0.thresholds, np.ones(d.n_weights))
-        cfg = OptimizerConfig(prior_lambda=0.0, prior_mu=0.0)
-        assert penalized_objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
-            negative_log_likelihood(p, CohortDesign(cohort, d)), rel=1e-14
+        cfg = OptimizerConfig(optimize_over=("w",), prior_lambda=0.0, prior_mu=0.0)
+        assert objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
+            objective(p, CohortDesign(cohort, d), NLL_ONLY), rel=1e-14
         )
 
     def test_quadratic_term_vanishes_at_w_equal_exp_mu(self):
@@ -137,11 +135,9 @@ class TestObjectiveOracles:
         mu = 0.5
         w = np.full(d.n_weights, math.exp(mu))
         p = ScoreParameters(d, p0.slopes, p0.thresholds, w)
-        cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=mu)
-        expected = (
-            negative_log_likelihood(p, CohortDesign(cohort, d)) + d.n_weights * mu
-        )
-        assert penalized_objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
+        cfg = OptimizerConfig(optimize_over=("w",), prior_lambda=0.25, prior_mu=mu)
+        expected = objective(p, CohortDesign(cohort, d), NLL_ONLY) + d.n_weights * mu
+        assert objective(p, CohortDesign(cohort, d), cfg) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -149,7 +145,9 @@ class TestObjectiveOracles:
         rng = np.random.default_rng(67)
         for _ in range(10):
             d, p, cohort = random_instance(rng)
-            cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=0.0)
+            cfg = OptimizerConfig(
+                optimize_over=("a", "t", "w"), prior_lambda=0.25, prior_mu=0.0
+            )
             nll = 0.0
             for r in cohort:
                 z = reference_z(r, d, p)
@@ -157,35 +155,55 @@ class TestObjectiveOracles:
                 nll += math.log1p(math.exp(-r.outcome * s))
             v = np.log(p.weights)
             prior = float(np.sum(v) + 0.25 * np.sum(v**2))
-            assert penalized_objective(
+            assert objective(
                 p, CohortDesign(cohort, d), cfg
             ) == pytest.approx(nll + prior, rel=1e-10)
+            # without "w" the prior is constant, and not part of the objective
+            no_w = OptimizerConfig(optimize_over=("a", "t"), prior_lambda=0.25)
+            assert objective(
+                p, CohortDesign(cohort, d), no_w
+            ) == pytest.approx(nll, rel=1e-10)
 
 
-def _fd_slope(d, p, cohort, j, h=1e-5):
+def _gradient_parts(p, design, cfg):
+    """`objective_gradient` split into its slope, threshold and log-weight parts."""
+    d = design.definition
+    g = objective_gradient(p, design, cfg)
+    return np.split(g, [d.n_slopes, d.n_slopes + d.n_thresholds])
+
+
+def _fd_slope(d, p, cohort, j, cfg, h=1e-5):
     a_plus = np.array(p.slopes)
     a_minus = np.array(p.slopes)
     a_plus[j] += h
     a_minus[j] = max(a_minus[j] - h, 0.0)
-    f_plus = negative_log_likelihood(
-        ScoreParameters(d, a_plus, p.thresholds, p.weights), CohortDesign(cohort, d)
+    f_plus = objective(
+        ScoreParameters(d, a_plus, p.thresholds, p.weights),
+        CohortDesign(cohort, d),
+        cfg,
     )
-    f_minus = negative_log_likelihood(
-        ScoreParameters(d, a_minus, p.thresholds, p.weights), CohortDesign(cohort, d)
+    f_minus = objective(
+        ScoreParameters(d, a_minus, p.thresholds, p.weights),
+        CohortDesign(cohort, d),
+        cfg,
     )
     return (f_plus - f_minus) / (a_plus[j] - a_minus[j])
 
 
-def _fd_threshold(d, p, cohort, m, h=1e-5):
+def _fd_threshold(d, p, cohort, m, cfg, h=1e-5):
     t_plus = np.array(p.thresholds)
     t_minus = np.array(p.thresholds)
     t_plus[m] += h
     t_minus[m] -= h
-    f_plus = negative_log_likelihood(
-        ScoreParameters(d, p.slopes, t_plus, p.weights), CohortDesign(cohort, d)
+    f_plus = objective(
+        ScoreParameters(d, p.slopes, t_plus, p.weights),
+        CohortDesign(cohort, d),
+        cfg,
     )
-    f_minus = negative_log_likelihood(
-        ScoreParameters(d, p.slopes, t_minus, p.weights), CohortDesign(cohort, d)
+    f_minus = objective(
+        ScoreParameters(d, p.slopes, t_minus, p.weights),
+        CohortDesign(cohort, d),
+        cfg,
     )
     return (f_plus - f_minus) / (2 * h)
 
@@ -196,12 +214,12 @@ def _fd_log_weight(d, p, cohort, j, cfg, h=1e-5):
     v_minus = v.copy()
     v_plus[j] += h
     v_minus[j] -= h
-    f_plus = penalized_objective(
+    f_plus = objective(
         ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_plus)),
         CohortDesign(cohort, d),
         cfg,
     )
-    f_minus = penalized_objective(
+    f_minus = objective(
         ScoreParameters(d, p.slopes, p.thresholds, np.exp(v_minus)),
         CohortDesign(cohort, d),
         cfg,
@@ -232,7 +250,9 @@ def _rel_err(analytic, numeric):
 class TestGradientFiniteDifferences:
     def test_slopes_thresholds_and_log_weights(self):
         rng = np.random.default_rng(71)
-        cfg = OptimizerConfig(prior_lambda=0.25, prior_mu=0.0)
+        cfg = OptimizerConfig(
+            optimize_over=("a", "t", "w"), prior_lambda=0.25, prior_mu=0.0
+        )
         instances = 0
         while instances < 15:
             d, p, cohort = random_instance(rng, n_records=10)
@@ -245,12 +265,11 @@ class TestGradientFiniteDifferences:
                 continue
             instances += 1
             bad = _saturated_slope_cols(d, p, cohort)
-            g_a = gradient_slopes(p, CohortDesign(cohort, d))
+            g_a, g_t, g_v = _gradient_parts(p, CohortDesign(cohort, d), cfg)
             for j in range(d.n_slopes):
                 if j in bad:
                     continue
-                assert _rel_err(g_a[j], _fd_slope(d, p, cohort, j)) < 1e-5
-            g_t = gradient_thresholds(p, CohortDesign(cohort, d))
+                assert _rel_err(g_a[j], _fd_slope(d, p, cohort, j, cfg)) < 1e-5
             bad_t = {
                 m
                 for fi, j in d.slope_index.items()
@@ -261,8 +280,7 @@ class TestGradientFiniteDifferences:
             for m in range(d.n_thresholds):
                 if m in bad_t:
                     continue
-                assert _rel_err(g_t[m], _fd_threshold(d, p, cohort, m)) < 1e-5
-            g_v = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
+                assert _rel_err(g_t[m], _fd_threshold(d, p, cohort, m, cfg)) < 1e-5
             for j in range(d.n_weights):
                 assert _rel_err(g_v[j], _fd_log_weight(d, p, cohort, j, cfg)) < 1e-5
 
@@ -277,9 +295,8 @@ class TestGradientStructure:
             rec("a", {"lactate_max": 5.0, "gcs_min": None}, outcome=1),
             rec("b", {"lactate_max": 2.0}, outcome=-1),
         ]
-        g_a = gradient_slopes(p, CohortDesign(cohort, d))
+        g_a, g_t, _ = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)
         assert g_a[2] == 0.0  # gcs never observed
-        g_t = gradient_thresholds(p, CohortDesign(cohort, d))
         assert g_t[2] == 0.0
 
     def test_tiny_weight_kills_slope_gradient(self):
@@ -290,7 +307,7 @@ class TestGradientStructure:
             rec("a", {"lactate_max": 5.0, "gcs_min": 6.0}, outcome=1),
             rec("b", {"lactate_max": 3.0, "gcs_min": 12.0}, outcome=-1),
         ]
-        g = gradient_slopes(p, CohortDesign(cohort, d))
+        g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[0]
         assert abs(g[0]) < 1e-290 and abs(g[1]) < 1e-290
         assert abs(g[2]) > 1e-6
 
@@ -318,7 +335,7 @@ class TestGradientStructure:
                     PatientRecord(id="r", age_months=1, outcome=y,
                                   values={var.name: x})
                 ]
-                g = gradient_slopes(p, CohortDesign(cohort, d))[0]
+                g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[0][0]
                 expected = flip * (-y * w * (x - t))
                 assert g * expected >= 0.0
                 if abs(x - t) > 1e-6:
@@ -343,7 +360,7 @@ class TestGradientStructure:
             cohort = [
                 PatientRecord(id="r", age_months=1, outcome=y, values={"u": x})
             ]
-            g = gradient_thresholds(p, CohortDesign(cohort, d))[0]
+            g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[1][0]
             if y == -1:
                 assert g <= 0.0
             else:
@@ -354,9 +371,12 @@ class TestGradientStructure:
         cohort = [rec("a", {}, outcome=1), rec("b", {}, outcome=-1)]
         cfg = OptimizerConfig(optimize_over=("w",), prior_lambda=0.25, prior_mu=0.0)
         p = ScoreParameters.initial(d)
-        g = gradient_log_weights(p, CohortDesign(cohort, d), cfg)
+        g = _gradient_parts(p, CohortDesign(cohort, d), cfg)[2]
         # data term vanishes (z = 0 everywhere): 1 + 2*lambda*(v - mu) = 2
         assert g[0] == pytest.approx(2.0, rel=1e-12)
+        # a config that keeps weights fixed leaves the prior out
+        g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[2]
+        assert g[0] == 0.0
 
 
 class TestProjections:
@@ -611,20 +631,23 @@ class TestFit:
         assert trace.final_objective < trace.initial_objective
 
     def test_initial_objective_matches_active_objective(self):
+        """The trace's initial and final objectives are `objective` at the
+        initial and the fitted parameters, with and without the prior."""
         rng = np.random.default_rng(107)
         d, p_true, _ = random_instance(rng, n_records=2)
         cohort = signal_cohort(rng, d, p_true, n=40)
+        design = CohortDesign(cohort, d)
         init = ScoreParameters.initial(d, 0.01)
-        cfg_a = OptimizerConfig(optimize_over=("a",), max_outer_iters=1)
-        _, trace_a = fit(CohortDesign(cohort, d), cfg_a)
-        assert trace_a.initial_objective == pytest.approx(
-            negative_log_likelihood(init, CohortDesign(cohort, d)), rel=1e-14
-        )
-        cfg_w = OptimizerConfig(optimize_over=("w",), max_outer_iters=1)
-        _, trace_w = fit(CohortDesign(cohort, d), cfg_w)
-        assert trace_w.initial_objective == pytest.approx(
-            penalized_objective(init, CohortDesign(cohort, d), cfg_w), rel=1e-14
-        )
+        for over in (("a",), ("a", "t"), ("a", "w"), ("a", "t", "w")):
+            cfg = OptimizerConfig(optimize_over=over, max_outer_iters=10)
+            params, trace = fit(design, cfg)
+            assert trace.final_objective < trace.initial_objective
+            assert trace.initial_objective == pytest.approx(
+                objective(init, design, cfg), rel=1e-14
+            )
+            assert trace.final_objective == pytest.approx(
+                objective(params, design, cfg), rel=1e-12
+            )
 
     def test_deterministic_rerun_is_bit_identical(self):
         rng = np.random.default_rng(109)

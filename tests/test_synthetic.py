@@ -99,6 +99,11 @@ class TestGeneratorConfigValidation:
         with pytest.raises(ValidationError):
             tiny_config(intercept=math.inf)
 
+    def test_negative_seed_rejected(self):
+        tiny_config(seed=0)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            tiny_config(seed=-1)
+
     def test_age_distribution_checks(self):
         with pytest.raises(ValidationError):
             tiny_config(age_distribution={})
