@@ -5,7 +5,8 @@ and one observed mask, and resolves every step feature's age band with
 ``np.searchsorted``.  From these arrays it evaluates the soft scores, the
 likelihood and its gradients in slopes, thresholds and weights, and the
 classic table score.  Every step-feature kernel runs on one block helper, the
-selected columns sliced once, which a fit builds once per block step.
+selected columns sliced once; a fit builds one per step block and keeps it
+for the whole fit.
 ``take`` slices the design by rows, so cross-validation reads a cohort's
 records once and fits every fold on a slice.
 """
@@ -242,8 +243,9 @@ class _StepBlock:
     """The slope columns ``cols`` of a design (all when None), sliced once.
 
     Every step-feature kernel of the design runs on one of these, and a fit
-    builds one per block step: its line search then evaluates each trial
-    point with ``diff`` and ``z`` alone, without gathering the columns again.
+    builds one per step block and keeps it for the whole fit: its line
+    searches then evaluate each trial point with ``diff`` and ``z`` alone,
+    without gathering the columns again.
     """
 
     __slots__ = (

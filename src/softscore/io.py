@@ -283,9 +283,15 @@ def save_cohort(path, cohort: Sequence[PatientRecord], variables: Sequence[str])
 
 
 def _csv_rows(path, fh):
-    """The rows of a CSV file; a decoding or CSV error is invalid input."""
+    """(line, row) for each row of a CSV file, where line is the physical
+    line the row starts on (a quoted cell may hold newlines); a decoding or
+    CSV error is invalid input."""
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
 
@@ -294,7 +300,7 @@ def load_cohort(path) -> list[PatientRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty cohort file") from None
         if tuple(header[:3]) != COHORT_FIXED:
@@ -305,7 +311,8 @@ def load_cohort(path) -> list[PatientRecord]:
         if len(set(variables)) != len(variables):
             raise ValidationError(f"{path}: duplicate variable columns")
         records = []
-        for line_no, row in enumerate(reader, start=2):
+        lines = []  # the line each record starts on
+        for line_no, row in reader:
             if len(row) != len(header):
                 raise ValidationError(
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
@@ -339,11 +346,12 @@ def load_cohort(path) -> list[PatientRecord]:
                 )
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{line_no}: {exc}") from None
+            lines.append(line_no)
     if not records:
         raise ValidationError(f"{path}: cohort has no records")
     if len({r.id for r in records}) < len(records):
         first_line: dict[str, int] = {}  # record id -> first line holding it
-        for line_no, r in enumerate(records, start=2):
+        for line_no, r in zip(lines, records):
             first = first_line.setdefault(r.id, line_no)
             if first != line_no:
                 raise ValidationError(

@@ -41,10 +41,20 @@ def logistic_newton(X, y):
     least squares, so rank-deficient designs (constant columns) take the
     minimum-norm step, and a step is halved until the objective does not
     increase.  Stops when the Newton decrement g' H^+ g at the current point
-    is at float resolution, eps * max(1, |f|), and returns that point.
-    Returns (beta, b, converged); converged is False after NEWTON_MAX_ITER
-    steps, when NEWTON_MAX_HALVINGS halvings of a step all raise the
-    objective, or when the derivatives are not finite.
+    is at float resolution, eps * max(1, |f|), and returns that point.  The
+    logistic loss is not self-concordant, so a small decrement alone does not
+    certify a minimum (one score that dwarfs the others sets the curvature).
+    The point counts as converged only if also, for every coefficient j,
+    either the per-record terms of g_j cancel, |g_j| <= eps**(1/4) *
+    sum_i |r_i x_ij| with r_i record i's probability of the other class (an
+    interior minimum: the records' own curvature then puts f within about
+    sqrt(eps) of it), or moving coefficient j alone can lower the objective
+    by no more than sqrt(eps) * max(1, |f|): that bound is the summed loss of
+    the records whose margins grow along -g_j (the separable limit, where the
+    infimum is approached as the coefficient grows without bound).
+    Returns (beta, b, converged); converged is False when that gradient test
+    fails, after NEWTON_MAX_ITER steps, when NEWTON_MAX_HALVINGS halvings of a
+    step all raise the objective, or when the derivatives are not finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -58,6 +68,7 @@ def logistic_newton(X, y):
     theta = np.zeros(m + 1)
     theta[m] = math.log(n_pos / (n - n_pos))
     f = objective(theta)
+    eps = np.finfo(float).eps
     converged = False
     for it in range(NEWTON_MAX_ITER + 1):
         r = sigmoid(-y * (Xa @ theta))  # probability of the other class
@@ -69,8 +80,12 @@ def logistic_newton(X, y):
         # columns' units
         d = 1.0 / np.sqrt(np.where(np.diag(H) > 0, np.diag(H), 1.0))
         step = d * np.linalg.lstsq(d[:, None] * H * d, -g * d, rcond=None)[0]
-        if -float(g @ step) <= np.finfo(float).eps * max(1.0, abs(f)):
-            converged = True
+        if -float(g @ step) <= eps * max(1.0, abs(f)):
+            cancel = np.abs(g) <= eps**0.25 * (np.abs(Xa).T @ r)
+            loss = log1pexp(-y * (Xa @ theta))
+            gain = loss @ ((y[:, None] * Xa) * -g > 0)
+            small = gain <= math.sqrt(eps) * max(1.0, abs(f))
+            converged = bool(np.all(cancel | small))
             break
         if it == NEWTON_MAX_ITER:
             break

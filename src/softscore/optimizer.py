@@ -11,15 +11,17 @@ at a time.  Every kind takes the same block step: a backtracking (Armijo)
 line search along the negative block gradient, started from the objective
 value the fit already holds, then a projection back onto the feasible set,
 then acceptance only if the objective decreased (otherwise a stall is
-counted).  A slope or threshold block step slices the block's columns once
-and computes their current x - t and soft step values once; each trial then
-recomputes only what it moves.  Slopes are projected to be non-negative,
-thresholds (by pool adjacent violators, skipped when every chain is in
-order) to keep the step order of the definition within every age band;
-log-weights are unconstrained.  Weights are optimized in the log domain,
-where the lognormal prior adds log-weight and squared-deviation terms to the
-objective; those prior terms are part of the objective only while weights are
-being optimized (they are constant otherwise).
+counted).  The fit keeps its block state for the whole fit: each step block's
+columns sliced once, each block's current x - t, and the feature matrix z,
+built once at the start; an accepted step writes back the x - t and z columns
+of its own block, and each line-search trial recomputes only what it moves.
+Slopes are projected to be non-negative, thresholds (by pool adjacent
+violators, skipped when every chain is in order) to keep the step order of the
+definition within every age band; log-weights are unconstrained.  Weights are
+optimized in the log domain, where the lognormal prior adds log-weight and
+squared-deviation terms to the objective; those prior terms are part of the
+objective only while weights are being optimized (they are constant
+otherwise).
 """
 from __future__ import annotations
 
@@ -362,6 +364,15 @@ def fit(
     blocks = _build_blocks(d)
     all_t = np.arange(d.n_thresholds)
     raw = {"a": a, "t": t, "w": v}  # each kind's raw variables, updated in place
+    # Block state kept for the whole fit: each step block sliced once, its
+    # current x - t, and the feature matrix z.  Only an accepted step of a
+    # block moves that block's diff and z columns: a threshold step's
+    # direction is zero outside its block, and the projection returns the
+    # chains already in order bit for bit, so every other block's state stays
+    # current.  Slopes and thresholds share one step block per variable.
+    step_blocks = {label: _StepBlock(design, cols) for label, cols in blocks["a"]}
+    diffs = {label: design.step_diff(t, cols) for label, cols in blocks["a"]}
+    Z = design.z_matrix(a, t)
     prior_cache = _log_prior(v, mu, lam) if include_prior else 0.0
     s_full = design.scores(a, t, w_cur)
     f_cur = design.nll_of_scores(s_full) + prior_cache
@@ -379,12 +390,16 @@ def fit(
             for label, cols in blocks[kind]:
                 # Per kind: the block's indices into raw[kind], the block
                 # gradient, the projection, and evaluate(x) -> (scores,
-                # objective) with the block set to x and the rest held fixed.
+                # objective, moved) with the block set to x and the rest held
+                # fixed; moved is the state an accepted x writes back: the
+                # block's (w, prior) for log-weights, its (diff, z) otherwise.
                 if kind == "w":
                     idx = cols[~frozen_w[cols]]
                     if idx.size == 0:
                         continue
-                    zsub = design.z_matrix(a, t, idx)
+                    # a C-ordered gather, the layout z_matrix gives, keeps
+                    # the products below bit-identical to it
+                    zsub = np.take(Z, idx, axis=1)
                     g = _log_weight_gradient(
                         design, s_full, v, w_cur, zsub, idx, mu, lam
                     )
@@ -398,18 +413,19 @@ def fit(
                     def evaluate(x):
                         v_try = v.copy()
                         v_try[idx] = x
-                        s = s_base + zsub @ np.exp(x)
-                        return s, design.nll_of_scores(s) + _log_prior(v_try, mu, lam)
+                        w_x = np.exp(x)
+                        prior = _log_prior(v_try, mu, lam)
+                        s = s_base + zsub @ w_x
+                        return s, design.nll_of_scores(s) + prior, (w_x, prior)
 
                 else:
-                    # The block's columns are sliced once, and its current
-                    # diff and z computed once, for the gradient and s_base
-                    # both; a trial recomputes only what it moves: z for a
-                    # slope trial, diff and z for a threshold trial.
-                    block = _StepBlock(design, cols)
+                    # A trial recomputes only what it moves: z for a slope
+                    # trial, diff and z for a threshold trial.  z0 is a
+                    # column gather, F-ordered like the block's own z.
+                    block = step_blocks[label]
                     a_cols = a[cols]
-                    diff = design.step_diff(t, cols)
-                    z0 = block.z(a_cols * diff)
+                    diff = diffs[label]
+                    z0 = Z[:, block.wcol]
                     sp = z0 * (1.0 - z0)
                     dl = design.loss_derivative(s_full)
                     if kind == "a":
@@ -417,8 +433,8 @@ def fit(
                         g = block.slope_gradient(dl, diff, sp, w_cur)
                         project = project_slopes
 
-                        def trial_z(x):
-                            return block.z(x * diff)
+                        def moved_by(x):
+                            return diff, block.z(x * diff)
 
                     else:
                         idx = all_t
@@ -427,8 +443,9 @@ def fit(
                         def project(x):
                             return project_thresholds(x, d)
 
-                        def trial_z(x):
-                            return block.z(a_cols * block.diff(x))
+                        def moved_by(x):
+                            diff_x = block.diff(x)
+                            return diff_x, block.z(a_cols * diff_x)
 
                     if not g.any():
                         continue
@@ -436,11 +453,12 @@ def fit(
                     s_base = s_full - z0 @ coefs
 
                     def evaluate(x):
-                        s = s_base + trial_z(x) @ coefs
-                        return s, design.nll_of_scores(s) + prior_cache
+                        moved = moved_by(x)
+                        s = s_base + moved[1] @ coefs
+                        return s, design.nll_of_scores(s) + prior_cache, moved
 
                 x0, dvec = raw[kind][idx], -g
-                last = []  # the last trial point and its (scores, objective)
+                last = []  # the last trial point and its evaluation
 
                 def trial(x):
                     last[:] = [x, evaluate(x)]
@@ -454,16 +472,17 @@ def fit(
                 # the search stops at the trial it accepts: reuse its value
                 # when the projection left that point unchanged
                 if np.array_equal(x_new, last[0]):
-                    s_new, f_new = last[1]
+                    s_new, f_new, moved = last[1]
                 else:
-                    s_new, f_new = evaluate(x_new)
+                    s_new, f_new, moved = evaluate(x_new)
                 if not f_new < f_cur:
                     stalls += 1
                     continue
                 raw[kind][idx] = x_new
                 if kind == "w":
-                    w_cur[idx] = np.exp(x_new)
-                    prior_cache = _log_prior(v, mu, lam)
+                    w_cur[idx], prior_cache = moved
+                else:
+                    diffs[label], Z[:, block.wcol] = moved
                 steps.append(TraceStep(outer, kind, label, f_cur, f_new, h))
                 s_full, f_cur = s_new, f_new
 

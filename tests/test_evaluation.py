@@ -290,6 +290,24 @@ class TestPlattScaling:
         assert abs(float(resid @ s)) < 1e-5
         assert abs(float(np.sum(resid))) < 1e-5
 
+    def test_small_decrement_far_from_the_infimum_raises(self):
+        # The huge score's curvature makes the Newton decrement vanish at
+        # objective 4 log 2, while the infimum (slope to infinity) is 2 log 2.
+        s = np.array([0.0, 0.0, -1.0, 1.0, 6726331283416518.0])
+        y = np.array([1, -1, -1, 1, 1])
+        with pytest.raises(NumericError):
+            platt_scale(s, y)
+
+    def test_separable_limit_converges(self):
+        # With 1e6 in place of the huge score the fit reaches the infimum
+        # 2 log 2 to float resolution, although the slope is unbounded.
+        s = np.array([0.0, 0.0, -1.0, 1.0, 1e6])
+        y = np.array([1, -1, -1, 1, 1])
+        a, b = platt_scale(s, y)
+        p = platt_probabilities(s, a, b)
+        loss = -np.sum(np.log(np.where(y == 1, p, 1.0 - p)))
+        assert loss == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+
 
 @st.composite
 def two_class_scores(draw):

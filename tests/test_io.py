@@ -449,6 +449,29 @@ class TestCohortCsv:
         ):
             load_cohort(path)
 
+    def test_errors_name_physical_lines_after_a_multiline_cell(self, tmp_path):
+        # the first record's quoted id holds a newline, so it spans lines 2-3
+        path = tmp_path / "nl.csv"
+        head = 'id,age_months,outcome,x\n"a\nb",12,1,0.5\n'
+        path.write_text(head + "c,12,-1,zebra\n", encoding="utf-8")
+        with pytest.raises(
+            ValidationError, match=r"nl.csv:4: bad number 'zebra' for x$"
+        ):
+            load_cohort(path)
+        path.write_text(head + "c,12,-1,1\nc,3,1,2\n", encoding="utf-8")
+        with pytest.raises(
+            ValidationError,
+            match=r"nl.csv:5: duplicate record id 'c' \(first on line 4\)$",
+        ):
+            load_cohort(path)
+        # an error in a multi-line record names the line it starts on
+        path.write_text(
+            'id,age_months,outcome,x\nc,12,-1,1\n"a\nb",twelve,1,0.5\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match=r"nl.csv:3: age and outcome"):
+            load_cohort(path)
+
     def test_non_finite_cells_are_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         for cell in ("nan", "NaN", "inf", "-inf", "Infinity"):

@@ -707,6 +707,49 @@ class TestFit:
         assert len(trace.steps) > 0
         assert counts["evals"] == 1 + counts["trials"]
 
+    def test_block_state_is_built_once_per_fit(self, monkeypatch):
+        """A fit slices each step block once and reads the feature matrix
+        once: one ``z_matrix`` call, one ``step_diff`` per step block, and
+        per step block one ``_StepBlock`` held by the fit and one inside
+        its ``step_diff``, plus one each inside ``z_matrix`` and the
+        initial ``scores``."""
+        import softscore.design as design_module
+        import softscore.optimizer as optimizer
+
+        counts = {"_StepBlock": 0, "z_matrix": 0, "step_diff": 0}
+        block_class = design_module._StepBlock
+
+        class CountedBlock(block_class):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                counts["_StepBlock"] += 1
+                super().__init__(*args)
+
+        def counted(name):
+            method = getattr(CohortDesign, name)
+
+            def wrapper(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        cohort, _, _ = preset_cohort("pediatric_icu")
+        d = preset("pediatric_icu").definition()
+        design = CohortDesign(cohort, d)
+        n_step_blocks = len(optimizer._build_blocks(d)["t"])
+        monkeypatch.setattr(design_module, "_StepBlock", CountedBlock)
+        monkeypatch.setattr(optimizer, "_StepBlock", CountedBlock)
+        for name in ("z_matrix", "step_diff"):
+            monkeypatch.setattr(CohortDesign, name, counted(name))
+        cfg = OptimizerConfig(optimize_over=("a", "t", "w"), max_outer_iters=20)
+        _, trace = fit(design, cfg)
+        assert trace.outer_iterations == 20
+        assert counts["z_matrix"] == 1
+        assert counts["step_diff"] == n_step_blocks
+        assert counts["_StepBlock"] <= 2 * n_step_blocks + 2
+
     def test_converges_by_tolerance_on_easy_instance(self):
         d = binary_only_definition(weight=2.0)
         cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
@@ -716,6 +759,24 @@ class TestFit:
         )
         assert trace.converged_reason == "relative decrease below tolerance"
         assert trace.outer_iterations < 500
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(("a", "t", "w")),
+)
+def test_tracked_objective_is_the_objective_of_the_fitted_parameters(seed, order):
+    """The fit tracks its objective from block state it keeps between steps
+    (each block's x - t and the feature matrix z); the value it reports must
+    be `objective` at the parameters it returns, whatever the kind order."""
+    d, _, cohort = random_instance(np.random.default_rng(seed), n_records=30)
+    design = CohortDesign(cohort, d)
+    cfg = OptimizerConfig(optimize_over=tuple(order), max_outer_iters=15)
+    params, trace = fit(design, cfg)
+    assert trace.final_objective == pytest.approx(
+        objective(params, design, cfg), rel=1e-12
+    )
 
 
 class TestFitPinned:
@@ -771,6 +832,23 @@ class TestFitPinned:
         assert trace.outer_iterations == 67
         assert hashlib.sha256(sequence.encode()).hexdigest() == (
             "d15a8f86e74b1c2b25a4ff2b8e0831b312334dfc00fca907de8bc6847fecdd17"
+        )
+
+    def test_adult_threshold_and_weight_fit_matches_recorded_fit(self):
+        """a,t,w on the default ``adult_icu`` cohort for 30 cycles in the
+        order w, t, a: threshold steps in 4-step blocks, each followed by
+        the slope and weight steps that read the block state they leave."""
+        cohort, _, _ = preset_cohort("adult_icu")
+        design = CohortDesign(cohort, preset("adult_icu").definition())
+        cfg = OptimizerConfig(optimize_over=("w", "t", "a"), max_outer_iters=30)
+        _, trace = fit(design, cfg)
+        sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
+        assert trace.final_objective.hex() == "0x1.41e5186c7e0dfp+11"
+        assert len(trace.steps) == 510
+        assert trace.stall_count == 0
+        assert trace.outer_iterations == 30
+        assert hashlib.sha256(sequence.encode()).hexdigest() == (
+            "4cdec9de3442cf9c56938f714da4dc14931333d28d1e99c9bd0ccaa35e766d52"
         )
 
 
