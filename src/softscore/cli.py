@@ -4,9 +4,10 @@ Commands: ``presets``, ``simulate``, ``fit``, ``evaluate``, ``cv`` and
 ``impute``.  Every command that writes a primary output also writes a
 ``<output>.manifest.json`` run manifest recording the command line, the
 package version, SHA-256 digests of all inputs and outputs, and the wall
-time; ``fit``, ``evaluate`` and ``cv`` also record the seconds of each stage
-(load, design, fit or cv, write; ``evaluate`` has load, score, write, its
-design build being part of scoring).  Manifests are the only outputs that
+time; ``fit``, ``evaluate``, ``cv`` and ``impute`` also record the seconds of
+each stage (load, design, fit or cv, write; ``evaluate`` has load, score,
+write, its design build being part of scoring; ``impute`` has load, impute,
+write).  Manifests are the only outputs that
 differ between identical reruns; all other artifacts are byte-identical for
 the same inputs and seed.  The ``cv`` manifest also records ``workers``, the
 number of processes that fitted its folds.
@@ -481,27 +482,30 @@ def cv_cmd(
 def impute_cmd(cohort_path, method, k, score_def, out):
     """Fill missing values and write the completed cohort."""
     manifest = _Manifest("impute")
-    manifest.add_input(cohort_path)
-    manifest.add_input(score_def)
-    cohort = load_cohort(cohort_path)
-    if method == "knn":
-        spec = ImputationMethod.knn(k)
-    elif method == "mean":
-        spec = ImputationMethod.mean()
-    elif method == "normal":
-        if score_def is None:
+    with manifest.stage("load"):
+        manifest.add_input(cohort_path)
+        manifest.add_input(score_def)
+        cohort = load_cohort(cohort_path)
+        if method == "knn":
+            spec = ImputationMethod.knn(k)
+        elif method == "mean":
+            spec = ImputationMethod.mean()
+        elif method == "normal":
+            if score_def is None:
+                raise ValidationError(
+                    "--method normal requires --score-def for the normal values"
+                )
+            definition = load_score_definition(score_def)
+            spec = ImputationMethod.normal_from_definition(definition)
+        else:
             raise ValidationError(
-                "--method normal requires --score-def for the normal values"
+                f"unknown imputation method {method!r}; expected knn, mean or normal"
             )
-        definition = load_score_definition(score_def)
-        spec = ImputationMethod.normal_from_definition(definition)
-    else:
-        raise ValidationError(
-            f"unknown imputation method {method!r}; expected knn, mean or normal"
-        )
-    completed = impute(cohort, spec)
-    save_cohort(out, completed, _cohort_variables(cohort))
-    manifest.add_output(out)
+    with manifest.stage("impute"):
+        completed = impute(cohort, spec)
+    with manifest.stage("write"):
+        save_cohort(out, completed, _cohort_variables(cohort))
+        manifest.add_output(out)
     manifest.write(out)
     click.echo(f"impute[{method}]: n={len(completed)} -> {out}")
 

@@ -6,11 +6,14 @@ number of shared variables.  A missing cell takes the average of that
 variable over the k nearest records that observe it, walking further down
 the neighbor list when closer records lack it; with fewer than k such donors
 at a finite distance it takes the average of those found, and with none the
-column mean.  Donors are searched only for records with a missing cell, one
-record at a time, so memory stays O(n * m) for n records and m variables;
-``knn_distances`` is the public n x n reference for those distances.  Every
-imputed value is computed from the original (not already-imputed) cohort, so
-a second pass is a no-op.
+column mean.  The squared differences are summed one variable at a time, in
+column order.  Donors are searched only for records with a missing cell, in
+row blocks of at most ``_BLOCK_BYTES`` (512 KB) of distances, so memory stays
+O(n * m) plus one block for n records and m variables; each cell takes its k
+donors from a k-smallest selection, not a full sort of the n distances.
+``knn_distances`` is the public n x n reference for those distances, built
+from the same blocks.  Every imputed value is computed from the original (not
+already-imputed) cohort, so a second pass is a no-op.
 """
 from __future__ import annotations
 
@@ -30,6 +33,9 @@ logger = logging.getLogger("softscore")
 KNN = "knn"
 MEAN = "mean"
 NORMAL = "normal"
+
+# Bytes of one (rows, n) float64 block of kNN distances: 17 rows at n = 3711.
+_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -87,12 +93,9 @@ def _cohort_matrix(cohort: Sequence[PatientRecord]):
     """Variable names, every name in order of first appearance, and the n x m
     value matrix, NaN where missing."""
     variables = list(dict.fromkeys(name for r in cohort for name in r.values))
-    X = np.full((len(cohort), len(variables)), np.nan)
-    for i, r in enumerate(cohort):
-        for j, name in enumerate(variables):
-            v = r.value(name)
-            if v is not None:
-                X[i, j] = v
+    rows = [list(map(r.values.get, variables)) for r in cohort]
+    # None (missing or absent) becomes NaN
+    X = np.array(rows, dtype=float)
     return variables, X
 
 
@@ -133,15 +136,15 @@ def impute(
         else:
             filled = _fill_knn(X, observed, mu, Z, method.k)
 
-    out = []
-    for i, r in enumerate(cohort):
-        values = {name: float(filled[i, j]) for j, name in enumerate(variables)}
-        out.append(
-            PatientRecord(
-                id=r.id, age_months=r.age_months, outcome=r.outcome, values=values
-            )
+    return [
+        PatientRecord(
+            id=r.id,
+            age_months=r.age_months,
+            outcome=r.outcome,
+            values=dict(zip(variables, row)),
         )
-    return out
+        for r, row in zip(cohort, filled.tolist())
+    ]
 
 
 def _standardized(X, observed):
@@ -159,40 +162,80 @@ def _standardized(X, observed):
     return mu, Z
 
 
-def _distances_from(i, Z, observed):
-    """Row i of ``knn_distances``: O(n * m) memory, one row at a time."""
-    common = observed[i] & observed
-    diff = np.where(common, Z - Z[i], 0.0)
-    counts = common.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        d = np.sqrt(np.sum(diff * diff, axis=1)) / counts
+def _block_distances(Zt, obs_f, rows):
+    """Rows ``rows`` of ``knn_distances`` as one (len(rows), n) block.
+
+    ``Zt`` is the standardized matrix transposed (m x n, NaN where missing)
+    and ``obs_f`` the observed mask as 0/1 floats (n x m).  The squared
+    differences are summed one variable at a time in column order; a NaN
+    difference (either record lacks the variable) adds 0.
+    """
+    acc = np.zeros((len(rows), Zt.shape[1]))
+    t = np.empty_like(acc)
+    for j, z in enumerate(Zt):
+        np.subtract(z, z[rows, None], out=t)
+        np.multiply(t, t, out=t)
+        np.fmax(t, 0.0, out=t)  # a square is >= 0: this turns only NaN into 0
+        acc += t
+    # shared variables per pair, exact small integers, in the spent buffer
+    counts = np.matmul(obs_f[rows], obs_f.T, out=t)
+    d = np.sqrt(acc, out=acc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d /= counts
     d[counts == 0] = np.inf
-    d[i] = np.inf
+    d[np.arange(len(rows)), rows] = np.inf
     return d
+
+
+def _row_blocks(rows, n):
+    """``rows`` in consecutive blocks whose (block, n) float64 distances take
+    at most ``_BLOCK_BYTES`` (one row at least)."""
+    size = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    return (rows[s:s + size] for s in range(0, len(rows), size))
 
 
 def knn_distances(X: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """All-pairs distances over standardized values and shared variables.
 
     Entry (i, j) is sqrt(sum of squared standardized differences over the
-    variables both records observe) divided by the number of those variables;
-    infinite when they share none, or on the diagonal.  ``impute`` computes
-    the same rows, but only for records with a missing cell; this n x n
-    matrix is the reference for them.
+    variables both records observe, summed in column order) divided by the
+    number of those variables; infinite when they share none, or on the
+    diagonal.  ``impute`` computes the same rows, but only for records with
+    a missing cell; this n x n matrix is the reference for them.
     """
     _, Z = _standardized(X, observed)
-    return np.array([_distances_from(i, Z, observed) for i in range(len(X))])
+    Zt, obs_f = np.ascontiguousarray(Z.T), observed.astype(float)
+    n = len(X)
+    D = np.empty((n, n))
+    for rows in _row_blocks(np.arange(n), n):
+        D[rows] = _block_distances(Zt, obs_f, rows)
+    return D
+
+
+def _nearest(d, k):
+    """Indices of the k smallest finite entries of d (all finite ones if
+    fewer), nearest first and ties to the earlier index: the head of a
+    stable sort, found without sorting all of d."""
+    finite = d < np.inf
+    if np.count_nonzero(finite) > k:
+        kth = np.partition(d, k - 1)[k - 1]
+        near = np.flatnonzero(d < kth)
+        tied = np.flatnonzero(d == kth)[: k - near.size]
+        idx = np.concatenate((near, tied))
+    else:
+        idx = np.flatnonzero(finite)
+    return idx[np.argsort(d[idx], kind="stable")]
 
 
 def _fill_knn(X, observed, mu, Z, k):
     filled = X.copy()
-    for i in np.flatnonzero(~observed.all(axis=1)):
-        d = _distances_from(i, Z, observed)
-        order = np.argsort(d, kind="stable")  # ties: the earlier record first
-        order = order[np.isfinite(d[order])]
-        for j in np.flatnonzero(~observed[i]):
-            donors = X[order[observed[order, j]][:k], j]
-            # sum() adds left to right; np.mean's pairwise sum can differ in
-            # the last bit
-            filled[i, j] = sum(donors.tolist()) / donors.size if donors.size else mu[j]
+    Zt, obs_f = np.ascontiguousarray(Z.T), observed.astype(float)
+    for rows in _row_blocks(np.flatnonzero(~observed.all(axis=1)), len(X)):
+        D = _block_distances(Zt, obs_f, rows)
+        for i, d in zip(rows, D):
+            for j in np.flatnonzero(~observed[i]):
+                donors = X[_nearest(np.where(observed[:, j], d, np.inf), k), j]
+                # sum() adds left to right; np.mean's pairwise sum can differ
+                # in the last bit
+                filled[i, j] = sum(donors.tolist()) / donors.size if donors.size else mu[j]
     return filled

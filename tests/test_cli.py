@@ -899,10 +899,13 @@ class TestManifests:
                 "--fitted", ws["fitted"], "--out", report])
         run_ok(["cv", "--cohort", ws["cohort"], "--score-def", ws["definition"],
                 "--folds", 3, "--out", cv, "--optimize", "a", "--config", config])
+        imputed = tmp_path / "imputed.csv"
+        run_ok(["impute", "--cohort", ws["cohort"], "--method", "knn", "--out", imputed])
         for out, stages in (
             (ws["fitted"], {"load", "design", "fit", "write"}),
             (report, {"load", "score", "write"}),
             (cv, {"load", "design", "cv", "write"}),
+            (imputed, {"load", "impute", "write"}),
         ):
             manifest = read_json(out.parent / f"{out.name}.manifest.json")
             seconds = manifest["stage_seconds"]

@@ -5,20 +5,49 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mixed_definition, rec
+from softscore import imputation
 from softscore.errors import ValidationError
 from softscore.imputation import ImputationMethod, impute, knn_distances
 from softscore.io import save_cohort
 from softscore.presets import preset_cohort
 
 
+def brute_force_distances(X):
+    """The documented kNN distance of every pair of rows of X (NaN where
+    missing), one pair at a time: sqrt(sum of squared standardized
+    differences over the variables both records observe, added left to
+    right) / (number of those variables); inf on the diagonal and for pairs
+    that share no variable."""
+    n, m = X.shape
+    observed = ~np.isnan(X)
+    mu = [np.mean(X[observed[:, j], j]) for j in range(m)]
+    sd = [np.std(X[observed[:, j], j]) for j in range(m)]
+
+    def standardized(i, j):
+        return (X[i, j] - mu[j]) / sd[j] if sd[j] > 0 else 0.0
+
+    def distance(i, l):
+        common = [j for j in range(m) if observed[i, j] and observed[l, j]]
+        if i == l or not common:
+            return math.inf
+        diffs = [standardized(i, j) - standardized(l, j) for j in common]
+        # d * d is the correctly rounded square; d ** 2 goes through libm's
+        # pow, which misses it by an ulp for about one double in 1,200
+        sq = sum(d * d for d in diffs)
+        return math.sqrt(sq) / len(common)
+
+    return [[distance(i, l) for l in range(n)] for i in range(n)]
+
+
 def brute_force_knn_fill(cohort, variables, k):
     """Independent all-pairs reimplementation of the documented kNN rule.
 
-    Distance = sqrt(sum of squared standardized differences over the variables
-    both records observe) / (number of those variables); a missing cell takes
-    the average of its variable over the k nearest records observing it,
+    Distances as in ``brute_force_distances``; a missing cell takes the
+    average of its variable over the k nearest records observing it,
     walking past non-observers, falling back to the column mean when no
     finite-distance donor observes it.
     """
@@ -30,18 +59,10 @@ def brute_force_knn_fill(cohort, variables, k):
             if v is not None:
                 X[i, j] = v
     observed = ~np.isnan(X)
-    mu = [np.mean(X[observed[:, j], j]) for j in range(len(variables))]
-    sd = [np.std(X[observed[:, j], j]) for j in range(len(variables))]
-
-    def standardized(i, j):
-        return (X[i, j] - mu[j]) / sd[j] if sd[j] > 0 else 0.0
+    D = brute_force_distances(X)
 
     def distance(i, l):
-        common = [j for j in range(len(variables)) if observed[i, j] and observed[l, j]]
-        if i == l or not common:
-            return math.inf
-        sq = sum((standardized(i, j) - standardized(l, j)) ** 2 for j in common)
-        return math.sqrt(sq) / len(common)
+        return D[i][l]
 
     filled = X.copy()
     for i in range(n):
@@ -311,3 +332,86 @@ class TestKnnAtScale:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+@st.composite
+def tied_knn_cohorts(draw):
+    """An n x m value matrix (NaN where missing) with every variable observed
+    somewhere, and a k from 1 to n - 1.  Values are small integers, thirds or
+    floats; rows are drawn from fewer distinct base rows, so records repeat,
+    and one column may be constant (sd = 0): all three make distance ties."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(2, 12))
+    value = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        # few distinct values, so ties, whose sums still round by order
+        st.integers(-4, 4).map(lambda v: v / 3),
+        st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False),
+    ]))
+    base = draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    X = np.array([base[p] for p in picks])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                              max_size=n * m)):
+        X[i, j] = np.nan
+    constant = draw(st.integers(-1, m - 1))
+    if constant >= 0:
+        X[~np.isnan(X[:, constant]), constant] = 1.0
+    for j in np.flatnonzero(np.isnan(X).all(axis=0)):
+        X[draw(st.integers(0, n - 1)), j] = draw(value)
+    return X, draw(st.integers(1, n - 1))
+
+
+def records_of(X):
+    names = [f"v{j}" for j in range(X.shape[1])]
+    cohort = [
+        rec(f"r{i}", {name: None if np.isnan(v) else float(v)
+                      for name, v in zip(names, row)})
+        for i, row in enumerate(X)
+    ]
+    return cohort, names
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_knn_cohorts())
+def test_knn_fill_equals_the_oracle_bit_for_bit(instance):
+    X, k = instance
+    cohort, names = records_of(X)
+    expected = brute_force_knn_fill(cohort, names, k)
+    out = impute(cohort, ImputationMethod.knn(k=k))
+    for i, r in enumerate(out):
+        assert [r.value(name) for name in names] == expected[i].tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_knn_cohorts())
+def test_knn_distances_are_exactly_symmetric_and_match_the_oracle(instance):
+    X, _ = instance
+    D = knn_distances(X, ~np.isnan(X))
+    np.testing.assert_array_equal(D, D.T)
+    assert D.tolist() == brute_force_distances(X)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_block_size_keeps_the_fill_bits(monkeypatch, rows):
+    cohort, _, _ = preset_cohort("adult_icu")
+    n = len(cohort)
+    incomplete = sum(any(v is None for v in r.values.values()) for r in cohort)
+    assert imputation._BLOCK_BYTES // (8 * n) == 17  # rows of a default block
+    default = impute(cohort, ImputationMethod.knn(k=5))
+
+    calls = []
+    kernel = imputation._block_distances
+
+    def counted(Zt, obs_f, block):
+        calls.append(len(block))
+        return kernel(Zt, obs_f, block)
+
+    monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(imputation, "_block_distances", counted)
+    blocked = impute(cohort, ImputationMethod.knn(k=5))
+    # 1,075 incomplete records: blocks of 2 or 3 leave a last block of 1
+    assert len(calls) == math.ceil(incomplete / rows)
+    assert calls[:-1] == [rows] * (len(calls) - 1) and sum(calls) == incomplete
+    assert [r.values for r in blocked] == [r.values for r in default]
