@@ -11,9 +11,12 @@ Public API highlights:
 
 * :class:`ScoreDefinition`, :class:`ScoreParameters` — the score table
   and its trainable parameters.
-* :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — the
-  one place a cohort becomes arrays, serving soft and table scores, the
-  likelihood kernels, and row slices for cross-validation.
+* :class:`Cohort` — a cohort as columns (ids, ages, outcomes, an (n, m)
+  value matrix), which every entry point reads; :class:`PatientRecord` is
+  one record, and ``Cohort.from_records`` turns a list of them into a cohort.
+* :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — a
+  cohort's columns laid out against a definition, serving soft and table
+  scores, the likelihood kernels, and row slices for cross-validation.
 * :func:`objective`, :func:`objective_gradient` — what :func:`fit`
   minimises under its config, and the gradient in (a, t, log w).
 * :func:`fit` — projected blockwise fitting of a design with monotone
@@ -40,6 +43,7 @@ from .model import (
     UP,
     AgeBand,
     BinaryFeature,
+    Cohort,
     FeatureStep,
     PatientRecord,
     RawVariable,
@@ -64,7 +68,6 @@ from .evaluation import (
     EvaluationReport,
     FoldMetrics,
     RocCurve,
-    ScoredRow,
     brier,
     cross_validate,
     evaluate_scores,
@@ -89,6 +92,7 @@ __all__ = [
     "AgeBand",
     "BINARY",
     "BinaryFeature",
+    "Cohort",
     "CohortDesign",
     "ContractViolation",
     "DOWN",
@@ -107,7 +111,6 @@ __all__ = [
     "RocCurve",
     "ScoreDefinition",
     "ScoreParameters",
-    "ScoredRow",
     "SoftScoreError",
     "TraceStep",
     "UP",

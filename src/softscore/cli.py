@@ -29,11 +29,11 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import __version__
 from .errors import NumericError, ValidationError
 from .evaluation import (
-    ScoredRow,
     cross_validate,
     evaluate_scores,
     evaluate_subgroup,
@@ -150,10 +150,6 @@ def _exits(func):
     return wrapper
 
 
-def _cohort_variables(cohort):
-    return list(cohort[0].values.keys())
-
-
 def _optimizer_config(config_path, optimize, definition) -> OptimizerConfig:
     if config_path is not None:
         config = load_optimizer_config(config_path)
@@ -186,7 +182,9 @@ def _parse_folds(folds: str):
         ) from None
 
 
-def _band_predicate(definition, spec: str):
+def _band_mask(definition, spec: str, ages):
+    """The records of age band ``spec`` (``age:LABEL``) as a boolean mask
+    over ``ages``, and the subgroup label."""
     if ":" not in spec:
         raise ValidationError(
             f"--filter: expected age:BAND_LABEL, got {spec!r}"
@@ -200,7 +198,8 @@ def _band_predicate(definition, spec: str):
         raise ValidationError(
             f"--filter: unknown age band {label!r}; known bands: {known}"
         )
-    return (lambda record: band.contains(record.age_months)), f"age:{label}"
+    mask = (ages >= band.min_age_months) & (ages < band.max_age_months)
+    return mask, f"age:{label}"
 
 
 _ARGV_KEY = "softscore.argv"
@@ -297,7 +296,7 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
         save_truth(truth, cohort, probabilities)
         manifest.add_output(truth)
     manifest.write(out)
-    positives = sum(1 for r in cohort if r.outcome == 1)
+    positives = int(np.count_nonzero(cohort.outcomes == 1))
     click.echo(
         f"simulate: n={len(cohort)} positives={positives} "
         f"({positives / len(cohort):.1%}) -> {out}"
@@ -376,27 +375,19 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
             scores = hard_scores(cohort, definition)
         else:
             scores = soft_scores(cohort, definition, params)
-        labels = [r.outcome for r in cohort]
-        report = evaluate_scores(scores, labels)
+        report = evaluate_scores(scores, cohort.outcomes)
         probabilities = platt_probabilities(scores, *report.platt)
         if filter_spec is not None:
-            predicate, label = _band_predicate(definition, filter_spec)
-            report = evaluate_subgroup(cohort, scores, probabilities, predicate, label)
+            mask, label = _band_mask(definition, filter_spec, cohort.ages)
+            report = evaluate_subgroup(cohort, scores, probabilities, mask, label)
     with manifest.stage("write"):
         save_report(out, report)
         manifest.add_output(out)
         if scores_path is not None:
-            rows = tuple(
-                ScoredRow(
-                    id=r.id,
-                    fold=0,
-                    score=float(s),
-                    probability=float(p),
-                    label=r.outcome,
-                )
-                for r, s, p in zip(cohort, scores, probabilities)
+            folds = np.zeros(len(cohort), dtype=np.int64)
+            save_scores(
+                scores_path, cohort.ids, folds, scores, probabilities, cohort.outcomes
             )
-            save_scores(scores_path, rows)
             manifest.add_output(scores_path)
     manifest.write(out)
     kind = "soft" if fitted_path is not None else "hard"
@@ -448,13 +439,13 @@ def cv_cmd(
         design = CohortDesign(cohort, definition)
     fold_spec = _parse_folds(folds)
     with manifest.stage("cv"):
-        report, rows = cross_validate(design, config, folds=fold_spec, seed=seed)
+        report, columns = cross_validate(design, config, folds=fold_spec, seed=seed)
     manifest.workers = fold_workers(design.n if fold_spec == "loo" else fold_spec)
     with manifest.stage("write"):
         save_report(out, report)
         manifest.add_output(out)
         if scores_path is not None:
-            save_scores(scores_path, rows)
+            save_scores(scores_path, *columns)
             manifest.add_output(scores_path)
     manifest.write(out)
     click.echo(
@@ -504,7 +495,7 @@ def impute_cmd(cohort_path, method, k, score_def, out):
     with manifest.stage("impute"):
         completed = impute(cohort, spec)
     with manifest.stage("write"):
-        save_cohort(out, completed, _cohort_variables(cohort))
+        save_cohort(out, completed, completed.variables)
         manifest.add_output(out)
     manifest.write(out)
     click.echo(f"impute[{method}]: n={len(completed)} -> {out}")

@@ -1,14 +1,15 @@
-"""Numeric layout of a cohort: the one place a record becomes numbers.
+"""Numeric layout of a cohort against a score definition.
 
-`CohortDesign` reads each raw variable of a cohort once, into one value column
-and one observed mask, and resolves every step feature's age band with
-``np.searchsorted``.  From these arrays it evaluates the soft scores, the
-likelihood and its gradients in slopes, thresholds and weights, and the
-classic table score.  Every step-feature kernel runs on one block helper, the
-selected columns sliced once; a fit builds one per step block and keeps it
+`CohortDesign` reads the column of each scored variable from a `Cohort` once
+(NaN is missing) into its features' value columns and observed masks, and
+resolves every step feature's age band with ``np.searchsorted``.  From these
+arrays it evaluates the soft scores, the likelihood and its gradients in
+slopes, thresholds and weights, and the classic table score.  Every
+step-feature kernel runs on one block helper, the selected columns sliced
+once; a fit builds one per step block and keeps it
 for the whole fit.
-``take`` slices the design by rows, so cross-validation reads a cohort's
-records once and fits every fold on a slice.
+``take`` slices the design by rows, so cross-validation lays a cohort out
+once and fits every fold on a slice.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import ValidationError
 from .model import (
     UP,
-    PatientRecord,
+    Cohort,
+    Records,
     ScoreDefinition,
     ScoreParameters,
 )
@@ -50,16 +52,17 @@ class CohortDesign:
     bin_wcol : (n_binary,) weight-vector column of each binary feature
     """
 
-    def __init__(self, cohort: Sequence[PatientRecord], definition: ScoreDefinition):
-        if not cohort:
+    def __init__(self, cohort: Records, definition: ScoreDefinition):
+        cohort = Cohort.from_records(cohort)
+        if not len(cohort):
             raise ValidationError("cohort is empty")
         self.definition = definition
         d = definition
         n = len(cohort)
         self.n = n
-        self.ids = tuple(r.id for r in cohort)
-        self.ages = np.array([r.age_months for r in cohort], dtype=float)
-        self.y = np.array([r.outcome for r in cohort], dtype=float)
+        self.ids = cohort.ids
+        self.ages = cohort.ages.astype(float)
+        self.y = cohort.outcomes.astype(float)
 
         steps = [d.features[fi] for fi in d.step_feature_indices]
         binary = [d.features[fi] for fi in d.binary_feature_indices]
@@ -68,9 +71,10 @@ class CohortDesign:
         self.bin_z = np.empty((n, len(binary)))
         self.bin_observed = np.empty((n, len(binary)), dtype=bool)
         for name in dict.fromkeys(f.variable.name for f in d.features):
-            raw = [r.values.get(name) for r in cohort]
-            x = np.array(raw, dtype=float)  # None becomes NaN
-            observed = np.array([v is not None for v in raw], dtype=bool)
+            x = cohort.column(name)
+            if x is None:
+                x = np.full(n, np.nan)
+            observed = ~np.isnan(x)
             cols = [j for j, f in enumerate(steps) if f.variable.name == name]
             self.step_x[:, cols] = x[:, None]
             self.step_observed[:, cols] = observed[:, None]
@@ -80,9 +84,9 @@ class CohortDesign:
         self.step_up = np.array([f.direction == UP for f in steps], dtype=bool)
         self.step_wcol = np.array(d.step_feature_indices, dtype=np.int64)
         self.bin_wcol = np.array(d.binary_feature_indices, dtype=np.int64)
-        self.t_index = self._threshold_indices(cohort)
+        self.t_index = self._threshold_indices(cohort.ages)
 
-    def _threshold_indices(self, cohort: Sequence[PatientRecord]) -> np.ndarray:
+    def _threshold_indices(self, ages: np.ndarray) -> np.ndarray:
         """Threshold-vector index of every (record, step feature) cell.
 
         Each variable's bands tile the population age range, so an age outside
@@ -93,9 +97,9 @@ class CohortDesign:
         if not d.n_slopes:
             return t_index
         lo, hi = d.population_age_range
-        outside = (self.ages < lo) | (self.ages >= hi)
+        outside = (ages < lo) | (ages >= hi)
         if outside.any():
-            age = cohort[int(np.argmax(outside))].age_months
+            age = int(ages[np.argmax(outside)])
             key = d.features[d.step_feature_indices[0]].key
             raise ValidationError(
                 f"age {age} months falls outside every age band of feature {key!r}"
@@ -111,8 +115,8 @@ class CohortDesign:
     def take(self, rows: Sequence[int]) -> "CohortDesign":
         """The design of the records at positions ``rows``, in that order.
 
-        Equals ``CohortDesign([cohort[i] for i in rows], definition)`` without
-        reading any record again; rows may repeat.
+        Equals the design of the cohort's records at ``rows`` without reading
+        the cohort again; rows may repeat.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if not rows.size:
@@ -290,7 +294,7 @@ class _StepBlock:
 
 
 def soft_scores(
-    cohort: Sequence[PatientRecord],
+    cohort: Records,
     definition: ScoreDefinition,
     params: ScoreParameters,
 ) -> np.ndarray:
@@ -299,7 +303,7 @@ def soft_scores(
 
 
 def hard_scores(
-    cohort: Sequence[PatientRecord], definition: ScoreDefinition
+    cohort: Records, definition: ScoreDefinition
 ) -> np.ndarray:
     """Batch classic table scores."""
     return CohortDesign(cohort, definition).table_scores()

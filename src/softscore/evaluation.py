@@ -13,17 +13,21 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
-from .model import PatientRecord
+from .model import Cohort, Records
 from .numerics import logistic_newton, sigmoid
 from .optimizer import OptimizerConfig, fit
 
 logger = logging.getLogger("softscore")
+
+# Held-out results in record order, as `io.save_scores` writes them: ids,
+# fold, score, probability and label.
+ScoreColumns = tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class RocCurve(NamedTuple):
@@ -79,17 +83,6 @@ class EvaluationReport:
     @property
     def prevalence(self) -> float:
         return self.n_positive / self.n
-
-
-@dataclass(frozen=True)
-class ScoredRow:
-    """Per-record output of an evaluation run."""
-
-    id: str
-    fold: int
-    score: float
-    probability: float
-    label: int
 
 
 # ----------------------------------------------------------------------
@@ -249,25 +242,27 @@ def evaluate_scores(
 
 
 def evaluate_subgroup(
-    cohort: Sequence[PatientRecord],
+    cohort: Records,
     scores,
     probabilities,
-    predicate: Callable[[PatientRecord], bool],
+    mask,
     label: Optional[str] = None,
 ) -> EvaluationReport:
-    """Metrics recomputed on the filtered records, without any refitting.
+    """Metrics recomputed on the records selected by the boolean ``mask``,
+    without any refitting.
 
-    ``scores`` and ``probabilities`` must align with ``cohort``; probabilities
-    are reused as-is, so the report's Platt field is empty.
+    ``scores``, ``probabilities`` and ``mask`` must align with ``cohort``;
+    probabilities are reused as-is, so the report's Platt field is empty.
     """
+    outcomes = Cohort.from_records(cohort).outcomes
     s = np.asarray(scores, dtype=float)
     p = np.asarray(probabilities, dtype=float)
-    if len(cohort) != s.size or p.size != s.size:
-        raise ValidationError("cohort, scores, and probabilities must align")
-    mask = np.array([bool(predicate(r)) for r in cohort])
+    mask = np.asarray(mask, dtype=bool)
+    if not (outcomes.size == s.size == p.size == mask.size):
+        raise ValidationError("cohort, scores, probabilities and mask must align")
     if not mask.any():
         raise ValidationError("subgroup is empty")
-    y = np.array([r.outcome for r in cohort])[mask]
+    y = outcomes[mask]
     if not (np.any(y == 1) and np.any(y == -1)):
         raise ValidationError("subgroup contains a single outcome class")
     return evaluate_scores(
@@ -424,7 +419,7 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
 
 def cross_validate(
     design: CohortDesign, config: OptimizerConfig, folds="loo", seed: int = 0
-) -> tuple[EvaluationReport, tuple[ScoredRow, ...]]:
+) -> tuple[EvaluationReport, ScoreColumns]:
     """Fit on each training split, score its held-out records, pool.
 
     ``design`` lays out the whole cohort; every split is a row slice of it
@@ -440,6 +435,8 @@ def cross_validate(
     single-record test splits make fold metrics undefined.  Logs one warning
     when any fold fit stopped at the iteration cap.
 
+    Returns the report and the held-out columns in record order, as
+    ``save_scores`` takes them: ids, fold, score, probability and label.
     Deterministic given (design, config, folds, seed); ``seed`` must be
     non-negative.
     """
@@ -498,14 +495,4 @@ def cross_validate(
         platt=pooled_platt,
         folds=tuple(fold_rows),
     )
-    rows = tuple(
-        ScoredRow(
-            id=row_id,
-            fold=int(fold_of[i]),
-            score=float(scores[i]),
-            probability=float(probs[i]),
-            label=int(labels[i]),
-        )
-        for i, row_id in enumerate(design.ids)
-    )
-    return report, rows
+    return report, (design.ids, fold_of, scores, probs, labels)

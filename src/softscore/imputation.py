@@ -11,21 +11,23 @@ column order.  Donors are searched only for records with a missing cell, in
 row blocks of at most ``_BLOCK_BYTES`` (512 KB) of distances, so memory stays
 O(n * m) plus one block for n records and m variables; each cell takes its k
 donors from a k-smallest selection, not a full sort of the n distances.
-``knn_distances`` is the public n x n reference for those distances, built
-from the same blocks.  Every imputed value is computed from the original (not
-already-imputed) cohort, so a second pass is a no-op.
+``impute`` fills a cohort's (n, m) value matrix and returns a new `Cohort`
+with the same ids, ages, outcomes and variables.  ``knn_distances`` is the
+public n x n reference for those distances, built from the same blocks.
+Every imputed value is computed from the original (not already-imputed)
+cohort, so a second pass is a no-op.
 """
 from __future__ import annotations
 
 import logging
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import PatientRecord, ScoreDefinition
+from .model import Cohort, Records, ScoreDefinition
 from .optimizer import _number
 
 logger = logging.getLogger("softscore")
@@ -89,28 +91,17 @@ class ImputationMethod:
         return cls(NORMAL, normal_values=table)
 
 
-def _cohort_matrix(cohort: Sequence[PatientRecord]):
-    """Variable names, every name in order of first appearance, and the n x m
-    value matrix, NaN where missing."""
-    variables = list(dict.fromkeys(name for r in cohort for name in r.values))
-    rows = [list(map(r.values.get, variables)) for r in cohort]
-    # None (missing or absent) becomes NaN
-    X = np.array(rows, dtype=float)
-    return variables, X
-
-
-def impute(
-    cohort: Sequence[PatientRecord], method: ImputationMethod
-) -> list[PatientRecord]:
+def impute(cohort: Records, method: ImputationMethod) -> Cohort:
     """Return a copy of the cohort with every missing value filled in.
 
     Deterministic; neighbor ties break on the earlier record.  Raises if a
     variable is observed nowhere, or if kNN is asked for more neighbors than
     records exist to supply (k > n - 1).
     """
-    if not cohort:
+    cohort = Cohort.from_records(cohort)
+    if not len(cohort):
         raise ValidationError("cohort is empty")
-    variables, X = _cohort_matrix(cohort)
+    variables, X = cohort.variables, cohort.values
     observed = ~np.isnan(X)
     n = len(cohort)
 
@@ -135,16 +126,7 @@ def impute(
             filled = np.where(observed, X, mu)
         else:
             filled = _fill_knn(X, observed, mu, Z, method.k)
-
-    return [
-        PatientRecord(
-            id=r.id,
-            age_months=r.age_months,
-            outcome=r.outcome,
-            values=dict(zip(variables, row)),
-        )
-        for r, row in zip(cohort, filled.tolist())
-    ]
+    return Cohort(cohort.ids, cohort.ages, cohort.outcomes, variables, filled)
 
 
 def _standardized(X, observed):

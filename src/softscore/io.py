@@ -5,12 +5,16 @@ produce byte-identical files.  Schemas are strict: unknown keys are rejected
 with the offending key named, and so is a value of the wrong type; every
 ``load_*`` error names the file.  The cohort CSV has the fixed header columns
 ``id,age_months,outcome`` followed by one column per raw variable; an empty
-cell means MISSING and outcomes are -1 or 1.
+cell means MISSING and outcomes are -1 or 1.  Cohorts are read into and
+written from the columns of a `Cohort`, ``_BLOCK_ROWS`` rows at a time, so no
+object is built per record; the scores CSV is written the same way from five
+parallel columns.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -19,15 +23,17 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .evaluation import EvaluationReport, ScoredRow
+from .evaluation import EvaluationReport
 from .model import (
     AgeBand,
     BinaryFeature,
+    Cohort,
     FeatureStep,
-    PatientRecord,
     RawVariable,
+    Records,
     ScoreDefinition,
     ScoreParameters,
+    _record_problem,
 )
 from .optimizer import FitTrace, OptimizerConfig, _number
 from .synthetic import GeneratorConfig, ValueDistribution
@@ -269,17 +275,38 @@ def save_score_definition(path, definition: ScoreDefinition):
 
 COHORT_FIXED = ("id", "age_months", "outcome")
 
+# Rows a cohort reader or writer holds at once, as strings: 2,048 rows of
+# the adult preset are about 210 KB of CSV.
+_BLOCK_ROWS = 2048
 
-def save_cohort(path, cohort: Sequence[PatientRecord], variables: Sequence[str]):
+# Ages are held as int64.
+_MAX_AGE = np.iinfo(np.int64).max
+
+
+def save_cohort(path, cohort: Records, variables: Sequence[str]):
+    """Write the cohort's columns ``variables``, in that order, one row per
+    record; a variable the cohort has no column for is written missing."""
+    cohort = Cohort.from_records(cohort)
+    n = len(cohort)
+    columns = [cohort.column(name) for name in variables]
+    missing = np.full(n, np.nan)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(COHORT_FIXED) + list(variables))
-        for r in cohort:
-            row = [r.id, r.age_months, r.outcome]
-            for name in variables:
-                v = r.value(name)
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            cells = [
+                ["" if x != x else repr(x) for x in column[block].tolist()]
+                for column in (missing if c is None else c for c in columns)
+            ]
+            writer.writerows(
+                zip(
+                    cohort.ids[block],
+                    cohort.ages[block].tolist(),
+                    cohort.outcomes[block].tolist(),
+                    *cells,
+                )
+            )
 
 
 def _csv_rows(path, fh):
@@ -296,8 +323,61 @@ def _csv_rows(path, fh):
         raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
 
 
-def load_cohort(path) -> list[PatientRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _row_problem(row, variables) -> Optional[str]:
+    """What is wrong with one cohort CSV row, or None.  Checks run in this
+    order, the first failure named: the cell count, age and outcome as
+    integers, each value cell left to right as a finite float (empty is
+    missing), then outcome and age as `PatientRecord` checks them."""
+    width = len(COHORT_FIXED) + len(variables)
+    if len(row) != width:
+        return f"expected {width} cells, got {len(row)}"
+    try:
+        age = int(row[1])
+        outcome = int(row[2])
+    except ValueError:
+        return "age and outcome must be integers"
+    for name, cell in zip(variables, row[3:]):
+        if cell != "":
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan  # rejected with nan, inf and -inf
+            if not math.isfinite(value):
+                return f"bad number {cell!r} for {name}"
+    problem = _record_problem(row[0], age, outcome)
+    if problem is None and age > _MAX_AGE:
+        problem = f"record {row[0]!r}: age {age} months is too large"
+    return problem
+
+
+def _parse_block(rows, width):
+    """One block of cohort CSV rows as (ids, ages, outcomes, values).
+    Raises ValueError or OverflowError if any row has a fault, which
+    `_row_problem` then names."""
+    if any(len(row) != width for row in rows):
+        raise ValueError("cell count")
+    n = len(rows)
+    ages = np.fromiter(map(int, [row[1] for row in rows]), np.int64, n)
+    outcomes = np.fromiter(map(int, [row[2] for row in rows]), np.int64, n)
+    cells = [cell for row in rows for cell in row[3:]]
+    values = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
+    # a NaN must come from an empty cell, never from the text of one
+    if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != cells.count(""):
+        raise ValueError("non-finite cell")
+    if ((outcomes != 1) & (outcomes != -1) | (ages < 0)).any():
+        raise ValueError("outcome or age")
+    return [row[0] for row in rows], ages, outcomes, values.reshape(n, width - 3)
+
+
+def load_cohort(path) -> Cohort:
+    """Read a cohort CSV into a `Cohort`, ``_BLOCK_ROWS`` rows at a time.
+
+    A UTF-8 byte-order mark before the header is skipped.  Every error names
+    the path and the physical line its record starts on; the earliest faulty
+    line wins, and within a line the checks run in `_row_problem`'s order.
+    Duplicate ids are checked last, once every row has passed.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _csv_rows(path, fh)
         try:
             _, header = next(reader)
@@ -310,63 +390,53 @@ def load_cohort(path) -> list[PatientRecord]:
         variables = header[3:]
         if len(set(variables)) != len(variables):
             raise ValidationError(f"{path}: duplicate variable columns")
-        records = []
-        lines = []  # the line each record starts on
-        for line_no, row in reader:
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
+        ids, ages, outcomes, values, lines = [], [], [], [], []
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            block_lines, rows = zip(*block)
             try:
-                age = int(row[1])
-                outcome = int(row[2])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: age and outcome must be integers"
-                ) from None
-            values = {}
-            for name, cell in zip(variables, row[3:]):
-                if cell == "":
-                    values[name] = None
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan  # rejected with nan, inf and -inf
-                    if not math.isfinite(value):
-                        raise ValidationError(
-                            f"{path}:{line_no}: bad number {cell!r} for {name}"
-                        )
-                    values[name] = value
-            try:
-                records.append(
-                    PatientRecord(
-                        id=row[0], age_months=age, outcome=outcome, values=values
-                    )
+                block_ids, block_ages, block_outcomes, block_values = _parse_block(
+                    rows, len(header)
                 )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from None
-            lines.append(line_no)
-    if not records:
+            except (ValueError, OverflowError):
+                for line_no, row in block:
+                    problem = _row_problem(row, variables)
+                    if problem is not None:
+                        raise ValidationError(f"{path}:{line_no}: {problem}") from None
+                raise
+            ids += block_ids
+            ages.append(block_ages)
+            outcomes.append(block_outcomes)
+            values.append(block_values)
+            lines.append(np.array(block_lines))
+    if not ids:
         raise ValidationError(f"{path}: cohort has no records")
-    if len({r.id for r in records}) < len(records):
+    if len(set(ids)) < len(ids):
         first_line: dict[str, int] = {}  # record id -> first line holding it
-        for line_no, r in zip(lines, records):
-            first = first_line.setdefault(r.id, line_no)
+        for line_no, record_id in zip(np.concatenate(lines).tolist(), ids):
+            first = first_line.setdefault(record_id, line_no)
             if first != line_no:
                 raise ValidationError(
-                    f"{path}:{line_no}: duplicate record id {r.id!r} "
+                    f"{path}:{line_no}: duplicate record id {record_id!r} "
                     f"(first on line {first})"
                 )
-    return records
+    return Cohort(
+        ids,
+        np.concatenate(ages),
+        np.concatenate(outcomes),
+        variables,
+        np.concatenate(values),
+    )
 
 
-def save_truth(path, cohort: Sequence[PatientRecord], probabilities):
+def save_truth(path, cohort: Records, probabilities):
+    ids = Cohort.from_records(cohort).ids
+    p = np.asarray(probabilities, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "true_probability"])
-        for r, p in zip(cohort, probabilities):
-            writer.writerow([r.id, repr(float(p))])
+        for start in range(0, len(ids), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            writer.writerows(zip(ids[block], map(repr, p[block].tolist())))
 
 
 # ----------------------------------------------------------------------
@@ -653,11 +723,29 @@ def save_report(path, report: EvaluationReport):
     _dump_json(path, report_to_dict(report))
 
 
-def save_scores(path, rows: Sequence[ScoredRow]):
+def save_scores(path, ids, folds, scores, probabilities, labels):
+    """Write one row per record from five parallel columns: id, fold, score,
+    probability and label."""
+    columns = (
+        np.asarray(folds, dtype=np.int64),
+        np.asarray(scores, dtype=float),
+        np.asarray(probabilities, dtype=float),
+        np.asarray(labels, dtype=np.int64),
+    )
+    if any(c.shape != (len(ids),) for c in columns):
+        raise ContractViolation("score columns must be 1-d and equally long")
+    folds, scores, probabilities, labels = columns
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "fold", "score", "probability", "label"])
-        for r in rows:
-            writer.writerow(
-                [r.id, r.fold, repr(r.score), repr(r.probability), r.label]
+        for start in range(0, len(ids), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            writer.writerows(
+                zip(
+                    ids[block],
+                    folds[block].tolist(),
+                    map(repr, scores[block].tolist()),
+                    map(repr, probabilities[block].tolist()),
+                    labels[block].tolist(),
+                )
             )

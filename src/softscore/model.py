@@ -3,16 +3,20 @@
 A score definition lists raw clinical variables, age bands, and an ordered set
 of scoring features.  A step feature turns a continuous variable into a value
 in [0, 1] through a logistic ramp around an age-resolved threshold; a binary
-feature contributes an indicator.  Records become numbers in one place,
-:class:`softscore.design.CohortDesign`, which evaluates both the smooth score
-and the classic table score (`hard_score` here for a single record).
+feature contributes an indicator.  A cohort is held as columns,
+:class:`Cohort`; :class:`PatientRecord` is one record, built on demand from a
+cohort or turned into one by `Cohort.from_records`.
+:class:`softscore.design.CohortDesign` lays a cohort's columns out against a
+definition and evaluates both the smooth score and the classic table score
+(`hard_score` here for a single record).
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -405,12 +409,9 @@ class PatientRecord:
     values: Mapping[str, Optional[float]]
 
     def __post_init__(self):
-        if self.outcome not in (-1, 1):
-            raise ValidationError(
-                f"record {self.id!r}: outcome must be -1 or +1, got {self.outcome!r}"
-            )
-        if self.age_months < 0:
-            raise ValidationError(f"record {self.id!r}: negative age")
+        problem = _record_problem(self.id, self.age_months, self.outcome)
+        if problem is not None:
+            raise ValidationError(problem)
         vals = {}
         for k, v in self.values.items():
             vals[str(k)] = None if v is None else float(v)
@@ -418,6 +419,119 @@ class PatientRecord:
 
     def value(self, variable: str) -> Optional[float]:
         return self.values.get(variable)
+
+
+def _record_problem(record_id, age_months, outcome) -> Optional[str]:
+    """Why a record with this age and outcome is invalid, or None: first an
+    outcome other than -1 or +1, then a negative age."""
+    if outcome not in (-1, 1):
+        return f"record {record_id!r}: outcome must be -1 or +1, got {outcome!r}"
+    if age_months < 0:
+        return f"record {record_id!r}: negative age"
+    return None
+
+
+class Cohort:
+    """A cohort as columns: the one in-memory form every entry point reads.
+
+    ``ids`` is a tuple of the n record ids; ``ages`` (months) and
+    ``outcomes`` (-1 or +1) are (n,) int64 arrays; ``variables`` names the m
+    value columns, and ``values`` is their (n, m) float64 matrix, NaN where
+    missing.  Construction checks the shapes, then outcomes and ages, naming
+    the first bad record as `PatientRecord` does.  An array of the right
+    dtype is kept as given, not copied.  Indexing and iterating yield one
+    `PatientRecord` per record, built on demand.
+    """
+
+    __slots__ = ("ids", "ages", "outcomes", "variables", "values")
+
+    def __init__(self, ids, ages, outcomes, variables, values):
+        self.ids = tuple(ids)
+        self.ages = np.asarray(ages, dtype=np.int64)
+        self.outcomes = np.asarray(outcomes, dtype=np.int64)
+        self.variables = tuple(variables)
+        self.values = np.asarray(values, dtype=np.float64)
+        n, m = len(self.ids), len(self.variables)
+        if len(set(self.variables)) != m:
+            raise ValidationError("cohort variable names must be unique")
+        if (
+            self.ages.shape != (n,)
+            or self.outcomes.shape != (n,)
+            or self.values.shape != (n, m)
+        ):
+            raise ContractViolation(
+                f"cohort columns: expected {n} ids, ages and outcomes and "
+                f"({n}, {m}) values, got {self.ages.shape}, "
+                f"{self.outcomes.shape} and {self.values.shape}"
+            )
+        bad = (self.outcomes != 1) & (self.outcomes != -1) | (self.ages < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                _record_problem(self.ids[i], int(self.ages[i]), int(self.outcomes[i]))
+            )
+
+    @classmethod
+    def from_records(cls, records: "Records") -> "Cohort":
+        """The cohort of ``records`` in their order (a Cohort is returned as
+        is).  Its variables are every value name in order of first
+        appearance; a record that lacks one, or holds None, reads NaN."""
+        if isinstance(records, Cohort):
+            return records
+        variables = tuple(dict.fromkeys(name for r in records for name in r.values))
+        values = np.array(
+            [[r.values.get(name) for name in variables] for r in records], dtype=float
+        )  # None becomes NaN
+        return cls(
+            ids=[r.id for r in records],
+            ages=[r.age_months for r in records],
+            outcomes=[r.outcome for r in records],
+            variables=variables,
+            values=values.reshape(len(records), len(variables)),
+        )
+
+    def column(self, variable: str) -> Optional[np.ndarray]:
+        """The (n,) values of ``variable``, NaN where missing, or None when
+        the cohort has no such column."""
+        if variable not in self.variables:
+            return None
+        return self.values[:, self.variables.index(variable)]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PatientRecord:
+        row = self.values[i].tolist()
+        return PatientRecord(
+            id=self.ids[i],
+            age_months=int(self.ages[i]),
+            outcome=int(self.outcomes[i]),
+            values={
+                name: None if math.isnan(x) else x
+                for name, x in zip(self.variables, row)
+            },
+        )
+
+    def __iter__(self) -> Iterator[PatientRecord]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.variables == other.variables
+            and np.array_equal(self.ages, other.ages)
+            and np.array_equal(self.outcomes, other.outcomes)
+            and np.array_equal(self.values, other.values, equal_nan=True)
+        )
+
+    __hash__ = None
+
+
+# What the entry points accept as a cohort: a Cohort, or records that
+# `Cohort.from_records` turns into one.
+Records = Union[Cohort, Sequence[PatientRecord]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,32 +612,48 @@ def hard_score(record: PatientRecord, definition: ScoreDefinition) -> float:
     return float(hard_scores([record], definition)[0])
 
 
-def validate_cohort(
-    cohort: Sequence[PatientRecord], definition: ScoreDefinition
-) -> list[str]:
+def validate_cohort(cohort: Records, definition: ScoreDefinition) -> list[str]:
     """Warn (never reject) about values outside the physiological range and
-    binary values other than 0/1.  Returns the warning messages, which are
-    also emitted on the package logger.
+    binary values other than 0/1.  Returns those warning messages, in record
+    order and, within a record, in the definition's variable order; they are
+    also emitted on the package logger.  A definition variable without a
+    column in the cohort, which then reads as missing in every record, draws
+    one more logged warning.
     """
-    warnings = []
-    for r in cohort:
-        for v in definition.variables:
-            x = r.value(v.name)
-            if x is None:
-                continue
-            if v.kind == BINARY:
-                if x not in (0.0, 1.0):
-                    warnings.append(
-                        f"record {r.id!r}: {v.name} = {x} is not a 0/1 indicator"
-                    )
-                continue
+    cohort = Cohort.from_records(cohort)
+    checked, bad = [], []
+    for v in definition.variables:
+        x = cohort.column(v.name)
+        if x is None:
+            logger.warning(
+                "variable %r of the score has no column in the cohort; "
+                "every record reads it as missing",
+                v.name,
+            )
+            continue
+        if v.kind == BINARY:
+            wrong = (x != 0.0) & (x != 1.0)
+        else:
             lo, hi = v.physiological_range
-            if not (lo <= x <= hi):
+            wrong = ~((lo <= x) & (x <= hi))
+        checked.append((v, x))
+        bad.append(wrong & ~np.isnan(x))
+    warnings = []
+    if checked:
+        rows, cols = np.nonzero(np.column_stack(bad))
+        for i, k in zip(rows.tolist(), cols.tolist()):
+            v, x = checked[k]
+            record_id, value = cohort.ids[i], float(x[i])
+            if v.kind == BINARY:
                 warnings.append(
-                    f"record {r.id!r}: {v.name} = {x} outside "
+                    f"record {record_id!r}: {v.name} = {value} is not a 0/1 indicator"
+                )
+            else:
+                lo, hi = v.physiological_range
+                warnings.append(
+                    f"record {record_id!r}: {v.name} = {value} outside "
                     f"[{lo}, {hi}] {v.unit}".rstrip()
                 )
     for msg in warnings:
         logger.warning(msg)
     return warnings
-

@@ -12,14 +12,14 @@ and mask, then one outcome uniform per subject.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 import numpy as np
 
 from .design import CohortDesign
 from .errors import ValidationError
-from .model import BINARY, PatientRecord, ScoreDefinition, ScoreParameters
+from .model import BINARY, Cohort, ScoreDefinition, ScoreParameters
 from .numerics import sigmoid
 
 logger = logging.getLogger("softscore")
@@ -144,7 +144,7 @@ class GeneratorConfig:
         return spec[band_label]
 
 
-def generate(config: GeneratorConfig) -> tuple[list[PatientRecord], np.ndarray]:
+def generate(config: GeneratorConfig) -> tuple[Cohort, np.ndarray]:
     """Draw the cohort and return it with the true mortality probabilities.
 
     The truth sidecar holds P(y = +1) given the masked record, which is the
@@ -157,13 +157,14 @@ def generate(config: GeneratorConfig) -> tuple[list[PatientRecord], np.ndarray]:
     cum = np.cumsum([config.age_distribution[lab] for lab in band_labels])
     clamped: dict[str, int] = {}
 
-    provisional: list[PatientRecord] = []
+    ages = np.empty(config.n, dtype=np.int64)
+    values = np.empty((config.n, len(d.variables)))
     for i in range(config.n):
         pick = int(np.searchsorted(cum, rng.random(), side="right"))
         band = d.band_by_label[band_labels[min(pick, len(band_labels) - 1)]]
-        age = int(rng.integers(band.min_age_months, band.max_age_months))
-        values: dict[str, Optional[float]] = {}
-        for v in d.variables:
+        ages[i] = rng.integers(band.min_age_months, band.max_age_months)
+        row = values[i]
+        for j, v in enumerate(d.variables):
             raw = config.distribution_for(v.name, band.label).sample(rng)
             if v.kind != BINARY:
                 lo, hi = v.physiological_range
@@ -171,31 +172,23 @@ def generate(config: GeneratorConfig) -> tuple[list[PatientRecord], np.ndarray]:
                 if bounded != raw:
                     clamped[v.name] = clamped.get(v.name, 0) + 1
                 raw = bounded
-            values[v.name] = raw
-        mask = rng.random(len(d.variables))
-        for u, v in zip(mask, d.variables):
-            if u < config.missing_rate:
-                values[v.name] = None
-        provisional.append(
-            PatientRecord(
-                id=f"sim-{i:06d}", age_months=age, outcome=1, values=values
-            )
-        )
+            row[j] = raw
+        row[rng.random(len(d.variables)) < config.missing_rate] = np.nan
 
     for name, count in sorted(clamped.items()):
         logger.warning(
             "variable %r: %d draws clamped to the physiological range", name, count
         )
 
-    design = CohortDesign(provisional, d)
-    s = design.scores(
+    ids = [f"sim-{i:06d}" for i in range(config.n)]
+    variables = [v.name for v in d.variables]
+    provisional = Cohort(ids, ages, np.ones(config.n, np.int64), variables, values)
+    s = CohortDesign(provisional, d).scores(
         config.true_params.slopes,
         config.true_params.thresholds,
         config.true_params.weights,
     )
     probabilities = sigmoid(config.intercept + s)
-    cohort = []
-    for rec, p in zip(provisional, probabilities):
-        outcome = 1 if rng.random() < p else -1
-        cohort.append(replace(rec, outcome=outcome))
-    return cohort, probabilities
+    # one uniform per subject, in order
+    outcomes = np.where(rng.random(config.n) < probabilities, 1, -1)
+    return Cohort(ids, ages, outcomes, variables, values), probabilities

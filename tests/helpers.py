@@ -2,6 +2,9 @@
 reference computations the tests compare `CohortDesign` against."""
 from __future__ import annotations
 
+import math
+from collections import namedtuple
+
 import numpy as np
 
 from softscore.errors import ValidationError
@@ -164,6 +167,30 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
             PatientRecord(id=f"r{i}", age_months=age, outcome=outcome, values=values)
         )
     return definition, params, cohort
+
+
+def cell_oracle(cell):
+    """A cohort CSV value cell as the loader must read it, one cell at a
+    time: None when empty, else ``float(cell)`` when that parses and is
+    finite; raises ValueError for any other cell."""
+    if cell == "":
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
+
+
+ScoredRow = namedtuple("ScoredRow", "id fold score probability label")
+
+
+def scored_rows(columns):
+    """The held-out columns `cross_validate` returns (ids, fold, score,
+    probability, label), as one row of Python scalars per record."""
+    ids, *arrays = columns
+    return [
+        ScoredRow(i, *row) for i, row in zip(ids, zip(*(a.tolist() for a in arrays)))
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -490,6 +490,23 @@ class TestEvaluate:
         assert report["subgroup"] == "age:child"
         assert 0 < report["pooled"]["n"] < 120
 
+    def test_age_band_filter_is_half_open(self, tmp_path):
+        """``age:child`` keeps ages in [12, 144): the band's lower edge, not its
+        upper one."""
+        run_ok(["presets", "--name", "pediatric_icu", "--out-dir", tmp_path])
+        definition = tmp_path / "pediatric_icu.definition.json"
+        ages = [11, 12, 12, 143, 143, 144, 144, 0]
+        cohort = [
+            rec(f"r{i}", {"gcs_min": 3.0 + i}, age=age, outcome=1 if i % 2 else -1)
+            for i, age in enumerate(ages)
+        ]
+        path = tmp_path / "edges.csv"
+        save_cohort(path, cohort, ["gcs_min"])
+        report = tmp_path / "child.json"
+        run_ok(["evaluate", "--cohort", path, "--score-def", definition,
+                "--out", report, "--filter", "age:child"])
+        assert read_json(report)["pooled"]["n"] == 4
+
     def test_filter_errors(self, ws, tmp_path):
         base = [
             "evaluate",
@@ -510,7 +527,7 @@ class TestEvaluate:
         cohort = load_cohort(ws["cohort"])
         stray = PatientRecord(id="stray", age_months=1300, outcome=-1, values={})
         path = tmp_path / "stray.csv"
-        save_cohort(path, cohort + [stray], list(cohort[0].values))
+        save_cohort(path, list(cohort) + [stray], list(cohort[0].values))
         for fitted in ((), ("--fitted", ws["fitted"])):
             result = run_fail(
                 [
@@ -605,6 +622,70 @@ def _nan_single_step_threshold(definition):
     variables = [f["variable"] for f in steps]
     step = next(f for f in steps if variables.count(f["variable"]) == 1)
     step["thresholds"] = {lab: math.nan for lab in step["thresholds"]}
+
+
+class TestMissingColumn:
+    def test_a_score_variable_without_a_column_is_warned_and_reads_missing(
+        self, ws, tmp_path, caplog
+    ):
+        """A misspelt header column makes its variable missing in every record:
+        ``evaluate`` warns once, naming it, and writes what it writes for that
+        column left empty."""
+        with open(ws["cohort"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("lactate_max")
+        misspelt, emptied = tmp_path / "misspelt.csv", tmp_path / "emptied.csv"
+        with open(misspelt, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([rows[0][:col] + ["lactate_mx"] + rows[0][col + 1:]]
+                                     + rows[1:])
+        with open(emptied, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + [r[:col] + [""] + r[col + 1:]
+                                                  for r in rows[1:]])
+        outputs = []
+        for cohort in (misspelt, emptied):
+            caplog.clear()
+            report, scores = tmp_path / f"{cohort.stem}.json", tmp_path / f"{cohort.stem}.csv.out"
+            with caplog.at_level(logging.WARNING, logger="softscore"):
+                run_ok(["evaluate", "--cohort", cohort, "--score-def", ws["definition"],
+                        "--fitted", ws["fitted"], "--out", report, "--scores", scores])
+            warned = [r.getMessage() for r in caplog.records
+                      if "no column" in r.getMessage()]
+            outputs.append(((report.read_bytes(), scores.read_bytes()), warned))
+        (files_misspelt, warned_misspelt), (files_emptied, warned_emptied) = outputs
+        assert warned_misspelt == [
+            "variable 'lactate_max' of the score has no column in the cohort; "
+            "every record reads it as missing"
+        ]
+        assert warned_emptied == []
+        assert files_misspelt == files_emptied
+
+
+class TestNoRecordObjects:
+    def test_commands_build_no_patient_record(self, ws, tmp_path, monkeypatch):
+        """``evaluate``, ``fit``, ``cv`` and kNN ``impute`` run on a cohort's
+        columns from the CSV they read to the files they write."""
+        built = []
+        post_init = PatientRecord.__post_init__
+
+        def counting(record):
+            built.append(record.id)
+            post_init(record)
+
+        monkeypatch.setattr(PatientRecord, "__post_init__", counting)
+        monkeypatch.setattr("softscore.evaluation._available_cores", lambda: 1)
+        common = ["--cohort", ws["cohort"], "--score-def", ws["definition"]]
+        run_ok(["evaluate", *common, "--fitted", ws["fitted"], "--out", tmp_path / "e.json",
+                "--scores", tmp_path / "e.csv", "--filter", "age:all"])
+        run_ok(["evaluate", *common, "--out", tmp_path / "h.json",
+                "--scores", tmp_path / "h.csv"])
+        run_ok(["fit", *common, "--out", tmp_path / "f.json", "--optimize", "a,w"])
+        run_ok(["cv", *common, "--folds", 3, "--optimize", "a", "--out", tmp_path / "cv.json",
+                "--scores", tmp_path / "cv.csv"])
+        run_ok(["impute", "--cohort", ws["cohort"], "--method", "knn",
+                "--out", tmp_path / "i.csv"])
+        assert built == []
+        rec("counted", {})  # the counter sees a record built anywhere
+        assert built == ["counted"]
 
 
 class TestMalformedFiles:

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_definition, random_instance, rec
+from helpers import mixed_definition, random_instance, rec, scored_rows
 from softscore.design import CohortDesign
 from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
     EvaluationReport,
     FoldMetrics,
     RocCurve,
-    ScoredRow,
     brier,
     cross_validate,
     evaluate_scores,
@@ -394,7 +393,7 @@ class TestEvaluateSubgroup:
         cohort, scores, probs = self._cohort_scores()
         y = np.array([r.outcome for r in cohort])
         pooled = evaluate_scores(scores, y, probabilities=probs)
-        sub = evaluate_subgroup(cohort, scores, probs, lambda r: True, label="all")
+        sub = evaluate_subgroup(cohort, scores, probs, np.ones(60, bool), label="all")
         assert sub.auc == pooled.auc
         assert sub.brier == pooled.brier
         assert sub.youden_j == pooled.youden_j
@@ -404,13 +403,13 @@ class TestEvaluateSubgroup:
     def test_empty_subgroup_rejected(self):
         cohort, scores, probs = self._cohort_scores()
         with pytest.raises(ValidationError):
-            evaluate_subgroup(cohort, scores, probs, lambda r: False)
+            evaluate_subgroup(cohort, scores, probs, np.zeros(60, bool))
 
     def test_single_class_subgroup_rejected(self):
         cohort, scores, probs = self._cohort_scores()
-        positives = {r.id for r in cohort if r.outcome == 1}
+        positives = np.array([r.outcome == 1 for r in cohort])
         with pytest.raises(ValidationError):
-            evaluate_subgroup(cohort, scores, probs, lambda r: r.id in positives)
+            evaluate_subgroup(cohort, scores, probs, positives)
 
     def test_disjoint_subgroup_confusions_sum_to_pooled(self):
         cohort, scores, probs = self._cohort_scores()
@@ -474,18 +473,20 @@ class TestCrossValidate:
         self.cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=20)
 
     def test_loo_scores_every_record_once(self):
-        report, rows = cross_validate(
+        report, columns = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
         )
+        rows = scored_rows(columns)
         assert report.n == len(self.cohort)
         assert report.folds == ()  # no per-fold table for leave-one-out
         assert [r.id for r in rows] == [r.id for r in self.cohort]
         assert sorted(r.fold for r in rows) == list(range(len(self.cohort)))
 
     def test_kfold_rows_and_fold_table(self):
-        report, rows = cross_validate(
+        report, columns = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds=4
         )
+        rows = scored_rows(columns)
         assert len(report.folds) == 4
         assert sum(f.n_test for f in report.folds) == len(self.cohort)
         by_fold = {f.fold: f for f in report.folds}
@@ -512,7 +513,8 @@ class TestCrossValidate:
 
     def test_fold_rows_carry_their_fits_convergence(self):
         design = CohortDesign(self.cohort, self.d)
-        report, rows = cross_validate(design, self.cfg, folds=4)
+        report, columns = cross_validate(design, self.cfg, folds=4)
+        rows = scored_rows(columns)
         fold_of = np.array([r.fold for r in rows])
         for row in report.folds:
             _, trace = fit(design.take(np.flatnonzero(fold_of != row.fold)), self.cfg)
@@ -523,13 +525,13 @@ class TestCrossValidate:
             )
 
     def test_rerun_is_identical(self):
-        _, rows1 = cross_validate(
+        _, columns1 = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
         )
-        _, rows2 = cross_validate(
+        _, columns2 = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds="loo"
         )
-        assert rows1 == rows2
+        assert scored_rows(columns1) == scored_rows(columns2)
 
     def test_loo_needs_two_per_class(self):
         lonely = [rec("p", {"lactate_max": 9.0}, outcome=1)] + [
@@ -561,9 +563,10 @@ class TestCrossValidate:
             cross_validate(CohortDesign(lonely, self.d), self.cfg, folds=4)
 
     def test_pooled_auc_uses_held_out_scores(self):
-        report, rows = cross_validate(
+        report, columns = cross_validate(
             CohortDesign(self.cohort, self.d), self.cfg, folds=4
         )
+        rows = scored_rows(columns)
         s = np.array([r.score for r in rows])
         y = np.array([r.label for r in rows])
         _, auc = roc_and_auc(s, y)
@@ -609,7 +612,8 @@ class TestParallelFolds:
             m.setattr(CohortDesign, "__reduce_ex__", no_pickle)
             parallel = self._cv(monkeypatch, 3, design, self.cfg, folds)
         assert multiprocessing.active_children() == []
-        (r1, rows1), (r3, rows3) = serial, parallel
+        (r1, columns1), (r3, columns3) = serial, parallel
+        rows1, rows3 = scored_rows(columns1), scored_rows(columns3)
         assert json.dumps(report_to_dict(r3)) == json.dumps(report_to_dict(r1))
         assert [repr(r) for r in rows3] == [repr(r) for r in rows1]
 
@@ -630,7 +634,8 @@ class TestParallelFolds:
     def test_failing_fold_raises_the_serial_loops_exception(
         self, monkeypatch, design
     ):
-        _, rows = self._cv(monkeypatch, 1, design, self.cfg, 4)
+        _, columns = self._cv(monkeypatch, 1, design, self.cfg, 4)
+        rows = scored_rows(columns)
         # one record of each of folds 1, 2 and 3; with 3 cores folds 1 and 2
         # fail in the two workers and fold 3 in the parent's share
         poisoned = {

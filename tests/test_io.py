@@ -1,18 +1,21 @@
 """File formats: byte-stable JSON, strict schemas, exact float round trips."""
+import codecs
 import csv
 import json
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import banded_definition, mixed_definition, rec
+import softscore.io
+from helpers import banded_definition, cell_oracle, mixed_definition, rec
 from softscore.design import CohortDesign
 from softscore.errors import ValidationError
-from softscore.evaluation import ScoredRow, evaluate_scores
+from softscore.evaluation import evaluate_scores
 from softscore.io import (
     definition_from_dict,
     definition_to_dict,
@@ -49,7 +52,12 @@ from softscore.model import (
     ScoreParameters,
 )
 from softscore.optimizer import KINDS, OptimizerConfig, fit, project_thresholds
-from softscore.presets import PRESETS, demo_generator, pediatric_icu_generator
+from softscore.presets import (
+    PRESETS,
+    demo_generator,
+    pediatric_icu_generator,
+    preset_cohort,
+)
 from softscore.synthetic import generate
 
 
@@ -330,6 +338,72 @@ def test_cohort_csv_round_trips_exactly(cohort_and_names):
         assert repr(b.values) == repr(r.values)
 
 
+# value cells the loader must read exactly as float() does: padded numbers,
+# underscores, overflow, non-finite spellings, non-ASCII digits and text
+_SPECIAL_CELLS = [
+    "", " ", "1_0", "1__0", "_1", "1_", "1e400", "-1e400", "1e-400", "nan",
+    "NaN", "-nan", "inf", "-inf", "+Infinity", "\u0661\u0662", "\u0663.\u0665",
+    "\uff11\uff12", "0x10", "1e", ".", "+.5", "5.", "-0", "1,5", "1 5", "--1",
+    "zebra", "\u00bd",
+]
+_PADDING = st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u2003", "\r\n"])
+_cells = st.one_of(
+    st.sampled_from(_SPECIAL_CELLS),
+    st.tuples(
+        _PADDING,
+        st.one_of(st.sampled_from(_SPECIAL_CELLS), st.floats().map(repr),
+                  st.integers().map(str)),
+        _PADDING,
+    ).map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_cells, min_size=1, max_size=6))
+def test_loader_reads_value_cells_as_the_float_oracle_does(cells):
+    """One record per cell: the loader accepts the file exactly when every
+    cell passes the per-cell oracle, reads the oracle's values, and names the
+    first cell the oracle rejects."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cells.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "age_months", "outcome", "x"])
+            writer.writerows([f"r{i}", 12, 1, cell] for i, cell in enumerate(cells))
+        expected = []
+        for cell in cells:
+            try:
+                expected.append(cell_oracle(cell))
+            except ValueError:
+                with pytest.raises(ValidationError) as info:
+                    load_cohort(path)
+                assert str(info.value).endswith(f": bad number {cell!r} for x")
+                return
+        back = load_cohort(path)
+    got = [None if math.isnan(v) else v for v in back.values[:, 0].tolist()]
+    assert repr(got) == repr(expected)  # floats bit for bit, -0.0 included
+
+
+def test_loading_a_large_cohort_keeps_memory_bounded(tmp_path):
+    """Memory bounded in n: the loader holds one block of rows as strings at a
+    time, and keeps only the ids and the arrays."""
+    cohort, _, _ = preset_cohort("adult_icu", n=20000, seed=1001)
+    path = tmp_path / "large.csv"
+    save_cohort(path, cohort, cohort.variables)
+    load_cohort(path)  # first-use allocations outside the measurement
+    tracemalloc.start()
+    try:
+        loaded = load_cohort(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == cohort
+    assert peak < 10e6
+    assert retained < 4e6
+
+
 @st.composite
 def score_definitions(draw):
     """Valid definitions: age bands tiling [0, 1200), up, down and binary
@@ -484,6 +558,71 @@ class TestCohortCsv:
             ):
                 load_cohort(path)
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = 'id,age_months,outcome,x,y\r\n"a\nb",12,1,0.5,\r\nc,3,-1,,-1e-17\r\n'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_cohort(marked) == load_cohort(plain)
+        assert load_cohort(plain).ids == ("a\nb", "c")
+        bad = text.replace("-1e-17", "zebra")
+        marked.write_bytes(codecs.BOM_UTF8 + bad.encode("utf-8"))
+        with pytest.raises(ValidationError, match=r"bom.csv:4: bad number 'zebra' for y$"):
+            load_cohort(marked)
+
+    # each file's first fault, with the message naming its line; the first
+    # record's quoted id spans lines 2-3, so the records after it start on
+    # lines 4, 5, 6 and 7
+    FAULTS = [
+        ("c,3,-1,1,2\nd,4,1,2\ne,5,-1,zebra,1\n", r"5: expected 5 cells, got 4"),
+        ("c,3,-1,1,2\nd,4,1,2,3\ne,5,-1,1,1\nf,x,1,1,1\n",
+         r"7: age and outcome must be integers"),
+        ("c,3,-1,1,2\nd,4,1,2,3\ne,5,-1,1,nan\n", r"6: bad number 'nan' for y"),
+        ("c,3,0,1,2\nd,4,1,2,3\n", r"4: record 'c': outcome must be -1 or \+1, got 0"),
+        ("c,3,-1,1,2\nd,4,1,2,3\ne,5,-1,1,1\nf,-6,1,1,1\n", r"7: record 'f': negative age"),
+        ("c,3,-1,1,2\nd,4,1,2,3\nc,5,-1,1,1\n",
+         r"6: duplicate record id 'c' \(first on line 4\)"),
+    ]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_row_blocks_change_neither_the_cohort_nor_the_error_lines(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        head = 'id,age_months,outcome,x,y\n"a\nb",12,1,0.5,\n'
+        path = tmp_path / "c.csv"
+        path.write_text(head + "c,3,-1,,1.5\nd,4,1,2,3\ne,5,-1,1,\n", encoding="utf-8")
+        whole = load_cohort(path)
+        assert whole.ids == ("a\nb", "c", "d", "e")
+        monkeypatch.setattr(softscore.io, "_BLOCK_ROWS", block_rows)
+        assert load_cohort(path) == whole
+        for body, message in self.FAULTS:
+            path.write_text(head + body, encoding="utf-8")
+            with pytest.raises(ValidationError, match=f"c.csv:{message}$"):
+                load_cohort(path)
+
+    def test_the_earliest_faulty_line_wins_and_checks_keep_their_order(self, tmp_path):
+        path = tmp_path / "two.csv"
+        head = "id,age_months,outcome,x,y\na,12,1,0.5,\n"
+        cases = [
+            # a late check on an earlier line beats an early one on a later line
+            ("b,-1,1,1,2\nc,3,1,1\n", r"3: record 'b': negative age"),
+            ("b,3,1,1,2\nc,3,1,1\nd,-1,1,1,2\n", r"4: expected 5 cells, got 4"),
+            # within one line: integers, then cells left to right, then
+            # outcome, then age
+            ("b,x,1,zebra,1\n", r"3: age and outcome must be integers"),
+            ("b,3,2,1,inf\n", r"3: bad number 'inf' for y"),
+            ("b,-1,2,zebra,nan\n", r"3: bad number 'zebra' for x"),
+            ("b,-1,2,1,2\n", r"3: record 'b': outcome must be -1 or \+1, got 2"),
+            ("b,99999999999999999999,1,1,2\n",
+             r"3: record 'b': age 99999999999999999999 months is too large"),
+            # duplicate ids are checked once every row has passed
+            ("a,3,1,1,2\nc,3,1,1,zebra\n", r"4: bad number 'zebra' for y"),
+        ]
+        for body, message in cases:
+            path.write_text(head + body, encoding="utf-8")
+            with pytest.raises(ValidationError, match=f"two.csv:{message}$"):
+                load_cohort(path)
+
     def test_truth_sidecar_preserves_probabilities(self, tmp_path):
         cohort, probabilities = generate(demo_generator(n=25))
         path = tmp_path / "truth.csv"
@@ -607,20 +746,22 @@ class TestReportAndScores:
         assert all(c is None or math.isfinite(c) for c in payload["roc"]["cutoff"])
 
     def test_scores_csv_round_trip(self, tmp_path):
-        rows = [
-            ScoredRow("a", 0, 0.1 + 0.2, 0.123456789012345678, 1),
-            ScoredRow("b", 3, -1e-17, 0.5, -1),
-        ]
+        columns = (
+            ("a", "b"),
+            [0, 3],
+            [0.1 + 0.2, -1e-17],
+            [0.123456789012345678, 0.5],
+            [1, -1],
+        )
         path = tmp_path / "scores.csv"
-        save_scores(path, rows)
+        save_scores(path, *columns)
         with open(path, encoding="utf-8", newline="") as fh:
             raw = list(csv.reader(fh))
         assert raw[0] == ["id", "fold", "score", "probability", "label"]
         parsed = [
-            ScoredRow(r[0], int(r[1]), float(r[2]), float(r[3]), int(r[4]))
-            for r in raw[1:]
+            (r[0], int(r[1]), float(r[2]), float(r[3]), int(r[4])) for r in raw[1:]
         ]
-        assert parsed == rows
+        assert parsed == list(zip(*columns))
 
 
 class TestJsonDeterminism:

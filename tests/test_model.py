@@ -2,6 +2,7 @@
 
 Records become numbers only in `CohortDesign`, so the transform tests here
 evaluate one-record cohorts through it."""
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from softscore.model import (
     UP,
     AgeBand,
     BinaryFeature,
+    Cohort,
     FeatureStep,
     PatientRecord,
     RawVariable,
@@ -390,6 +392,89 @@ class TestValidateCohort:
         d = mixed_definition()
         cohort = [rec("r", {"lactate_max": 1e9})]
         assert isinstance(validate_cohort(cohort, d), list)
+
+
+class TestCohort:
+    def test_from_records_and_back(self):
+        records = [
+            rec("a", {"x": 1.5, "y": None}, age=12, outcome=1),
+            rec("b", {"y": -0.0, "z": 2.0}, age=0),
+        ]
+        cohort = Cohort.from_records(records)
+        assert cohort.ids == ("a", "b")
+        assert cohort.variables == ("x", "y", "z")  # order of first appearance
+        assert cohort.ages.tolist() == [12, 0]
+        assert cohort.outcomes.tolist() == [1, -1]
+        assert repr(cohort.values.tolist()) == repr(
+            [[1.5, math.nan, math.nan], [math.nan, -0.0, 2.0]]
+        )
+        assert len(cohort) == 2
+        assert cohort[-1] == rec("b", {"x": None, "y": -0.0, "z": 2.0}, age=0)
+        assert list(cohort) == [
+            rec("a", {"x": 1.5, "y": None, "z": None}, age=12, outcome=1),
+            cohort[1],
+        ]
+        assert Cohort.from_records(cohort) is cohort
+        assert Cohort.from_records(list(cohort)) == cohort
+        assert cohort.column("z").tolist()[1] == 2.0
+        assert cohort.column("w") is None
+
+    def test_an_empty_cohort_has_no_rows(self):
+        cohort = Cohort.from_records([])
+        assert len(cohort) == 0 and cohort.values.shape == (0, 0)
+
+    def test_construction_names_the_first_bad_record(self):
+        ids, variables, values = ("a", "b", "c"), ("x",), np.zeros((3, 1))
+        with pytest.raises(
+            ValidationError, match=r"^record 'b': outcome must be -1 or \+1, got 0$"
+        ):
+            Cohort(ids, [1, 2, -3], [1, 0, 2], variables, values)
+        with pytest.raises(ValidationError, match=r"^record 'c': negative age$"):
+            Cohort(ids, [1, 2, -3], [1, -1, 1], variables, values)
+        with pytest.raises(ContractViolation):
+            Cohort(ids, [1, 2], [1, -1, 1], variables, values)
+        with pytest.raises(ContractViolation):
+            Cohort(ids, [1, 2, 3], [1, -1, 1], ("x", "y"), values)
+        with pytest.raises(ValidationError, match="unique"):
+            Cohort(ids, [1, 2, 3], [1, -1, 1], ("x", "x"), np.zeros((3, 2)))
+
+    def test_equality_compares_every_column(self):
+        def make(**change):
+            columns = dict(ids=("a",), ages=[3], outcomes=[1], variables=("x",),
+                           values=[[math.nan]])
+            columns.update(change)
+            return Cohort(**columns)
+
+        assert make() == make()
+        for change in (dict(ids=("b",)), dict(ages=[4]), dict(outcomes=[-1]),
+                       dict(variables=("y",)), dict(values=[[0.0]])):
+            assert make() != make(**change)
+
+
+class TestValidateCohortColumns:
+    def test_warnings_run_in_record_then_variable_order(self):
+        d = mixed_definition()
+        cohort = [
+            rec("p", {"lactate_max": 40.0, "gcs_min": 2.0, "pupils_fixed": 2.0}),
+            rec("q", {"lactate_max": 1.0, "gcs_min": 16.0, "pupils_fixed": None}),
+        ]
+        assert validate_cohort(cohort, d) == [
+            "record 'p': lactate_max = 40.0 outside [0.0, 30.0] mmol/L",
+            "record 'p': gcs_min = 2.0 outside [3.0, 15.0] points",
+            "record 'p': pupils_fixed = 2.0 is not a 0/1 indicator",
+            "record 'q': gcs_min = 16.0 outside [3.0, 15.0] points",
+        ]
+
+    def test_a_variable_without_a_column_is_logged_once(self, caplog):
+        d = mixed_definition()
+        cohort = [rec("p", {"lactate_max": 40.0}), rec("q", {"lactate_max": 1.0})]
+        with caplog.at_level(logging.WARNING, logger="softscore"):
+            warnings = validate_cohort(cohort, d)
+        assert warnings == ["record 'p': lactate_max = 40.0 outside [0.0, 30.0] mmol/L"]
+        logged = [r.getMessage() for r in caplog.records]
+        for name in ("gcs_min", "pupils_fixed"):
+            assert len([m for m in logged if repr(name) in m]) == 1
+        assert len(logged) == 3
 
 
 class TestHardLimitAgreement:
