@@ -4,8 +4,9 @@ Clinical table scores award points when a measurement crosses a
 threshold.  This package replaces each hard threshold with a logistic
 ramp of trainable steepness, position and weight, so the score becomes a
 differentiable model that can be fitted to outcome data while keeping
-the table's structure (age-banded thresholds, OR-groups, missing-as-zero
-handling) intact.
+the table's age-banded thresholds and missing-as-zero handling.  OR-groups
+are kept by the table score alone, which takes the largest triggered weight
+of each group; the soft score sums the group's members.
 
 Public API highlights:
 

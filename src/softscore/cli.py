@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import logging
 import os
@@ -133,23 +132,6 @@ class _Manifest:
         log.info("wrote manifest %s", path)
 
 
-def _exits(func):
-    """Map package errors to documented exit codes."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except (ValidationError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
-        except NumericError as exc:
-            click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-
-    return wrapper
-
-
 def _optimizer_config(config_path, optimize, definition) -> OptimizerConfig:
     if config_path is not None:
         config = load_optimizer_config(config_path)
@@ -206,28 +188,36 @@ _ARGV_KEY = "softscore.argv"
 
 
 @contextlib.contextmanager
-def _usage_errors_exit_invalid():
-    """Click exits 2 on a usage error; 2 is reserved for numeric failures."""
+def _exit_codes():
+    """The exit codes of every command.  Usage errors (missing, unknown or
+    ill-typed options), invalid inputs and I/O failures exit 1, numeric
+    failures 2; click's own 2 for usage errors would read as numeric."""
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = EXIT_INVALID
         raise
+    except (ValidationError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+    except NumericError as exc:
+        click.echo(f"numeric error: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
 
 
 class _Group(click.Group):
     """Keeps the argument list click parses, so that a manifest records the
-    command's own arguments also when it is invoked in-process, and makes
-    usage errors (missing, unknown or ill-typed options) exit 1."""
+    command's own arguments also when it is invoked in-process, and maps
+    every error to its exit code (`_exit_codes`)."""
 
     def parse_args(self, ctx, args):
         ctx.meta[_ARGV_KEY] = list(args)
-        with _usage_errors_exit_invalid():
+        with _exit_codes():
             return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        # subcommands parse their options here
-        with _usage_errors_exit_invalid():
+        # subcommands parse their options and run here
+        with _exit_codes():
             return super().invoke(ctx)
 
 
@@ -246,7 +236,6 @@ def main():
     type=click.Path(file_okay=False),
     help="Directory for the definition and generator files.",
 )
-@_exits
 def presets_cmd(name, out_dir):
     """Write a preset score definition and its generator config."""
     try:
@@ -273,7 +262,6 @@ def presets_cmd(name, out_dir):
 @click.option("--truth", type=click.Path(), help="Optional true-probability CSV.")
 @click.option("--n", type=int, help="Override the configured cohort size.")
 @click.option("--seed", type=int, help="Override the configured seed.")
-@_exits
 def simulate_cmd(score_def, generator, out, truth, n, seed):
     """Sample a synthetic cohort from a generator config."""
     manifest = _Manifest("simulate")
@@ -293,7 +281,7 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
     save_cohort(out, cohort, [v.name for v in definition.variables])
     manifest.add_output(out)
     if truth is not None:
-        save_truth(truth, cohort, probabilities)
+        save_truth(truth, cohort.ids, probabilities)
         manifest.add_output(truth)
     manifest.write(out)
     positives = int(np.count_nonzero(cohort.outcomes == 1))
@@ -312,7 +300,6 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
     help="Comma-separated parameter kinds to optimize (subset of a,t,w).",
 )
 @click.option("--config", "config_path", type=click.Path())
-@_exits
 def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
     manifest = _Manifest("fit")
@@ -358,7 +345,6 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--scores", "scores_path", type=click.Path())
 @click.option("--filter", "filter_spec", help="Subgroup filter, e.g. age:child.")
-@_exits
 def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_spec):
     """Evaluate soft (fitted) or hard (table) scores on a cohort."""
     manifest = _Manifest("evaluate")
@@ -379,7 +365,9 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
         probabilities = platt_probabilities(scores, *report.platt)
         if filter_spec is not None:
             mask, label = _band_mask(definition, filter_spec, cohort.ages)
-            report = evaluate_subgroup(cohort, scores, probabilities, mask, label)
+            report = evaluate_subgroup(
+                cohort.outcomes, scores, probabilities, mask, label
+            )
     with manifest.stage("write"):
         save_report(out, report)
         manifest.add_output(out)
@@ -413,7 +401,6 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
 @click.option(
     "--seed", default=0, show_default=True, type=int, help="Seed of the fold assignment."
 )
-@_exits
 def cv_cmd(
     cohort_path,
     score_def,
@@ -469,7 +456,6 @@ def cv_cmd(
     help="Required for --method normal (supplies the normal values).",
 )
 @click.option("--out", required=True, type=click.Path())
-@_exits
 def impute_cmd(cohort_path, method, k, score_def, out):
     """Fill missing values and write the completed cohort."""
     manifest = _Manifest("impute")

@@ -146,19 +146,17 @@ class CohortDesign:
                 keys.append(self.definition.features[fi].key)
         return tuple(keys)
 
-    def step_z(
-        self, a: np.ndarray, t: np.ndarray, cols: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Soft step values for the selected slope columns; 0 where missing.
+    def step_z(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Soft step values of every slope column; 0 where missing.
 
         Up-steps give sigmoid(a (x - t)), down-steps 1 minus that value, so
         the two directions sum to exactly 1 for any observed x.
         """
-        block = _StepBlock(self, cols)
-        return block.z(a[block.sel] * block.diff(t))
+        block = _StepBlock(self, None)
+        return block.z(a * block.diff(t))
 
-    def step_diff(self, t: np.ndarray, cols: Optional[np.ndarray] = None) -> np.ndarray:
-        """x - t with zeros where missing, for the selected columns."""
+    def step_diff(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """x - t with zeros where missing, for the slope columns ``cols``."""
         return _StepBlock(self, cols).diff(t)
 
     def scores(self, a: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -178,23 +176,11 @@ class CohortDesign:
             raise ValidationError("parameters belong to a different score definition")
         return self.scores(params.slopes, params.thresholds, params.weights)
 
-    def z_matrix(
-        self, a: np.ndarray, t: np.ndarray, fcols: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Feature matrix z: the columns of the weight indices ``fcols`` in
-        that order, or all (n, n_weights) columns in definition order."""
-        d = self.definition
-        if fcols is None:
-            fcols = range(d.n_weights)
-        Z = np.empty((self.n, len(fcols)))
-        step_pos = [p for p, fi in enumerate(fcols) if fi in d.slope_index]
-        if step_pos:
-            cols = np.array([d.slope_index[fcols[p]] for p in step_pos])
-            Z[:, step_pos] = self.step_z(a, t, cols)
-        bin_pos = [p for p, fi in enumerate(fcols) if fi not in d.slope_index]
-        if bin_pos:
-            bcols = [d.binary_feature_indices.index(fcols[p]) for p in bin_pos]
-            Z[:, bin_pos] = self.bin_z[:, bcols]
+    def z_matrix(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Feature matrix z: all (n, n_weights) columns in definition order."""
+        Z = np.empty((self.n, self.definition.n_weights))
+        Z[:, self.step_wcol] = self.step_z(a, t)
+        Z[:, self.bin_wcol] = self.bin_z
         return Z
 
     def nll_of_scores(self, s: np.ndarray) -> float:

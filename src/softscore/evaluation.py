@@ -19,7 +19,6 @@ import numpy as np
 
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
-from .model import Cohort, Records
 from .numerics import logistic_newton, sigmoid
 from .optimizer import OptimizerConfig, fit
 
@@ -56,8 +55,7 @@ class FoldMetrics:
     prec_rec_balance: Optional[float]
     prec_rec_cutoff: Optional[float]
     brier: float
-    platt_a: float
-    platt_b: float
+    platt: tuple[float, float]
     outer_iterations: int
     converged_reason: str
     stall_count: int
@@ -161,12 +159,7 @@ def _cutoff_metrics(
 
 def brier(probabilities, labels) -> float:
     """Mean squared error between probabilities and 0/1 outcomes."""
-    p = np.asarray(probabilities, dtype=float)
-    _, y = _check_scores_labels(
-        np.zeros_like(p), labels, require_both_classes=False
-    )
-    if p.shape != y.shape:
-        raise ValidationError("probabilities and labels must be equally long")
+    p, y = _check_scores_labels(probabilities, labels, require_both_classes=False)
     if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
         raise ValidationError("probabilities must lie in [0, 1]")
     c = (y + 1) / 2.0
@@ -242,7 +235,7 @@ def evaluate_scores(
 
 
 def evaluate_subgroup(
-    cohort: Records,
+    labels,
     scores,
     probabilities,
     mask,
@@ -251,15 +244,15 @@ def evaluate_subgroup(
     """Metrics recomputed on the records selected by the boolean ``mask``,
     without any refitting.
 
-    ``scores``, ``probabilities`` and ``mask`` must align with ``cohort``;
+    ``labels``, ``scores``, ``probabilities`` and ``mask`` must align;
     probabilities are reused as-is, so the report's Platt field is empty.
     """
-    outcomes = Cohort.from_records(cohort).outcomes
+    outcomes = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
     p = np.asarray(probabilities, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if not (outcomes.size == s.size == p.size == mask.size):
-        raise ValidationError("cohort, scores, probabilities and mask must align")
+        raise ValidationError("labels, scores, probabilities and mask must align")
     if not mask.any():
         raise ValidationError("subgroup is empty")
     y = outcomes[mask]
@@ -317,8 +310,7 @@ class _FoldFit(NamedTuple):
     """What one fold contributes: the Platt pair fitted on its training
     split, its held-out scores, and the summary of its fit's trace."""
 
-    a: float
-    b: float
+    platt: tuple[float, float]
     s_test: np.ndarray
     stopped_at_cap: bool
     outer_iterations: int
@@ -330,11 +322,10 @@ def _fit_fold(design: CohortDesign, config, assignment, f: int) -> _FoldFit:
     """Fit fold ``f``'s training split, Platt-scale it, score its test rows."""
     train = design.take(np.flatnonzero(assignment != f))
     params, trace = fit(train, config)
-    a, b = platt_scale(train.scores_for(params), train.y.astype(int))
+    platt = platt_scale(train.scores_for(params), train.y.astype(int))
     s_test = design.take(np.flatnonzero(assignment == f)).scores_for(params)
     return _FoldFit(
-        a,
-        b,
+        platt,
         s_test,
         trace.stopped_at_cap,
         trace.outer_iterations,
@@ -452,7 +443,7 @@ def cross_validate(
     for f, fold_fit in enumerate(fits):
         idx = np.flatnonzero(assignment == f)
         s_test = fold_fit.s_test
-        p_test = platt_probabilities(s_test, fold_fit.a, fold_fit.b)
+        p_test = platt_probabilities(s_test, *fold_fit.platt)
         scores[idx] = s_test
         probs[idx] = p_test
         fold_of[idx] = f
@@ -476,8 +467,7 @@ def cross_validate(
                 prec_rec_balance=pr,
                 prec_rec_cutoff=pr_cut,
                 brier=brier(p_test, y_test),
-                platt_a=fold_fit.a,
-                platt_b=fold_fit.b,
+                platt=fold_fit.platt,
                 outer_iterations=fold_fit.outer_iterations,
                 converged_reason=fold_fit.converged_reason,
                 stall_count=fold_fit.stall_count,

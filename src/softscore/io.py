@@ -428,8 +428,7 @@ def load_cohort(path) -> Cohort:
     )
 
 
-def save_truth(path, cohort: Records, probabilities):
-    ids = Cohort.from_records(cohort).ids
+def save_truth(path, ids, probabilities):
     p = np.asarray(probabilities, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -678,7 +677,7 @@ def _json_column(values: np.ndarray) -> list:
     return column
 
 
-def _metric_block(m, platt: Optional[tuple[float, float]]) -> dict:
+def _metric_block(m) -> dict:
     """The metrics shared by the pooled report and every fold row."""
     return {
         "auc": m.auc,
@@ -688,7 +687,7 @@ def _metric_block(m, platt: Optional[tuple[float, float]]) -> dict:
             "cutoff": _json_float(m.prec_rec_cutoff),
         },
         "brier": m.brier,
-        "platt": None if platt is None else {"a": platt[0], "b": platt[1]},
+        "platt": None if m.platt is None else {"a": m.platt[0], "b": m.platt[1]},
     }
 
 
@@ -697,14 +696,14 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "n": report.n,
         "n_positive": report.n_positive,
         "prevalence": report.prevalence,
-        **_metric_block(report, report.platt),
+        **_metric_block(report),
     }
     folds = [
         {
             "fold": f.fold,
             "n_test": f.n_test,
             "n_positive": f.n_positive,
-            **_metric_block(f, (f.platt_a, f.platt_b)),
+            **_metric_block(f),
             "outer_iterations": f.outer_iterations,
             "converged_reason": f.converged_reason,
             "stall_count": f.stall_count,

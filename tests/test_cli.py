@@ -1041,6 +1041,69 @@ class TestUsageErrors:
             assert read_json(tmp_path / f"{out.name}.manifest.json")["seed"] == expected
 
 
+def _command_args(ws, command, out):
+    """Arguments that run ``command`` on the shared workspace, writing ``out``."""
+    cohort = ["--cohort", ws["cohort"], "--score-def", ws["definition"]]
+    return {
+        "presets": ["presets", "--name", "demo", "--out-dir", out],
+        "simulate": ["simulate", "--score-def", ws["definition"],
+                     "--generator", ws["generator"], "--n", 20],
+        "fit": ["fit", *cohort, "--optimize", "w"],
+        "evaluate": ["evaluate", *cohort, "--fitted", ws["fitted"]],
+        "cv": ["cv", *cohort, "--folds", 3, "--optimize", "w"],
+        "impute": ["impute", "--cohort", ws["cohort"], "--method", "mean"],
+    }[command] + ([] if command == "presets" else ["--out", out])
+
+
+class TestExitCodes:
+    """Invalid inputs and I/O failures exit 1, numeric failures 2, each with
+    one error line on stderr and no traceback, whatever the command."""
+
+    @staticmethod
+    def _fails_cleanly(args, code, prefix):
+        result = run_fail(args, code)
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(prefix)
+        assert "Traceback" not in result.output
+        return result
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "cv", "impute"])
+    def test_missing_cohort_file_exits_one_naming_it(self, ws, tmp_path, command):
+        missing = tmp_path / "no-such-cohort.csv"
+        args = _command_args(ws, command, tmp_path / "out")
+        args[args.index("--cohort") + 1] = missing
+        result = self._fails_cleanly(args, 1, "error: ")
+        assert str(missing) in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["presets", "simulate", "fit", "evaluate", "cv", "impute"]
+    )
+    def test_unwritable_output_exits_one(self, ws, tmp_path, command):
+        if command == "presets":
+            (tmp_path / "a-file").write_text("", encoding="utf-8")
+            out = tmp_path / "a-file" / "presets"
+        else:
+            out = tmp_path / "no-such-dir" / "out"
+        self._fails_cleanly(_command_args(ws, command, out), 1, "error: ")
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("evaluate", "evaluate_scores"), ("cv", "cross_validate")],
+    )
+    def test_numeric_failure_exits_two(self, ws, tmp_path, monkeypatch, command, target):
+        def blow_up(*args, **kwargs):
+            raise NumericError("Platt scaling did not converge")
+
+        monkeypatch.setattr(f"softscore.cli.{target}", blow_up)
+        out = tmp_path / "out.json"
+        result = self._fails_cleanly(
+            _command_args(ws, command, out), 2, "numeric error: "
+        )
+        assert "numeric error: Platt scaling did not converge" in result.stderr
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_version_flag(self):
         result = run_ok(["--version"])
@@ -1050,3 +1113,95 @@ class TestTopLevel:
         result = run_ok(["--help"])
         for command in ("presets", "simulate", "fit", "evaluate", "cv", "impute"):
             assert command in result.output
+
+
+class TestOutputDigests:
+    """Every non-manifest output of a small end-to-end sequence, pinned by its
+    SHA-256: the three presets, a simulated ``pediatric_icu`` cohort with its
+    truth, a capped a,t,w fit, soft, hard and filtered evaluates, a 3-fold cv,
+    and the three imputations.  Reruns matching each other cannot show bits
+    that drift; these digests can.  A change that alters an output on purpose
+    re-pins the digest here and says so in CHANGES.md."""
+
+    DIGESTS = {
+        "adult_icu.definition.json":
+            "e00e5cbcb8e67f7f78db2305c3a18a8748fd7edef230571b95daef4e717ff0c2",
+        "adult_icu.generator.json":
+            "0dd7412c69098999441d574da4f9255968f7c9fdebdbe55ef86ce522af819d2d",
+        "cohort.csv":
+            "17d8c100881450e44d2f00ec7f8d05aa6517f880a44b7efd800427cd1a6e56ac",
+        "cv.csv":
+            "06b0c43f3ec9f595786f1900b9ee128d61dbd1d1c569c30bfac472bab59b7733",
+        "cv.json":
+            "6def12f0cea5356cdf57a4411d327bd0e70074f91a4f8aad2ce6fb6098140568",
+        "demo.definition.json":
+            "9e9cf2ba69d947844b09c050fb8a57469b810e341aa3ac75d37f8fe46c2237f9",
+        "demo.generator.json":
+            "a5940fbef133d91f6a2879bd14a47d907b82d4200d5982cee90a9582326232dd",
+        "fitted.json":
+            "7d0390a0e4a00dc7121bfe993d65bf6676085cd3cb6f3fc8de36dacb03ce5640",
+        "hard-infant.csv":
+            "59709eb6d9590d047f11578ca6d8174c808bdc6062ede150cc1ebeaff88e7915",
+        "hard-infant.json":
+            "d3c4b3ae69241346bb9c6a2816fcd73bee8dc0ffc490868a492c1b0f76e01627",
+        "hard.csv":
+            "59709eb6d9590d047f11578ca6d8174c808bdc6062ede150cc1ebeaff88e7915",
+        "hard.json":
+            "27f261299348aa192f43af9dc92c22eb01fde2b4418df613a70fd062a1fd538a",
+        "knn.csv":
+            "1bb91c43cfd9a2c1252e239868866a536f3d529c3cf952dc1737745c2ffdf26b",
+        "mean.csv":
+            "a8457295cfedbf2d7c7dd76db6ee66134ed0efc455c3e67796a9b79d335be78e",
+        "normal.csv":
+            "a29bcf6d8aa23cfdfe2f951baeac8d6360291a31370daaac3987dedcbef1ea24",
+        "pediatric_icu.definition.json":
+            "043def50b577239d33c580bb8e0cd81cd6bfbae849e4cbc43ded8423d54b1ffe",
+        "pediatric_icu.generator.json":
+            "94ddc2d65aff2f4f77761d92b621e2bc6d8ba862168422cdc83b6e32ba52bd50",
+        "soft-child.csv":
+            "f6e33d39030b525e36d588e0acc30b8c0ac5c3d0f52e53eb6fec322964a053c7",
+        "soft-child.json":
+            "709e4f5d260ff3c1402bf3cf2e1cf3dc4050d1b34dbfbcb74a601f38b9231bbc",
+        "soft.csv":
+            "f6e33d39030b525e36d588e0acc30b8c0ac5c3d0f52e53eb6fec322964a053c7",
+        "soft.json":
+            "6814d8206deaae7195a5129b645b5a1413dcae3c31d677ef1063732bd5c5668f",
+        "truth.csv":
+            "8a558dd80e200c318336a777696ad82a63db7dfec4c5af0d8e4f732b3aebf8da",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        d = tmp_path
+        for name in ("demo", "pediatric_icu", "adult_icu"):
+            run_ok(["presets", "--name", name, "--out-dir", d])
+        definition = d / "pediatric_icu.definition.json"
+        (d / "config.json").write_text(
+            json.dumps({"optimize_over": ["a", "t", "w"], "max_outer_iters": 3}),
+            encoding="utf-8",
+        )
+        data = ["--cohort", d / "cohort.csv", "--score-def", definition]
+        run_ok(["simulate", "--score-def", definition,
+                "--generator", d / "pediatric_icu.generator.json",
+                "--out", d / "cohort.csv", "--truth", d / "truth.csv",
+                "--n", 120, "--seed", 11])
+        run_ok(["fit", *data, "--out", d / "fitted.json",
+                "--config", d / "config.json"])
+        for name, extra in [
+            ("soft", ["--fitted", d / "fitted.json"]),
+            ("hard", []),
+            ("soft-child", ["--fitted", d / "fitted.json", "--filter", "age:child"]),
+            ("hard-infant", ["--filter", "age:infant"]),
+        ]:
+            run_ok(["evaluate", *data, *extra, "--out", d / f"{name}.json",
+                    "--scores", d / f"{name}.csv"])
+        run_ok(["cv", *data, "--folds", 3, "--seed", 1, "--config",
+                d / "config.json", "--out", d / "cv.json", "--scores", d / "cv.csv"])
+        for method in ("knn", "mean", "normal"):
+            run_ok(["impute", "--cohort", d / "cohort.csv", "--method", method,
+                    "--score-def", definition, "--out", d / f"{method}.csv"])
+        digests = {
+            p.name: sha256(p)
+            for p in sorted(d.iterdir())
+            if not p.name.endswith(".manifest.json") and p.name != "config.json"
+        }
+        assert digests == self.DIGESTS

@@ -51,18 +51,6 @@ class TestCohortDesign:
                     Z[i], reference_z(r, d, p), rtol=0, atol=1e-12
                 )
 
-    def test_z_matrix_selects_weight_columns_in_the_given_order(self):
-        rng = np.random.default_rng(39)
-        for _ in range(20):
-            d, p, cohort = random_instance(rng, or_groups=True)
-            design = CohortDesign(cohort, d)
-            full = design.z_matrix(p.slopes, p.thresholds)
-            k = int(rng.integers(1, d.n_weights + 1))
-            fcols = rng.permutation(d.n_weights)[:k]
-            np.testing.assert_array_equal(
-                design.z_matrix(p.slopes, p.thresholds, fcols), full[:, fcols]
-            )
-
     def test_age_bands_resolve_by_age(self):
         d = banded_definition()  # bands young [0, 120) and old [120, 1200)
         cohort = [rec("a", {}, age=12), rec("b", {"hr_max": 99.0}, age=120)]
@@ -288,11 +276,11 @@ def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max
         a_try = a.copy()
         a_try[cols] = rng.uniform(0.0, max_slope, size=cols.size)
         z = block.z(a_try[cols] * diff)  # a slope trial
-        np.testing.assert_array_equal(z, design.step_z(a_try, t, cols))
+        np.testing.assert_array_equal(z, design.step_z(a_try, t)[:, cols])
         np.testing.assert_array_equal(z, direct_step_z(design, a_try, t, cols))
         t_try = t + rng.normal(size=t.size)
         z = block.z(a[cols] * block.diff(t_try))  # a threshold trial
-        np.testing.assert_array_equal(z, design.step_z(a, t_try, cols))
+        np.testing.assert_array_equal(z, design.step_z(a, t_try)[:, cols])
         np.testing.assert_array_equal(z, direct_step_z(design, a, t_try, cols))
 
 

@@ -29,7 +29,7 @@ from softscore.evaluation import (
     stratified_fold_assignment,
     youden,
 )
-from softscore.io import report_to_dict
+from softscore.io import report_to_dict, save_report
 from softscore.numerics import sigmoid
 from softscore.optimizer import OptimizerConfig, fit
 
@@ -393,7 +393,7 @@ class TestEvaluateSubgroup:
         cohort, scores, probs = self._cohort_scores()
         y = np.array([r.outcome for r in cohort])
         pooled = evaluate_scores(scores, y, probabilities=probs)
-        sub = evaluate_subgroup(cohort, scores, probs, np.ones(60, bool), label="all")
+        sub = evaluate_subgroup(y, scores, probs, np.ones(60, bool), label="all")
         assert sub.auc == pooled.auc
         assert sub.brier == pooled.brier
         assert sub.youden_j == pooled.youden_j
@@ -402,14 +402,15 @@ class TestEvaluateSubgroup:
 
     def test_empty_subgroup_rejected(self):
         cohort, scores, probs = self._cohort_scores()
+        y = np.array([r.outcome for r in cohort])
         with pytest.raises(ValidationError):
-            evaluate_subgroup(cohort, scores, probs, np.zeros(60, bool))
+            evaluate_subgroup(y, scores, probs, np.zeros(60, bool))
 
     def test_single_class_subgroup_rejected(self):
         cohort, scores, probs = self._cohort_scores()
-        positives = np.array([r.outcome == 1 for r in cohort])
+        y = np.array([r.outcome for r in cohort])
         with pytest.raises(ValidationError):
-            evaluate_subgroup(cohort, scores, probs, positives)
+            evaluate_subgroup(y, scores, probs, y == 1)
 
     def test_disjoint_subgroup_confusions_sum_to_pooled(self):
         cohort, scores, probs = self._cohort_scores()
@@ -492,10 +493,73 @@ class TestCrossValidate:
         by_fold = {f.fold: f for f in report.folds}
         for row in rows:
             fm = by_fold[row.fold]
-            expected = platt_probabilities(
-                np.array([row.score]), fm.platt_a, fm.platt_b
-            )[0]
+            expected = platt_probabilities(np.array([row.score]), *fm.platt)[0]
             assert row.probability == pytest.approx(expected, rel=1e-12)
+
+    def test_fold_rows_match_the_oracles_on_their_held_out_columns(self):
+        """Each fold row's metrics, recomputed from that fold's held-out
+        scores, probabilities and labels by pair counting and exhaustive
+        cutoff searches; each cutoff is the smallest that reaches its value."""
+        report, columns = cross_validate(
+            CohortDesign(self.cohort, self.d), self.cfg, folds=4
+        )
+        _, fold_of, s, p, y = columns
+        assert [row.fold for row in report.folds] == [0, 1, 2, 3]
+        for row in report.folds:
+            held = fold_of == row.fold
+            s_f, p_f, y_f = s[held], p[held], y[held]
+            pos, neg = np.sum(y_f == 1), np.sum(y_f == -1)
+            assert (row.n_test, row.n_positive) == (held.sum(), pos)
+            assert row.auc == pytest.approx(mann_whitney_auc(s_f, y_f), abs=1e-12)
+
+            def youden_at(c):
+                tp, fp, fn, tn = confusion_at(s_f, y_f, c)
+                return tp / pos + tn / neg - 1.0
+
+            def balance_at(c):
+                tp, fp, fn, tn = confusion_at(s_f, y_f, c)
+                return min(tp / (tp + fp), tp / pos)
+
+            for value, cutoff, at, cutoffs in [
+                (row.youden_j, row.youden_cutoff, youden_at,
+                 [*np.unique(s_f), math.inf]),
+                (row.prec_rec_balance, row.prec_rec_cutoff, balance_at,
+                 np.unique(s_f)),
+            ]:
+                values = [at(c) for c in cutoffs]
+                assert value == pytest.approx(max(values), abs=1e-12)
+                reaching = [c for c, v in zip(cutoffs, values) if v >= value - 1e-12]
+                assert cutoff == min(reaching)
+            want = np.mean((p_f - (y_f == 1)) ** 2)
+            assert row.brier == pytest.approx(want, rel=1e-12)
+
+    def test_a_single_class_fold_row_has_no_discrimination_metrics(self, tmp_path):
+        """Three positives dealt over four stratified folds leave one test
+        split without a positive: its five discrimination fields are None and
+        written as JSON null, while its Brier score is still reported."""
+        cohort = [
+            rec(r.id, r.values, age=r.age_months, outcome=1 if i < 3 else -1)
+            for i, r in enumerate(self.cohort)
+        ]
+        report, columns = cross_validate(CohortDesign(cohort, self.d), self.cfg, folds=4)
+        _, fold_of, _, p, y = columns
+        single = [row for row in report.folds if row.n_positive == 0]
+        assert len(single) == 1
+        row = single[0]
+        assert (row.auc, row.youden_j, row.youden_cutoff, row.prec_rec_balance,
+                row.prec_rec_cutoff) == (None,) * 5
+        held = fold_of == row.fold
+        assert row.brier == pytest.approx(np.mean(p[held] ** 2), rel=1e-12)
+        path = tmp_path / "report.json"
+        save_report(path, report)
+        written = json.loads(path.read_text(encoding="utf-8"))["folds"][row.fold]
+        assert written["auc"] is None
+        assert written["youden"] == {"j": None, "cutoff": None}
+        assert written["prec_rec"] == {"value": None, "cutoff": None}
+        assert written["brier"] == row.brier
+        for other in report.folds:
+            if other is not row:
+                assert other.auc is not None and other.prec_rec_cutoff is not None
 
     def test_fold_fits_at_the_iteration_cap_log_one_line(self, caplog):
         cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=1)

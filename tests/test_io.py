@@ -626,7 +626,7 @@ class TestCohortCsv:
     def test_truth_sidecar_preserves_probabilities(self, tmp_path):
         cohort, probabilities = generate(demo_generator(n=25))
         path = tmp_path / "truth.csv"
-        save_truth(path, cohort, probabilities)
+        save_truth(path, cohort.ids, probabilities)
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "true_probability"]
