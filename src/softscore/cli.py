@@ -12,6 +12,9 @@ differ between identical reruns; all other artifacts are byte-identical for
 the same inputs and seed.  The ``cv`` manifest also records ``workers``, the
 number of processes that fitted its folds.
 
+Every output must lie in an existing directory; a command checks that
+before it reads any input.
+
 Exit codes: 0 on success, 1 for invalid inputs or I/O failures, 2 for
 numeric failures (non-convergence or non-finite objectives).  The
 ``SOFTSCORE_LOG`` environment variable sets the logging level (for
@@ -86,14 +89,23 @@ def _sha256(path) -> str:
 
 
 class _Manifest:
-    """Collects inputs/outputs of one command and writes the manifest."""
+    """Collects the inputs of one command and writes its manifest.
 
-    def __init__(self, command: str):
+    ``outputs`` are the command's output paths, the primary one first and
+    None for an output not asked for.  Each must lie in an existing
+    directory; that is checked here, before the command does any work.
+    """
+
+    def __init__(self, command: str, outputs):
         self.command = command
         self.argv = click.get_current_context().meta[_ARGV_KEY]
         self.started = time.perf_counter()
+        self.outputs = [path for path in outputs if path is not None]
+        for path in self.outputs:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise ValidationError(f"{path}: directory {directory} does not exist")
         self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, str] = {}
         self.stage_seconds: dict[str, float] = {}
         self.seed = None
         self.workers = None
@@ -109,25 +121,22 @@ class _Manifest:
         if path is not None:
             self.inputs[str(path)] = _sha256(path)
 
-    def add_output(self, path):
-        if path is not None:
-            self.outputs[str(path)] = _sha256(path)
-
-    def write(self, primary_output):
+    def write(self):
+        """Write ``<primary output>.manifest.json`` with every output's digest."""
         payload = {
             "command": self.command,
             "argv": self.argv,
             "version": __version__,
             "seed": self.seed,
             "inputs": self.inputs,
-            "outputs": self.outputs,
+            "outputs": {str(path): _sha256(path) for path in self.outputs},
             "wall_time_seconds": time.perf_counter() - self.started,
         }
         if self.stage_seconds:
             payload["stage_seconds"] = self.stage_seconds
         if self.workers is not None:
             payload["workers"] = self.workers
-        path = f"{primary_output}.manifest.json"
+        path = f"{self.outputs[0]}.manifest.json"
         _dump_json(path, payload)
         log.info("wrote manifest %s", path)
 
@@ -245,12 +254,10 @@ def presets_cmd(name, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     definition_path = os.path.join(out_dir, f"{name}.definition.json")
     generator_path = os.path.join(out_dir, f"{name}.generator.json")
-    manifest = _Manifest("presets")
+    manifest = _Manifest("presets", (definition_path, generator_path))
     save_score_definition(definition_path, p.definition())
     save_generator_config(generator_path, p.generator())
-    manifest.add_output(definition_path)
-    manifest.add_output(generator_path)
-    manifest.write(definition_path)
+    manifest.write()
     click.echo(definition_path)
     click.echo(generator_path)
 
@@ -264,7 +271,7 @@ def presets_cmd(name, out_dir):
 @click.option("--seed", type=int, help="Override the configured seed.")
 def simulate_cmd(score_def, generator, out, truth, n, seed):
     """Sample a synthetic cohort from a generator config."""
-    manifest = _Manifest("simulate")
+    manifest = _Manifest("simulate", (out, truth))
     manifest.add_input(score_def)
     manifest.add_input(generator)
     definition = load_score_definition(score_def)
@@ -279,11 +286,9 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
     manifest.seed = config.seed
     cohort, probabilities = generate(config)
     save_cohort(out, cohort, [v.name for v in definition.variables])
-    manifest.add_output(out)
     if truth is not None:
         save_truth(truth, cohort.ids, probabilities)
-        manifest.add_output(truth)
-    manifest.write(out)
+    manifest.write()
     positives = int(np.count_nonzero(cohort.outcomes == 1))
     click.echo(
         f"simulate: n={len(cohort)} positives={positives} "
@@ -302,7 +307,7 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
 @click.option("--config", "config_path", type=click.Path())
 def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
-    manifest = _Manifest("fit")
+    manifest = _Manifest("fit", (out,))
     with manifest.stage("load"):
         manifest.add_input(cohort_path)
         manifest.add_input(score_def)
@@ -324,8 +329,7 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
         )
     with manifest.stage("write"):
         save_fitted(out, params, config, trace)
-        manifest.add_output(out)
-    manifest.write(out)
+    manifest.write()
     click.echo(
         f"fit: objective {trace.initial_objective:.6f} -> "
         f"{trace.final_objective:.6f} in {trace.outer_iterations} outer "
@@ -347,7 +351,7 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
 @click.option("--filter", "filter_spec", help="Subgroup filter, e.g. age:child.")
 def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_spec):
     """Evaluate soft (fitted) or hard (table) scores on a cohort."""
-    manifest = _Manifest("evaluate")
+    manifest = _Manifest("evaluate", (out, scores_path))
     with manifest.stage("load"):
         manifest.add_input(cohort_path)
         manifest.add_input(score_def)
@@ -370,14 +374,12 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
             )
     with manifest.stage("write"):
         save_report(out, report)
-        manifest.add_output(out)
         if scores_path is not None:
             folds = np.zeros(len(cohort), dtype=np.int64)
             save_scores(
                 scores_path, cohort.ids, folds, scores, probabilities, cohort.outcomes
             )
-            manifest.add_output(scores_path)
-    manifest.write(out)
+    manifest.write()
     kind = "soft" if fitted_path is not None else "hard"
     click.echo(
         f"evaluate[{kind}]: n={report.n} auc={_fmt(report.auc)} "
@@ -412,7 +414,7 @@ def cv_cmd(
     seed,
 ):
     """Cross-validate a fitted score on held-out folds."""
-    manifest = _Manifest("cv")
+    manifest = _Manifest("cv", (out, scores_path))
     with manifest.stage("load"):
         manifest.add_input(cohort_path)
         manifest.add_input(score_def)
@@ -430,11 +432,9 @@ def cv_cmd(
     manifest.workers = fold_workers(design.n if fold_spec == "loo" else fold_spec)
     with manifest.stage("write"):
         save_report(out, report)
-        manifest.add_output(out)
         if scores_path is not None:
             save_scores(scores_path, *columns)
-            manifest.add_output(scores_path)
-    manifest.write(out)
+    manifest.write()
     click.echo(
         f"cv[{folds}]: n={report.n} auc={_fmt(report.auc)} "
         f"brier={_fmt(report.brier)} -> {out}"
@@ -458,7 +458,7 @@ def cv_cmd(
 @click.option("--out", required=True, type=click.Path())
 def impute_cmd(cohort_path, method, k, score_def, out):
     """Fill missing values and write the completed cohort."""
-    manifest = _Manifest("impute")
+    manifest = _Manifest("impute", (out,))
     with manifest.stage("load"):
         manifest.add_input(cohort_path)
         manifest.add_input(score_def)
@@ -482,8 +482,7 @@ def impute_cmd(cohort_path, method, k, score_def, out):
         completed = impute(cohort, spec)
     with manifest.stage("write"):
         save_cohort(out, completed, completed.variables)
-        manifest.add_output(out)
-    manifest.write(out)
+    manifest.write()
     click.echo(f"impute[{method}]: n={len(completed)} -> {out}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
 from .numerics import logistic_newton, sigmoid
-from .optimizer import OptimizerConfig, fit
+from .optimizer import FitTrace, OptimizerConfig, fit
 
 logger = logging.getLogger("softscore")
 
@@ -281,10 +281,8 @@ def stratified_fold_assignment(labels, k: int, rng: np.random.Generator) -> np.n
     assignment = np.empty(n, dtype=np.int64)
     start = 0
     for cls in (1, -1):
-        idx = np.flatnonzero(y == cls)
-        idx = rng.permutation(idx)
-        for j, i in enumerate(idx):
-            assignment[i] = (start + j) % k
+        idx = rng.permutation(np.flatnonzero(y == cls))
+        assignment[idx] = (start + np.arange(idx.size)) % k
         start = (start + idx.size) % k
     return assignment
 
@@ -308,14 +306,11 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
 
 class _FoldFit(NamedTuple):
     """What one fold contributes: the Platt pair fitted on its training
-    split, its held-out scores, and the summary of its fit's trace."""
+    split, its held-out scores, and its fit's trace without the steps."""
 
     platt: tuple[float, float]
     s_test: np.ndarray
-    stopped_at_cap: bool
-    outer_iterations: int
-    converged_reason: str
-    stall_count: int
+    trace: FitTrace
 
 
 def _fit_fold(design: CohortDesign, config, assignment, f: int) -> _FoldFit:
@@ -324,26 +319,7 @@ def _fit_fold(design: CohortDesign, config, assignment, f: int) -> _FoldFit:
     params, trace = fit(train, config)
     platt = platt_scale(train.scores_for(params), train.y.astype(int))
     s_test = design.take(np.flatnonzero(assignment == f)).scores_for(params)
-    return _FoldFit(
-        platt,
-        s_test,
-        trace.stopped_at_cap,
-        trace.outer_iterations,
-        trace.converged_reason,
-        trace.stall_count,
-    )
-
-
-def _fit_share(design, config, assignment, folds):
-    """Fit ``folds`` in order until one raises.  Returns the fits made and
-    ``(fold, exception)`` of the failing fold, or None."""
-    fits = []
-    for f in folds:
-        try:
-            fits.append(_fit_fold(design, config, assignment, f))
-        except Exception as exc:  # re-raised by the parent, lowest fold first
-            return fits, (f, exc)
-    return fits, None
+    return _FoldFit(platt, s_test, replace(trace, steps=()))
 
 
 # (design, config, assignment) of the cross-validation that forked this
@@ -356,8 +332,20 @@ def _inherit(*task):
     _inherited = task
 
 
-def _fit_inherited_share(folds):
-    return _fit_share(*_inherited, folds)
+def _fit_inherited_fold(f: int) -> _FoldFit:
+    return _fit_fold(*_inherited, f)
+
+
+def _settled(task, f: int):
+    """A finished future holding fold ``f``'s fit or the exception it raised."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(_fit_fold(*task, f))
+    except Exception as exc:  # raised when the folds are read in order
+        future.set_exception(exc)
+    return future
 
 
 def _available_cores() -> int:
@@ -375,37 +363,28 @@ def fold_workers(k: int) -> int:
 def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     """Every fold's fit, in fold order.
 
-    The folds go to ``fold_workers(k)`` interleaved shares, fold f to share
-    f mod n.  This process fits share 0; each other share goes to a worker
-    forked from it, which inherits the design instead of unpickling it, so
-    only fold numbers and results cross between processes.  With one share
-    no process starts.  A fold's arithmetic does not depend on the process
-    that runs it, so neither do the results, and a failure raises the
-    exception of the lowest failing fold, the one a serial loop would meet
-    first.
+    With n = ``fold_workers(k)``, this process fits the folds f with
+    f mod n = 0, back to back, while n - 1 workers forked from it take the
+    others one at a time.  The workers inherit the design instead of
+    unpickling it, so only fold numbers and results cross between processes.
+    With n = 1 no process starts.  A fold's arithmetic does not depend on the
+    process that runs it, so neither do the results; reading the folds in
+    order raises the exception of the lowest failing fold, the one a serial
+    loop would meet first.
     """
     n = fold_workers(k)
-    shares = [range(s, k, n) for s in range(n)]
     task = (design, config, assignment)
     if n == 1:
-        outcomes = [_fit_share(*task, shares[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+        return [_fit_fold(*task, f) for f in range(k)]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-        with ProcessPoolExecutor(
-            n - 1, mp_context=get_context("fork"), initializer=_inherit, initargs=task
-        ) as pool:
-            futures = [pool.submit(_fit_inherited_share, s) for s in shares[1:]]
-            outcomes = [_fit_share(*task, shares[0])]
-            outcomes += [future.result() for future in futures]
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    fits = {}
-    for share, (share_fits, _) in zip(shares, outcomes):
-        fits.update(zip(share, share_fits))
-    return [fits[f] for f in range(k)]
+    with ProcessPoolExecutor(
+        n - 1, mp_context=get_context("fork"), initializer=_inherit, initargs=task
+    ) as pool:
+        futures = {f: pool.submit(_fit_inherited_fold, f) for f in range(k) if f % n}
+        futures.update((f, _settled(task, f)) for f in range(0, k, n))
+        return [futures[f].result() for f in range(k)]
 
 
 def cross_validate(
@@ -468,13 +447,13 @@ def cross_validate(
                 prec_rec_cutoff=pr_cut,
                 brier=brier(p_test, y_test),
                 platt=fold_fit.platt,
-                outer_iterations=fold_fit.outer_iterations,
-                converged_reason=fold_fit.converged_reason,
-                stall_count=fold_fit.stall_count,
+                outer_iterations=fold_fit.trace.outer_iterations,
+                converged_reason=fold_fit.trace.converged_reason,
+                stall_count=fold_fit.trace.stall_count,
             )
         )
 
-    capped = sum(fold_fit.stopped_at_cap for fold_fit in fits)
+    capped = sum(fold_fit.trace.stopped_at_cap for fold_fit in fits)
     if capped:
         logger.warning("%d of %d fold fits stopped at the iteration cap", capped, k)
     pooled_platt = platt_scale(scores, labels)

@@ -1079,13 +1079,37 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command", ["presets", "simulate", "fit", "evaluate", "cv", "impute"]
     )
-    def test_unwritable_output_exits_one(self, ws, tmp_path, command):
+    def test_unwritable_output_exits_one(self, ws, tmp_path, monkeypatch, command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the output was checked")
+
+        # the output directory is checked before the load stage
+        monkeypatch.setattr("softscore.cli.fit_params", no_fit)
+        monkeypatch.setattr("softscore.evaluation.fit", no_fit)
         if command == "presets":
             (tmp_path / "a-file").write_text("", encoding="utf-8")
             out = tmp_path / "a-file" / "presets"
         else:
             out = tmp_path / "no-such-dir" / "out"
-        self._fails_cleanly(_command_args(ws, command, out), 1, "error: ")
+        result = self._fails_cleanly(_command_args(ws, command, out), 1, "error: ")
+        assert str(out) in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("simulate", "--truth"), ("evaluate", "--scores"), ("cv", "--scores")],
+    )
+    def test_unwritable_second_output_exits_one_before_any_work(
+        self, ws, tmp_path, monkeypatch, command, option
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        monkeypatch.setattr("softscore.cli.load_score_definition", no_load)
+        second = tmp_path / "no-such-dir" / "second.csv"
+        args = _command_args(ws, command, tmp_path / "out") + [option, second]
+        result = self._fails_cleanly(args, 1, "error: ")
+        assert str(second) in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, target",
