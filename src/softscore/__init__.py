@@ -13,8 +13,7 @@ Public API highlights:
 * :class:`ScoreDefinition`, :class:`ScoreParameters` — the score table
   and its trainable parameters.
 * :class:`Cohort` — a cohort as columns (ids, ages, outcomes, an (n, m)
-  value matrix), which every entry point reads; :class:`PatientRecord` is
-  one record, and ``Cohort.from_records`` turns a list of them into a cohort.
+  value matrix), the one cohort type every entry point reads.
 * :class:`CohortDesign`, :func:`soft_scores`, :func:`hard_scores` — a
   cohort's columns laid out against a definition, serving soft and table
   scores, the likelihood kernels, and row slices for cross-validation.
@@ -46,7 +45,6 @@ from .model import (
     BinaryFeature,
     Cohort,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
@@ -107,7 +105,6 @@ __all__ = [
     "MIN_VALUED",
     "NumericError",
     "OptimizerConfig",
-    "PatientRecord",
     "RawVariable",
     "RocCurve",
     "ScoreDefinition",

@@ -141,6 +141,18 @@ class _Manifest:
         log.info("wrote manifest %s", path)
 
 
+def _load(manifest, cohort_path, score_def, other_input):
+    """Hash the cohort, definition and one more input (None for none) into
+    the manifest, then read the definition and the cohort and validate the
+    cohort against it.  Returns (definition, cohort)."""
+    for path in (cohort_path, score_def, other_input):
+        manifest.add_input(path)
+    definition = load_score_definition(score_def)
+    cohort = load_cohort(cohort_path)
+    validate_cohort(cohort, definition)
+    return definition, cohort
+
+
 def _optimizer_config(config_path, optimize, definition) -> OptimizerConfig:
     if config_path is not None:
         config = load_optimizer_config(config_path)
@@ -285,7 +297,7 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
         config = dataclasses.replace(config, **replacements)
     manifest.seed = config.seed
     cohort, probabilities = generate(config)
-    save_cohort(out, cohort, [v.name for v in definition.variables])
+    save_cohort(out, cohort)
     if truth is not None:
         save_truth(truth, cohort.ids, probabilities)
     manifest.write()
@@ -309,12 +321,7 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
     manifest = _Manifest("fit", (out,))
     with manifest.stage("load"):
-        manifest.add_input(cohort_path)
-        manifest.add_input(score_def)
-        manifest.add_input(config_path)
-        definition = load_score_definition(score_def)
-        cohort = load_cohort(cohort_path)
-        validate_cohort(cohort, definition)
+        definition, cohort = _load(manifest, cohort_path, score_def, config_path)
         config = _optimizer_config(config_path, optimize, definition)
     with manifest.stage("design"):
         design = CohortDesign(cohort, definition)
@@ -353,12 +360,7 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
     """Evaluate soft (fitted) or hard (table) scores on a cohort."""
     manifest = _Manifest("evaluate", (out, scores_path))
     with manifest.stage("load"):
-        manifest.add_input(cohort_path)
-        manifest.add_input(score_def)
-        manifest.add_input(fitted_path)
-        definition = load_score_definition(score_def)
-        cohort = load_cohort(cohort_path)
-        validate_cohort(cohort, definition)
+        definition, cohort = _load(manifest, cohort_path, score_def, fitted_path)
         params = None if fitted_path is None else load_fitted(fitted_path, definition)
     with manifest.stage("score"):
         if params is None:
@@ -416,12 +418,7 @@ def cv_cmd(
     """Cross-validate a fitted score on held-out folds."""
     manifest = _Manifest("cv", (out, scores_path))
     with manifest.stage("load"):
-        manifest.add_input(cohort_path)
-        manifest.add_input(score_def)
-        manifest.add_input(config_path)
-        definition = load_score_definition(score_def)
-        cohort = load_cohort(cohort_path)
-        validate_cohort(cohort, definition)
+        definition, cohort = _load(manifest, cohort_path, score_def, config_path)
         config = _optimizer_config(config_path, optimize, definition)
     manifest.seed = seed
     with manifest.stage("design"):
@@ -481,7 +478,7 @@ def impute_cmd(cohort_path, method, k, score_def, out):
     with manifest.stage("impute"):
         completed = impute(cohort, spec)
     with manifest.stage("write"):
-        save_cohort(out, completed, completed.variables)
+        save_cohort(out, completed)
     manifest.write()
     click.echo(f"impute[{method}]: n={len(completed)} -> {out}")
 

@@ -21,7 +21,6 @@ from .errors import ValidationError
 from .model import (
     UP,
     Cohort,
-    Records,
     ScoreDefinition,
     ScoreParameters,
 )
@@ -52,8 +51,7 @@ class CohortDesign:
     bin_wcol : (n_binary,) weight-vector column of each binary feature
     """
 
-    def __init__(self, cohort: Records, definition: ScoreDefinition):
-        cohort = Cohort.from_records(cohort)
+    def __init__(self, cohort: Cohort, definition: ScoreDefinition):
         if not len(cohort):
             raise ValidationError("cohort is empty")
         self.definition = definition
@@ -280,7 +278,7 @@ class _StepBlock:
 
 
 def soft_scores(
-    cohort: Records,
+    cohort: Cohort,
     definition: ScoreDefinition,
     params: ScoreParameters,
 ) -> np.ndarray:
@@ -288,8 +286,6 @@ def soft_scores(
     return CohortDesign(cohort, definition).scores_for(params)
 
 
-def hard_scores(
-    cohort: Records, definition: ScoreDefinition
-) -> np.ndarray:
+def hard_scores(cohort: Cohort, definition: ScoreDefinition) -> np.ndarray:
     """Batch classic table scores."""
     return CohortDesign(cohort, definition).table_scores()

@@ -370,7 +370,9 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     With n = 1 no process starts.  A fold's arithmetic does not depend on the
     process that runs it, so neither do the results; reading the folds in
     order raises the exception of the lowest failing fold, the one a serial
-    loop would meet first.
+    loop would meet first.  So this process stops at its first failing fold,
+    which no later fold can precede, and the folds still queued for the
+    workers are dropped once a fold raises.
     """
     n = fold_workers(k)
     task = (design, config, assignment)
@@ -379,12 +381,18 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         n - 1, mp_context=get_context("fork"), initializer=_inherit, initargs=task
-    ) as pool:
+    )
+    try:
         futures = {f: pool.submit(_fit_inherited_fold, f) for f in range(k) if f % n}
-        futures.update((f, _settled(task, f)) for f in range(0, k, n))
+        for f in range(0, k, n):
+            futures[f] = _settled(task, f)
+            if futures[f].exception() is not None:
+                break
         return [futures[f].result() for f in range(k)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cross_validate(

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .model import Cohort, Records, ScoreDefinition
+from .model import Cohort, ScoreDefinition
 from .optimizer import _number
 
 logger = logging.getLogger("softscore")
@@ -91,14 +91,13 @@ class ImputationMethod:
         return cls(NORMAL, normal_values=table)
 
 
-def impute(cohort: Records, method: ImputationMethod) -> Cohort:
+def impute(cohort: Cohort, method: ImputationMethod) -> Cohort:
     """Return a copy of the cohort with every missing value filled in.
 
     Deterministic; neighbor ties break on the earlier record.  Raises if a
     variable is observed nowhere, or if kNN is asked for more neighbors than
     records exist to supply (k > n - 1).
     """
-    cohort = Cohort.from_records(cohort)
     if not len(cohort):
         raise ValidationError("cohort is empty")
     variables, X = cohort.variables, cohort.values

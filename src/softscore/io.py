@@ -30,7 +30,6 @@ from .model import (
     Cohort,
     FeatureStep,
     RawVariable,
-    Records,
     ScoreDefinition,
     ScoreParameters,
     _record_problem,
@@ -283,21 +282,17 @@ _BLOCK_ROWS = 2048
 _MAX_AGE = np.iinfo(np.int64).max
 
 
-def save_cohort(path, cohort: Records, variables: Sequence[str]):
-    """Write the cohort's columns ``variables``, in that order, one row per
-    record; a variable the cohort has no column for is written missing."""
-    cohort = Cohort.from_records(cohort)
+def save_cohort(path, cohort: Cohort):
+    """Write the cohort's columns in its variable order, one row per record."""
     n = len(cohort)
-    columns = [cohort.column(name) for name in variables]
-    missing = np.full(n, np.nan)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(COHORT_FIXED) + list(variables))
+        writer.writerow(list(COHORT_FIXED) + list(cohort.variables))
         for start in range(0, n, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             cells = [
-                ["" if x != x else repr(x) for x in column[block].tolist()]
-                for column in (missing if c is None else c for c in columns)
+                ["" if x != x else repr(x) for x in column]
+                for column in cohort.values[block].T.tolist()
             ]
             writer.writerows(
                 zip(
@@ -327,7 +322,7 @@ def _row_problem(row, variables) -> Optional[str]:
     """What is wrong with one cohort CSV row, or None.  Checks run in this
     order, the first failure named: the cell count, age and outcome as
     integers, each value cell left to right as a finite float (empty is
-    missing), then outcome and age as `PatientRecord` checks them."""
+    missing), then outcome and age as `Cohort` checks them."""
     width = len(COHORT_FIXED) + len(variables)
     if len(row) != width:
         return f"expected {width} cells, got {len(row)}"

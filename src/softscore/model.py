@@ -4,19 +4,17 @@ A score definition lists raw clinical variables, age bands, and an ordered set
 of scoring features.  A step feature turns a continuous variable into a value
 in [0, 1] through a logistic ramp around an age-resolved threshold; a binary
 feature contributes an indicator.  A cohort is held as columns,
-:class:`Cohort`; :class:`PatientRecord` is one record, built on demand from a
-cohort or turned into one by `Cohort.from_records`.
+:class:`Cohort`, the only cohort type.
 :class:`softscore.design.CohortDesign` lays a cohort's columns out against a
 definition and evaluates both the smooth score and the classic table score
-(`hard_score` here for a single record).
+(`hard_score` here for the raw values of a single record).
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -395,32 +393,6 @@ class ScoreDefinition:
         )
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One subject: id, age, outcome in {-1, +1}, and raw values.
-
-    A value of ``None`` (or an absent key) marks the variable as MISSING;
-    no sentinel numbers are used.
-    """
-
-    id: str
-    age_months: int
-    outcome: int
-    values: Mapping[str, Optional[float]]
-
-    def __post_init__(self):
-        problem = _record_problem(self.id, self.age_months, self.outcome)
-        if problem is not None:
-            raise ValidationError(problem)
-        vals = {}
-        for k, v in self.values.items():
-            vals[str(k)] = None if v is None else float(v)
-        object.__setattr__(self, "values", vals)
-
-    def value(self, variable: str) -> Optional[float]:
-        return self.values.get(variable)
-
-
 def _record_problem(record_id, age_months, outcome) -> Optional[str]:
     """Why a record with this age and outcome is invalid, or None: first an
     outcome other than -1 or +1, then a negative age."""
@@ -438,9 +410,8 @@ class Cohort:
     ``outcomes`` (-1 or +1) are (n,) int64 arrays; ``variables`` names the m
     value columns, and ``values`` is their (n, m) float64 matrix, NaN where
     missing.  Construction checks the shapes, then outcomes and ages, naming
-    the first bad record as `PatientRecord` does.  An array of the right
-    dtype is kept as given, not copied.  Indexing and iterating yield one
-    `PatientRecord` per record, built on demand.
+    the first bad record.  An array of the right dtype is kept as given, not
+    copied.
     """
 
     __slots__ = ("ids", "ages", "outcomes", "variables", "values")
@@ -471,25 +442,6 @@ class Cohort:
                 _record_problem(self.ids[i], int(self.ages[i]), int(self.outcomes[i]))
             )
 
-    @classmethod
-    def from_records(cls, records: "Records") -> "Cohort":
-        """The cohort of ``records`` in their order (a Cohort is returned as
-        is).  Its variables are every value name in order of first
-        appearance; a record that lacks one, or holds None, reads NaN."""
-        if isinstance(records, Cohort):
-            return records
-        variables = tuple(dict.fromkeys(name for r in records for name in r.values))
-        values = np.array(
-            [[r.values.get(name) for name in variables] for r in records], dtype=float
-        )  # None becomes NaN
-        return cls(
-            ids=[r.id for r in records],
-            ages=[r.age_months for r in records],
-            outcomes=[r.outcome for r in records],
-            variables=variables,
-            values=values.reshape(len(records), len(variables)),
-        )
-
     def column(self, variable: str) -> Optional[np.ndarray]:
         """The (n,) values of ``variable``, NaN where missing, or None when
         the cohort has no such column."""
@@ -499,21 +451,6 @@ class Cohort:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> PatientRecord:
-        row = self.values[i].tolist()
-        return PatientRecord(
-            id=self.ids[i],
-            age_months=int(self.ages[i]),
-            outcome=int(self.outcomes[i]),
-            values={
-                name: None if math.isnan(x) else x
-                for name, x in zip(self.variables, row)
-            },
-        )
-
-    def __iter__(self) -> Iterator[PatientRecord]:
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, Cohort):
@@ -527,11 +464,6 @@ class Cohort:
         )
 
     __hash__ = None
-
-
-# What the entry points accept as a cohort: a Cohort, or records that
-# `Cohort.from_records` turns into one.
-Records = Union[Cohort, Sequence[PatientRecord]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,14 +537,21 @@ class ScoreParameters:
 # ----------------------------------------------------------------------
 
 
-def hard_score(record: PatientRecord, definition: ScoreDefinition) -> float:
-    """Classic table score of one record; see `CohortDesign.table_scores`."""
+def hard_score(
+    values: Mapping[str, Optional[float]], age_months: int, definition: ScoreDefinition
+) -> float:
+    """Classic table score of one record of this age with raw ``values`` by
+    variable name, where an absent, None or NaN value is missing; see
+    `CohortDesign.table_scores`."""
     from .design import hard_scores
 
-    return float(hard_scores([record], definition)[0])
+    names = [v.name for v in definition.variables]
+    row = [[values.get(name) for name in names]]  # None becomes NaN
+    cohort = Cohort([""], [age_months], [1], names, row)
+    return float(hard_scores(cohort, definition)[0])
 
 
-def validate_cohort(cohort: Records, definition: ScoreDefinition) -> list[str]:
+def validate_cohort(cohort: Cohort, definition: ScoreDefinition) -> list[str]:
     """Warn (never reject) about values outside the physiological range and
     binary values other than 0/1.  Returns those warning messages, in record
     order and, within a record, in the definition's variable order; they are
@@ -620,7 +559,6 @@ def validate_cohort(cohort: Records, definition: ScoreDefinition) -> list[str]:
     column in the cohort, which then reads as missing in every record, draws
     one more logged warning.
     """
-    cohort = Cohort.from_records(cohort)
     checked, bad = [], []
     for v in definition.variables:
         x = cohort.column(v.name)

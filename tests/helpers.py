@@ -1,5 +1,9 @@
 """Hand-built definitions, cohorts, random instances, and the per-record
-reference computations the tests compare `CohortDesign` against."""
+reference computations the tests compare `CohortDesign` against.
+
+Records are built test-side as `Row` tuples (``rec``) and turned into a
+`Cohort` by ``cohort_of``; ``rows_of`` reads a cohort back into rows for the
+per-record oracles."""
 from __future__ import annotations
 
 import math
@@ -15,8 +19,8 @@ from softscore.model import (
     UP,
     AgeBand,
     BinaryFeature,
+    Cohort,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
@@ -26,8 +30,55 @@ from softscore.numerics import sigmoid
 BAND_ALL = AgeBand("all", 0, 1200)
 
 
+class Row(namedtuple("Row", "id age_months outcome values")):
+    """One record as the per-record oracles read it: ``values`` maps
+    variable names to floats, and an absent or None value is missing."""
+
+    __slots__ = ()
+
+    def value(self, variable):
+        return self.values.get(variable)
+
+
 def rec(id, values, age=60, outcome=-1):
-    return PatientRecord(id=str(id), age_months=age, outcome=outcome, values=values)
+    return Row(
+        str(id), age, outcome,
+        {str(k): None if v is None else float(v) for k, v in values.items()},
+    )
+
+
+def cohort_of(rows):
+    """The `Cohort` of ``rows`` in their order.  Its variables are every
+    value name in order of first appearance; a row that lacks one, or holds
+    None, reads NaN."""
+    rows = list(rows)
+    variables = tuple(dict.fromkeys(name for r in rows for name in r.values))
+    values = np.array(
+        [[r.values.get(name) for name in variables] for r in rows], dtype=float
+    )  # None becomes NaN
+    return Cohort(
+        ids=[r.id for r in rows],
+        ages=[r.age_months for r in rows],
+        outcomes=[r.outcome for r in rows],
+        variables=variables,
+        values=values.reshape(len(rows), len(variables)),
+    )
+
+
+def rows_of(cohort):
+    """The records of ``cohort`` as rows, NaN read as None."""
+    return [
+        Row(
+            cohort.ids[i],
+            int(cohort.ages[i]),
+            int(cohort.outcomes[i]),
+            {
+                name: None if math.isnan(x) else x
+                for name, x in zip(cohort.variables, cohort.values[i].tolist())
+            },
+        )
+        for i in range(len(cohort))
+    ]
 
 
 def mixed_definition(with_binary=True, or_group=None):
@@ -77,7 +128,7 @@ def banded_definition():
 
 def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
                     missing_rate=0.2, max_slope=3.0, or_groups=False):
-    """A random small (definition, parameters, cohort) triple.
+    """A random small (definition, parameters, `Cohort`) triple.
 
     Variables are a random mix of up and down step variables (one or two
     steps each) plus an optional binary indicator; thresholds, slopes,
@@ -151,7 +202,7 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
     weights = rng.uniform(0.2, 4.0, size=definition.n_weights)
     params = ScoreParameters(definition, slopes, thresholds, weights)
 
-    cohort = []
+    rows = []
     for i in range(n_records):
         age = int(rng.integers(0, 1200))
         values = {}
@@ -163,10 +214,8 @@ def random_instance(rng, n_records=12, allow_binary=True, allow_bands=True,
             else:
                 values[v.name] = float(rng.uniform(-6.0, 6.0))
         outcome = 1 if i == 0 else (-1 if i == 1 else int(rng.choice((-1, 1))))
-        cohort.append(
-            PatientRecord(id=f"r{i}", age_months=age, outcome=outcome, values=values)
-        )
-    return definition, params, cohort
+        rows.append(rec(f"r{i}", values, age, outcome))
+    return definition, params, cohort_of(rows)
 
 
 def cell_oracle(cell):

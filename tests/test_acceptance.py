@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import band_label, random_instance
+from helpers import band_label, cohort_of, random_instance, rows_of
 from test_evaluation import confusion_at, mann_whitney_auc, random_scored_instance
 from test_imputation import brute_force_knn_fill, random_missing_cohort
 from test_optimizer import (
@@ -44,10 +44,10 @@ from softscore.model import (
     MAX_VALUED,
     MIN_VALUED,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
+    hard_score,
 )
 from softscore.optimizer import (
     OptimizerConfig,
@@ -90,14 +90,17 @@ def test_01_hard_threshold_limit(capsys):
     d = demo_definition()
     cohort, _ = generate(demo_generator(n=600, seed=314))
     init = ScoreParameters.initial(d)
-    clear = [r for r in cohort if _clear_of_thresholds(r, d, init, 0.01)]
-    assert len(clear) >= 500, f"only {len(clear)} records clear of thresholds"
-    clear = clear[:500]
+    rows = [r for r in rows_of(cohort) if _clear_of_thresholds(r, d, init, 0.01)]
+    assert len(rows) >= 500, f"only {len(rows)} records clear of thresholds"
+    rows = rows[:500]
+    clear = cohort_of(rows)
     steep = ScoreParameters(
         d, np.full(d.n_slopes, 1e4), init.thresholds, init.weights
     )
+    soft = soft_scores(clear, d, steep)
+    hard = [hard_score(r.values, r.age_months, d) for r in rows]
     diff = float(
-        np.max(np.abs(soft_scores(clear, d, steep) - hard_scores(clear, d)))
+        max(np.max(np.abs(soft - hard)), np.max(np.abs(soft - hard_scores(clear, d))))
     )
     elapsed = time.perf_counter() - started
     conclude(
@@ -202,7 +205,7 @@ def test_03_quasilinearity_sign_suite(capsys):
         w = float(rng.uniform(0.1, 4.0))
         y = int(rng.choice((-1, 1)))
         quadrants[(direction, y)] += 1
-        cohort = [PatientRecord(id="r", age_months=1, outcome=y, values={"x": x})]
+        cohort = cohort_of([rec("r", {"x": x}, age=1, outcome=y)])
 
         def loss(tt):
             p = ScoreParameters(d, np.array([a]), np.array([tt]), np.array([w]))
@@ -297,7 +300,7 @@ def test_05_discrimination_recovery(capsys):
         train, _ = generate(demo_generator(n=2000, seed=1000 + s))
         test, truth = generate(demo_generator(n=2000, seed=2000 + s))
         params, _ = fit(CohortDesign(train, d), cfg)
-        labels = [r.outcome for r in test]
+        labels = [r.outcome for r in rows_of(test)]
         _, soft_auc = roc_and_auc(soft_scores(test, d, params), labels)
         _, hard_auc = roc_and_auc(hard_scores(test, d), labels)
         _, oracle_auc = roc_and_auc(truth, labels)
@@ -390,10 +393,10 @@ def test_07_platt_calibration(capsys):
     test, truth = generate(test_config)
     params, _ = fit(CohortDesign(train, d), OptimizerConfig(optimize_over=("a", "w")))
     calibration = platt_scale(
-        soft_scores(train, d, params), [r.outcome for r in train]
+        soft_scores(train, d, params), [r.outcome for r in rows_of(train)]
     )
     probabilities = platt_probabilities(soft_scores(test, d, params), *calibration)
-    labels = [r.outcome for r in test]
+    labels = [r.outcome for r in rows_of(test)]
     fitted_brier = brier(probabilities, labels)
     oracle_brier = brier(truth, labels)
     diff = abs(fitted_brier - oracle_brier)
@@ -413,19 +416,19 @@ def test_07_platt_calibration(capsys):
 
 
 def test_08_imputation_oracles(capsys):
-    cohort = [
+    cohort = cohort_of([
         rec("a", {"u": 1.0, "v": 10.0, "w": None}),
         rec("b", {"u": 1.2, "v": None, "w": 5.0}),
         rec("c", {"u": None, "v": 11.0, "w": 6.0}),
         rec("d", {"u": 3.5, "v": 14.0, "w": 2.0}),
         rec("e", {"u": 3.6, "v": 13.5, "w": None}),
         rec("f", {"u": 0.8, "v": 10.5, "w": 5.5}),
-    ]
+    ])
     names = ["u", "v", "w"]
     mismatched = 0
     for k in (1, 2, 3):
         expected = brute_force_knn_fill(cohort, names, k)
-        out = impute(cohort, ImputationMethod.knn(k=k))
+        out = rows_of(impute(cohort, ImputationMethod.knn(k=k)))
         for i, r in enumerate(out):
             for j, name in enumerate(names):
                 if r.value(name) != expected[i, j]:
@@ -437,7 +440,7 @@ def test_08_imputation_oracles(capsys):
         cohort, names = random_missing_cohort(rng, n=14)
         knn_out = impute(cohort, ImputationMethod.knn(k=13))
         mean_out = impute(cohort, ImputationMethod.mean())
-        for a, b in zip(knn_out, mean_out):
+        for a, b in zip(rows_of(knn_out), rows_of(mean_out)):
             for name in names:
                 worst = max(worst, abs(a.value(name) - b.value(name)))
     conclude(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import rec
+from helpers import cohort_of, rec, rows_of
 from softscore import __version__
 from softscore.cli import main
 from softscore.design import CohortDesign
@@ -22,7 +22,7 @@ from softscore.io import (
     save_cohort,
     save_score_definition,
 )
-from softscore.model import PatientRecord, ScoreParameters
+from softscore.model import ScoreParameters
 from test_optimizer import binary_only_definition
 
 runner = CliRunner()
@@ -138,7 +138,7 @@ class TestSimulate:
         assert "simulate: n=40" in result.output
         cohort = load_cohort(out)
         assert len(cohort) == 40
-        assert set(r.outcome for r in cohort) <= {-1, 1}
+        assert set(r.outcome for r in rows_of(cohort)) <= {-1, 1}
         manifest = read_json(tmp_path / "c.csv.manifest.json")
         assert manifest["seed"] == 2
         assert manifest["inputs"][str(ws["generator"])] == sha256(ws["generator"])
@@ -148,7 +148,7 @@ class TestSimulate:
         with open(ws["truth"], encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "true_probability"]
-        assert [r[0] for r in rows[1:]] == [r.id for r in cohort]
+        assert [r[0] for r in rows[1:]] == [r.id for r in rows_of(cohort)]
         assert all(0.0 <= float(r[1]) <= 1.0 for r in rows[1:])
 
     def test_same_seed_is_byte_identical(self, ws, tmp_path):
@@ -335,12 +335,9 @@ class TestFit:
 
     def test_single_class_cohort_exits_one(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])
-        flipped = [
-            PatientRecord(id=r.id, age_months=r.age_months, outcome=-1, values=r.values)
-            for r in cohort
-        ]
+        flipped = cohort_of(r._replace(outcome=-1) for r in rows_of(cohort))
         path = tmp_path / "one-class.csv"
-        save_cohort(path, flipped, list(cohort[0].values))
+        save_cohort(path, flipped)
         result = run_fail(
             [
                 "fit",
@@ -375,10 +372,10 @@ class TestFit:
         # the easy instance of test_converges_by_tolerance_on_easy_instance
         definition = tmp_path / "binary.definition.json"
         save_score_definition(definition, binary_only_definition(weight=2.0))
-        cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
-        cohort += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
+        rows = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
+        rows += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
         cohort_path = tmp_path / "easy.csv"
-        save_cohort(cohort_path, cohort, ["flag"])
+        save_cohort(cohort_path, cohort_of(rows))
         config = tmp_path / "optimizer.json"
         config.write_text(
             json.dumps({"optimize_over": ["w"], "max_outer_iters": max_outer_iters}),
@@ -496,12 +493,12 @@ class TestEvaluate:
         run_ok(["presets", "--name", "pediatric_icu", "--out-dir", tmp_path])
         definition = tmp_path / "pediatric_icu.definition.json"
         ages = [11, 12, 12, 143, 143, 144, 144, 0]
-        cohort = [
+        cohort = cohort_of(
             rec(f"r{i}", {"gcs_min": 3.0 + i}, age=age, outcome=1 if i % 2 else -1)
             for i, age in enumerate(ages)
-        ]
+        )
         path = tmp_path / "edges.csv"
-        save_cohort(path, cohort, ["gcs_min"])
+        save_cohort(path, cohort)
         report = tmp_path / "child.json"
         run_ok(["evaluate", "--cohort", path, "--score-def", definition,
                 "--out", report, "--filter", "age:child"])
@@ -525,9 +522,9 @@ class TestEvaluate:
         """Soft and hard scoring both reject an age outside every band, also
         for a record whose step values are all missing."""
         cohort = load_cohort(ws["cohort"])
-        stray = PatientRecord(id="stray", age_months=1300, outcome=-1, values={})
+        stray = rec("stray", {}, age=1300, outcome=-1)
         path = tmp_path / "stray.csv"
-        save_cohort(path, list(cohort) + [stray], list(cohort[0].values))
+        save_cohort(path, cohort_of(rows_of(cohort) + [stray]))
         for fitted in ((), ("--fitted", ws["fitted"])):
             result = run_fail(
                 [
@@ -660,34 +657,6 @@ class TestMissingColumn:
         assert files_misspelt == files_emptied
 
 
-class TestNoRecordObjects:
-    def test_commands_build_no_patient_record(self, ws, tmp_path, monkeypatch):
-        """``evaluate``, ``fit``, ``cv`` and kNN ``impute`` run on a cohort's
-        columns from the CSV they read to the files they write."""
-        built = []
-        post_init = PatientRecord.__post_init__
-
-        def counting(record):
-            built.append(record.id)
-            post_init(record)
-
-        monkeypatch.setattr(PatientRecord, "__post_init__", counting)
-        monkeypatch.setattr("softscore.evaluation._available_cores", lambda: 1)
-        common = ["--cohort", ws["cohort"], "--score-def", ws["definition"]]
-        run_ok(["evaluate", *common, "--fitted", ws["fitted"], "--out", tmp_path / "e.json",
-                "--scores", tmp_path / "e.csv", "--filter", "age:all"])
-        run_ok(["evaluate", *common, "--out", tmp_path / "h.json",
-                "--scores", tmp_path / "h.csv"])
-        run_ok(["fit", *common, "--out", tmp_path / "f.json", "--optimize", "a,w"])
-        run_ok(["cv", *common, "--folds", 3, "--optimize", "a", "--out", tmp_path / "cv.json",
-                "--scores", tmp_path / "cv.csv"])
-        run_ok(["impute", "--cohort", ws["cohort"], "--method", "knn",
-                "--out", tmp_path / "i.csv"])
-        assert built == []
-        rec("counted", {})  # the counter sees a record built anywhere
-        assert built == ["counted"]
-
-
 class TestMalformedFiles:
     """A malformed input file exits 1 with one error line naming it, never
     with a traceback."""
@@ -818,10 +787,10 @@ class TestCv:
 
     def test_leave_one_out(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])
-        positives = [r for r in cohort if r.outcome == 1][:4]
-        negatives = [r for r in cohort if r.outcome == -1][:20]
+        positives = [r for r in rows_of(cohort) if r.outcome == 1][:4]
+        negatives = [r for r in rows_of(cohort) if r.outcome == -1][:20]
         path = tmp_path / "small.csv"
-        save_cohort(path, positives + negatives, list(cohort[0].values))
+        save_cohort(path, cohort_of(positives + negatives))
         report_path = tmp_path / "loo.json"
         result = run_ok(
             [
@@ -840,10 +809,10 @@ class TestCv:
 
     def test_kfold_with_a_class_of_one_exits_one(self, ws, tmp_path):
         cohort = load_cohort(ws["cohort"])
-        positives = [r for r in cohort if r.outcome == 1][:1]
-        negatives = [r for r in cohort if r.outcome == -1][:20]
+        positives = [r for r in rows_of(cohort) if r.outcome == 1][:1]
+        negatives = [r for r in rows_of(cohort) if r.outcome == -1][:20]
         path = tmp_path / "lonely.csv"
-        save_cohort(path, positives + negatives, list(cohort[0].values))
+        save_cohort(path, cohort_of(positives + negatives))
         result = run_fail(
             [
                 "cv",
@@ -903,7 +872,7 @@ class TestImpute:
         )
         assert default.read_bytes() == explicit.read_bytes()
         completed = load_cohort(default)
-        assert all(v is not None for r in completed for v in r.values.values())
+        assert all(v is not None for r in rows_of(completed) for v in r.values.values())
 
     def test_mean_on_complete_cohort_is_identity(self, ws, tmp_path):
         once = tmp_path / "once.csv"
@@ -927,7 +896,7 @@ class TestImpute:
         completed = load_cohort(out)
         filled = [
             c.value("lactate_max")
-            for o, c in zip(original, completed)
+            for o, c in zip(rows_of(original), rows_of(completed))
             if o.value("lactate_max") is None
         ]
         assert filled and all(v == 1.0 for v in filled)

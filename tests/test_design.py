@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     banded_definition,
+    cohort_of,
     mixed_definition,
     random_instance,
     rec,
     reference_hard_score,
     reference_score,
     reference_z,
+    rows_of,
 )
 from softscore.design import CohortDesign, _StepBlock, hard_scores, soft_scores
 from softscore.errors import ValidationError
@@ -27,7 +29,7 @@ OUT_OF_BAND = "age {} months falls outside every age band of feature 'hr_max:ste
 class TestCohortDesign:
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValidationError):
-            CohortDesign([], mixed_definition())
+            CohortDesign(cohort_of([]), mixed_definition())
 
     def test_scores_match_per_record_transform(self):
         rng = np.random.default_rng(31)
@@ -35,7 +37,7 @@ class TestCohortDesign:
             d, p, cohort = random_instance(rng)
             design = CohortDesign(cohort, d)
             batch = design.scores_for(p)
-            reference = [reference_score(r, d, p) for r in cohort]
+            reference = [reference_score(r, d, p) for r in rows_of(cohort)]
             np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
 
     def test_z_matrix_matches_per_record_transform(self):
@@ -46,29 +48,29 @@ class TestCohortDesign:
         for d, p, cohort in instances:
             design = CohortDesign(cohort, d)
             Z = design.z_matrix(p.slopes, p.thresholds)
-            for i, r in enumerate(cohort):
+            for i, r in enumerate(rows_of(cohort)):
                 np.testing.assert_allclose(
                     Z[i], reference_z(r, d, p), rtol=0, atol=1e-12
                 )
 
     def test_age_bands_resolve_by_age(self):
         d = banded_definition()  # bands young [0, 120) and old [120, 1200)
-        cohort = [rec("a", {}, age=12), rec("b", {"hr_max": 99.0}, age=120)]
+        cohort = cohort_of([rec("a", {}, age=12), rec("b", {"hr_max": 99.0}, age=120)])
         t_index = CohortDesign(cohort, d).t_index
         young, old = (d.threshold_index[(0, lab)] for lab in ("young", "old"))
         assert t_index[:, 0].tolist() == [young, old]
-        cohort = [rec("a", {}), rec("b", {}, age=5000), rec("c", {}, age=1200)]
+        rows = [rec("a", {}), rec("b", {}, age=5000), rec("c", {}, age=1200)]
         with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(5000))):
-            CohortDesign(cohort, d)
+            CohortDesign(cohort_of(rows), d)
         with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1200))):
-            CohortDesign(cohort[2:], d)
+            CohortDesign(cohort_of(rows[2:]), d)
 
     def test_nll_of_scores_is_log1pexp_sum(self):
         d = mixed_definition()
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"lactate_max": 9.0}, outcome=1),
             rec("b", {"lactate_max": 1.0}, outcome=-1),
-        ]
+        ])
         design = CohortDesign(cohort, d)
         s = np.array([2.0, 0.5])
         expected = math.log(1 + math.exp(-2.0)) + math.log(1 + math.exp(0.5))
@@ -76,17 +78,17 @@ class TestCohortDesign:
 
     def test_has_both_classes(self):
         d = mixed_definition()
-        both = [rec("a", {}, outcome=1), rec("b", {}, outcome=-1)]
-        only = [rec("a", {}, outcome=-1), rec("b", {}, outcome=-1)]
+        both = cohort_of([rec("a", {}, outcome=1), rec("b", {}, outcome=-1)])
+        only = cohort_of([rec("a", {}, outcome=-1), rec("b", {}, outcome=-1)])
         assert CohortDesign(both, d).has_both_classes
         assert not CohortDesign(only, d).has_both_classes
 
     def test_unobserved_features_reported_by_key(self):
         d = mixed_definition()
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"lactate_max": 3.0}),
             rec("b", {"lactate_max": None, "gcs_min": None}),
-        ]
+        ])
         missing = CohortDesign(cohort, d).unobserved_features()
         assert missing == ("gcs_min:step0", "pupils_fixed")
 
@@ -94,14 +96,14 @@ class TestCohortDesign:
         d1 = mixed_definition()
         d2 = mixed_definition(with_binary=False)
         p2 = ScoreParameters.initial(d2)
-        design = CohortDesign([rec("a", {})], d1)
+        design = CohortDesign(cohort_of([rec("a", {})]), d1)
         with pytest.raises(ValidationError):
             design.scores_for(p2)
 
     def test_equal_definition_instances_are_accepted(self):
         d1 = mixed_definition()
         d2 = mixed_definition()
-        design = CohortDesign([rec("a", {"lactate_max": 5.0})], d1)
+        design = CohortDesign(cohort_of([rec("a", {"lactate_max": 5.0})]), d1)
         assert design.scores_for(ScoreParameters.initial(d2)).shape == (1,)
 
 
@@ -111,6 +113,7 @@ class TestTake:
         for _ in range(20):
             d, _, cohort = random_instance(rng, missing_rate=0.4, or_groups=True)
             design = CohortDesign(cohort, d)
+            records = rows_of(cohort)
             n = len(cohort)
             for rows in (
                 np.arange(1, n, 2),  # sorted
@@ -118,7 +121,7 @@ class TestTake:
                 [n - 1, 0, n - 1, 2, 0, 0],  # repeated
             ):
                 taken = design.take(rows)
-                built = CohortDesign([cohort[i] for i in rows], d)
+                built = CohortDesign(cohort_of([records[i] for i in rows]), d)
                 assert vars(taken).keys() == vars(built).keys()
                 for name, value in vars(built).items():
                     if isinstance(value, np.ndarray):
@@ -136,7 +139,7 @@ class TestTake:
                 assert taken.has_both_classes == built.has_both_classes
 
     def test_no_rows_rejected(self):
-        design = CohortDesign([rec("a", {})], mixed_definition())
+        design = CohortDesign(cohort_of([rec("a", {})]), mixed_definition())
         with pytest.raises(ValidationError, match="cohort is empty"):
             design.take([])
 
@@ -154,21 +157,32 @@ class TestBatchHelpers:
         instances = [random_instance(rng) for _ in range(10)]
         instances += [random_instance(rng, or_groups=True) for _ in range(10)]
         for d, _, cohort in instances:
-            reference = [reference_hard_score(r, d) for r in cohort]
+            rows = rows_of(cohort)
+            reference = [reference_hard_score(r, d) for r in rows]
             np.testing.assert_array_equal(hard_scores(cohort, d), reference)
-            assert [hard_score(r, d) for r in cohort] == reference
+            assert [hard_score(r.values, r.age_months, d) for r in rows] == reference
+            # a missing value may also be left out, or be NaN
+            left_out = [{k: v for k, v in r.values.items() if v is not None}
+                        for r in rows]
+            nan = [{k: math.nan if v is None else v for k, v in r.values.items()}
+                   for r in rows]
+            for values in (left_out, nan):
+                scalar = [hard_score(v, r.age_months, d) for v, r in zip(values, rows)]
+                assert scalar == reference
 
     def test_hard_scores_reject_ages_outside_every_band(self):
         """Also when every step value of the record is missing."""
         d = banded_definition()
         with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1300))):
-            hard_scores([rec("a", {"hr_max": 150.0}), rec("b", {}, age=1300)], d)
+            hard_scores(
+                cohort_of([rec("a", {"hr_max": 150.0}), rec("b", {}, age=1300)]), d
+            )
         with pytest.raises(ValidationError, match=re.escape(OUT_OF_BAND.format(1300))):
-            hard_score(rec("b", {}, age=1300), d)
+            hard_score({}, 1300, d)
 
     def test_hard_scores_of_empty_cohort_rejected(self):
         with pytest.raises(ValidationError, match="cohort is empty"):
-            hard_scores([], mixed_definition())
+            hard_scores(cohort_of([]), mixed_definition())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -186,16 +200,17 @@ def test_design_matches_per_record_reference(seed, n_records, missing_rate, max_
         max_slope=max_slope, or_groups=True,
     )
     design = CohortDesign(cohort, d)
+    rows = rows_of(cohort)
     np.testing.assert_allclose(
         design.z_matrix(p.slopes, p.thresholds),
-        [reference_z(r, d, p) for r in cohort], rtol=0, atol=1e-12,
+        [reference_z(r, d, p) for r in rows], rtol=0, atol=1e-12,
     )
     np.testing.assert_allclose(
-        design.scores_for(p), [reference_score(r, d, p) for r in cohort],
+        design.scores_for(p), [reference_score(r, d, p) for r in rows],
         rtol=0, atol=1e-12,
     )
     np.testing.assert_array_equal(
-        design.table_scores(), [reference_hard_score(r, d) for r in cohort]
+        design.table_scores(), [reference_hard_score(r, d) for r in rows]
     )
 
 

@@ -5,13 +5,14 @@ import logging
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_definition, random_instance, rec, scored_rows
+from helpers import cohort_of, mixed_definition, random_instance, rec, scored_rows
 from softscore.design import CohortDesign
 from softscore.errors import NumericError, ValidationError
 from softscore.evaluation import (
@@ -485,7 +486,8 @@ def signal_cohort_for_cv(rng, d, n=40):
 class TestCrossValidate:
     def setup_method(self):
         self.d = mixed_definition()
-        self.cohort = signal_cohort_for_cv(np.random.default_rng(191), self.d)
+        self.rows = signal_cohort_for_cv(np.random.default_rng(191), self.d)
+        self.cohort = cohort_of(self.rows)
         self.cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=20)
 
     def test_loo_scores_every_record_once(self):
@@ -495,7 +497,7 @@ class TestCrossValidate:
         rows = scored_rows(columns)
         assert report.n == len(self.cohort)
         assert report.folds == ()  # no per-fold table for leave-one-out
-        assert [r.id for r in rows] == [r.id for r in self.cohort]
+        assert [r.id for r in rows] == [r.id for r in self.rows]
         assert sorted(r.fold for r in rows) == list(range(len(self.cohort)))
 
     def test_kfold_rows_and_fold_table(self):
@@ -552,10 +554,10 @@ class TestCrossValidate:
         """Three positives dealt over four stratified folds leave one test
         split without a positive: its five discrimination fields are None and
         written as JSON null, while its Brier score is still reported."""
-        cohort = [
+        cohort = cohort_of(
             rec(r.id, r.values, age=r.age_months, outcome=1 if i < 3 else -1)
-            for i, r in enumerate(self.cohort)
-        ]
+            for i, r in enumerate(self.rows)
+        )
         report, columns = cross_validate(CohortDesign(cohort, self.d), self.cfg, folds=4)
         _, fold_of, _, p, y = columns
         single = [row for row in report.folds if row.n_positive == 0]
@@ -617,7 +619,7 @@ class TestCrossValidate:
             rec(f"n{i}", {"lactate_max": 2.0}, outcome=-1) for i in range(5)
         ]
         with pytest.raises(ValidationError):
-            cross_validate(CohortDesign(lonely, self.d), self.cfg, folds="loo")
+            cross_validate(CohortDesign(cohort_of(lonely), self.d), self.cfg, folds="loo")
 
     @pytest.mark.parametrize("folds", [4, "loo"])
     def test_negative_seed_rejected_before_any_fit(self, monkeypatch, folds):
@@ -639,7 +641,7 @@ class TestCrossValidate:
             rec(f"n{i}", {"lactate_max": 2.0}, outcome=-1) for i in range(7)
         ]
         with pytest.raises(ValidationError, match="two records per class"):
-            cross_validate(CohortDesign(lonely, self.d), self.cfg, folds=4)
+            cross_validate(CohortDesign(cohort_of(lonely), self.d), self.cfg, folds=4)
 
     def test_pooled_auc_uses_held_out_scores(self):
         report, columns = cross_validate(
@@ -663,7 +665,7 @@ class TestParallelFolds:
         definition, _, cohort = random_instance(
             np.random.default_rng(23), n_records=30
         )
-        y = np.array([r.outcome for r in cohort])
+        y = cohort.outcomes
         assert min(np.sum(y == 1), np.sum(y == -1)) >= 2
         return CohortDesign(cohort, definition)
 
@@ -740,4 +742,29 @@ class TestParallelFolds:
                 self._cv(monkeypatch, cores, design, self.cfg, 4)
             raised.append((type(info.value), str(info.value)))
         assert raised == [(NumericError, f"fold {first} failed")] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_fold_stops_the_forked_run(self, monkeypatch, design, tmp_path):
+        """With fold 0 of a leave-one-out run failing in this process, this
+        process fits no later fold of its own, and the folds still queued for
+        the workers are dropped: most folds are never fitted."""
+        fits = tmp_path / "fits"  # one line per fit call, from every process
+        parent = os.getpid()
+        real_fit = fit
+
+        def logged_fit(train, config):
+            with open(fits, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if design.ids[0] not in train.ids:  # fold 0 holds record 0
+                raise NumericError("fold 0 failed")
+            time.sleep(0.02)  # the workers cannot fit every fold before fold 0 is read
+            return real_fit(train, config)
+
+        monkeypatch.setattr("softscore.evaluation.fit", logged_fit)
+        assert design.n >= 20
+        with pytest.raises(NumericError, match="^fold 0 failed$"):
+            self._cv(monkeypatch, 3, design, self.cfg, "loo")
+        pids = [int(line) for line in fits.read_text(encoding="utf-8").split()]
+        assert pids.count(parent) == 1
+        assert len(pids) < design.n / 2
         assert multiprocessing.active_children() == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_definition, rec
+from helpers import cohort_of, mixed_definition, rec, rows_of
 from softscore import imputation
 from softscore.errors import ValidationError
 from softscore.imputation import ImputationMethod, impute, knn_distances
@@ -53,7 +53,7 @@ def brute_force_knn_fill(cohort, variables, k):
     """
     n = len(cohort)
     X = np.full((n, len(variables)), np.nan)
-    for i, r in enumerate(cohort):
+    for i, r in enumerate(rows_of(cohort)):
         for j, name in enumerate(variables):
             v = r.value(name)
             if v is not None:
@@ -85,7 +85,7 @@ def brute_force_knn_fill(cohort, variables, k):
 
 
 def random_missing_cohort(rng, n=15, always_observed="anchor"):
-    cohort = []
+    rows = []
     names = [always_observed, "b", "c"]
     for i in range(n):
         values = {always_observed: float(rng.uniform(-3, 3))}
@@ -93,8 +93,8 @@ def random_missing_cohort(rng, n=15, always_observed="anchor"):
             values[name] = (
                 None if rng.uniform() < 0.35 else float(rng.uniform(-3, 3))
             )
-        cohort.append(rec(f"r{i}", values, outcome=1 if i % 3 == 0 else -1))
-    return cohort, names
+        rows.append(rec(f"r{i}", values, outcome=1 if i % 3 == 0 else -1))
+    return cohort_of(rows), names
 
 
 class TestImputationMethod:
@@ -149,54 +149,55 @@ class TestImputationMethod:
 
 class TestImputeBasics:
     def test_complete_cohort_is_a_fixed_point(self):
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"x": 1.0, "y": 2.0}),
             rec("b", {"x": 3.0, "y": 4.0}, outcome=1),
-        ]
+        ])
         for method in (ImputationMethod.knn(k=1), ImputationMethod.mean(),
                        ImputationMethod("normal", normal_values={"x": 0.0, "y": 0.0})):
-            out = impute(cohort, method)
-            assert [r.values for r in out] == [r.values for r in cohort]
+            out = rows_of(impute(cohort, method))
+            assert [r.values for r in out] == [r.values for r in rows_of(cohort)]
             assert [(r.id, r.age_months, r.outcome) for r in out] == [
-                (r.id, r.age_months, r.outcome) for r in cohort
+                (r.id, r.age_months, r.outcome) for r in rows_of(cohort)
             ]
 
     def test_mean_fills_with_observer_mean(self):
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"x": 1.0}),
             rec("b", {"x": 3.0}),
             rec("c", {"x": None}),
-        ]
-        out = impute(cohort, ImputationMethod.mean())
+        ])
+        out = rows_of(impute(cohort, ImputationMethod.mean()))
         assert out[2].value("x") == 2.0
 
     def test_normal_fills_with_reference_value(self):
-        cohort = [rec("a", {"gcs_min": None, "lactate_max": 4.0})]
+        cohort = cohort_of([rec("a", {"gcs_min": None, "lactate_max": 4.0})])
         method = ImputationMethod.normal_from_definition(mixed_definition())
-        out = impute(cohort, method)
+        out = rows_of(impute(cohort, method))
         assert out[0].value("gcs_min") == 15.0
         assert out[0].value("lactate_max") == 4.0
 
     def test_normal_missing_reference_rejected(self):
-        cohort = [rec("a", {"mystery": None}), rec("b", {"mystery": 1.0})]
+        cohort = cohort_of([rec("a", {"mystery": None}), rec("b", {"mystery": 1.0})])
         method = ImputationMethod("normal", normal_values={"other": 0.0})
         with pytest.raises(ValidationError):
             impute(cohort, method)
 
     def test_variable_observed_nowhere_rejected(self):
-        cohort = [rec("a", {"x": None}), rec("b", {"x": None})]
+        cohort = cohort_of([rec("a", {"x": None}), rec("b", {"x": None})])
         with pytest.raises(ValidationError):
             impute(cohort, ImputationMethod.mean())
         with pytest.raises(ValidationError):
             impute(cohort, ImputationMethod.knn(k=1))
 
     def test_normal_can_fill_a_variable_observed_nowhere(self):
-        cohort = [rec("a", {"x": None}), rec("b", {"x": None})]
-        out = impute(cohort, ImputationMethod("normal", normal_values={"x": 7.0}))
+        cohort = cohort_of([rec("a", {"x": None}), rec("b", {"x": None})])
+        method = ImputationMethod("normal", normal_values={"x": 7.0})
+        out = rows_of(impute(cohort, method))
         assert all(r.value("x") == 7.0 for r in out)
 
     def test_k_beyond_available_neighbors_rejected(self):
-        cohort = [rec("a", {"x": 1.0}), rec("b", {"x": None})]
+        cohort = cohort_of([rec("a", {"x": 1.0}), rec("b", {"x": None})])
         with pytest.raises(ValidationError):
             impute(cohort, ImputationMethod.knn(k=2))
 
@@ -206,36 +207,38 @@ class TestImputeBasics:
         for method in (ImputationMethod.knn(k=3), ImputationMethod.mean()):
             once = impute(cohort, method)
             twice = impute(once, method)
-            assert [r.values for r in once] == [r.values for r in twice]
+            assert [r.values for r in rows_of(once)] == [r.values for r in rows_of(twice)]
             for name in names:
-                observed = [r.value(name) for r in cohort if r.value(name) is not None]
+                observed = [
+                    r.value(name) for r in rows_of(cohort) if r.value(name) is not None
+                ]
                 lo, hi = min(observed), max(observed)
-                for r in once:
+                for r in rows_of(once):
                     assert lo <= r.value(name) <= hi
 
 
 class TestKnnOracle:
     def test_single_neighbor_copies_the_complete_record(self):
-        cohort = [
+        cohort = cohort_of([
             rec("complete", {"x": 2.0, "y": 9.0}),
             rec("partial", {"x": 2.5, "y": None}),
-        ]
-        out = impute(cohort, ImputationMethod.knn(k=1))
+        ])
+        out = rows_of(impute(cohort, ImputationMethod.knn(k=1)))
         assert out[1].value("y") == 9.0
 
     def test_six_record_cohort_matches_brute_force(self):
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"u": 1.0, "v": 10.0, "w": None}),
             rec("b", {"u": 1.2, "v": None, "w": 5.0}),
             rec("c", {"u": None, "v": 11.0, "w": 6.0}),
             rec("d", {"u": 3.5, "v": 14.0, "w": 2.0}),
             rec("e", {"u": 3.6, "v": 13.5, "w": None}),
             rec("f", {"u": 0.8, "v": 10.5, "w": 5.5}),
-        ]
+        ])
         names = ["u", "v", "w"]
         for k in (1, 2, 3):
             expected = brute_force_knn_fill(cohort, names, k)
-            out = impute(cohort, ImputationMethod.knn(k=k))
+            out = rows_of(impute(cohort, ImputationMethod.knn(k=k)))
             for i, r in enumerate(out):
                 for j, name in enumerate(names):
                     assert r.value(name) == expected[i, j]
@@ -245,7 +248,7 @@ class TestKnnOracle:
         for _ in range(10):
             cohort, names = random_missing_cohort(rng, n=12)
             expected = brute_force_knn_fill(cohort, names, 3)
-            out = impute(cohort, ImputationMethod.knn(k=3))
+            out = rows_of(impute(cohort, ImputationMethod.knn(k=3)))
             for i, r in enumerate(out):
                 for j, name in enumerate(names):
                     assert r.value(name) == pytest.approx(expected[i, j], abs=1e-12)
@@ -255,44 +258,44 @@ class TestKnnOracle:
         cohort, names = random_missing_cohort(rng, n=14)
         knn_out = impute(cohort, ImputationMethod.knn(k=13))
         mean_out = impute(cohort, ImputationMethod.mean())
-        for a, b in zip(knn_out, mean_out):
+        for a, b in zip(rows_of(knn_out), rows_of(mean_out)):
             for name in names:
                 assert a.value(name) == pytest.approx(b.value(name), abs=1e-12)
 
     def test_neighbor_expansion_walks_past_non_observers(self):
-        cohort = [
+        cohort = cohort_of([
             rec("target", {"shared": 0.0, "goal": None}),
             rec("near1", {"shared": 0.1, "goal": None}),
             rec("near2", {"shared": 0.2, "goal": None}),
             rec("far", {"shared": 5.0, "goal": 42.0}),
-        ]
-        out = impute(cohort, ImputationMethod.knn(k=2))
+        ])
+        out = rows_of(impute(cohort, ImputationMethod.knn(k=2)))
         assert out[0].value("goal") == 42.0
 
     def test_no_finite_donor_falls_back_to_column_mean(self):
-        cohort = [
+        cohort = cohort_of([
             rec("isolated", {"a": 1.0, "b": None}),
             rec("donor", {"b": 3.0}),  # shares no observed variable
             rec("donor2", {"b": 5.0}),
-        ]
-        out = impute(cohort, ImputationMethod.knn(k=1))
+        ])
+        out = rows_of(impute(cohort, ImputationMethod.knn(k=1)))
         assert out[0].value("b") == 4.0
 
     def test_distance_ties_break_on_earlier_record(self):
-        cohort = [
+        cohort = cohort_of([
             rec("target", {"x": 0.0, "y": None}),
             rec("twin1", {"x": 1.0, "y": 10.0}),
             rec("twin2", {"x": 1.0, "y": 20.0}),
-        ]
-        out = impute(cohort, ImputationMethod.knn(k=1))
+        ])
+        out = rows_of(impute(cohort, ImputationMethod.knn(k=1)))
         assert out[0].value("y") == 10.0
 
     def test_distance_matrix_conventions(self):
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"x": 0.0, "y": 0.0}),
             rec("b", {"x": 1.0, "y": None}),
             rec("c", {"y": 1.0}),
-        ]
+        ])
         names = ["x", "y"]
         X = np.array([[0.0, 0.0], [1.0, np.nan], [np.nan, 1.0]])
         D = knn_distances(X, ~np.isnan(X))
@@ -318,8 +321,7 @@ class TestKnnAtScale:
     def test_imputed_preset_bytes_are_pinned(self, tmp_path, name, sha256):
         cohort, _, _ = preset_cohort(name)
         path = tmp_path / "imputed.csv"
-        save_cohort(path, impute(cohort, ImputationMethod.knn(k=5)),
-                    list(cohort[0].values))
+        save_cohort(path, impute(cohort, ImputationMethod.knn(k=5)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_memory_stays_bounded_in_n(self):
@@ -365,12 +367,12 @@ def tied_knn_cohorts(draw):
 
 def records_of(X):
     names = [f"v{j}" for j in range(X.shape[1])]
-    cohort = [
+    rows = [
         rec(f"r{i}", {name: None if np.isnan(v) else float(v)
                       for name, v in zip(names, row)})
         for i, row in enumerate(X)
     ]
-    return cohort, names
+    return cohort_of(rows), names
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -379,7 +381,7 @@ def test_knn_fill_equals_the_oracle_bit_for_bit(instance):
     X, k = instance
     cohort, names = records_of(X)
     expected = brute_force_knn_fill(cohort, names, k)
-    out = impute(cohort, ImputationMethod.knn(k=k))
+    out = rows_of(impute(cohort, ImputationMethod.knn(k=k)))
     for i, r in enumerate(out):
         assert [r.value(name) for name in names] == expected[i].tolist()
 
@@ -397,7 +399,7 @@ def test_knn_distances_are_exactly_symmetric_and_match_the_oracle(instance):
 def test_block_size_keeps_the_fill_bits(monkeypatch, rows):
     cohort, _, _ = preset_cohort("adult_icu")
     n = len(cohort)
-    incomplete = sum(any(v is None for v in r.values.values()) for r in cohort)
+    incomplete = sum(any(v is None for v in r.values.values()) for r in rows_of(cohort))
     assert imputation._BLOCK_BYTES // (8 * n) == 17  # rows of a default block
     default = impute(cohort, ImputationMethod.knn(k=5))
 
@@ -414,4 +416,4 @@ def test_block_size_keeps_the_fill_bits(monkeypatch, rows):
     # 1,075 incomplete records: blocks of 2 or 3 leave a last block of 1
     assert len(calls) == math.ceil(incomplete / rows)
     assert calls[:-1] == [rows] * (len(calls) - 1) and sum(calls) == incomplete
-    assert [r.values for r in blocked] == [r.values for r in default]
+    assert [r.values for r in rows_of(blocked)] == [r.values for r in rows_of(default)]

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softscore.io
-from helpers import banded_definition, cell_oracle, mixed_definition, rec
+from helpers import (
+    banded_definition,
+    cell_oracle,
+    cohort_of,
+    mixed_definition,
+    rec,
+    rows_of,
+)
 from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.evaluation import evaluate_scores
@@ -45,8 +52,8 @@ from softscore.model import (
     MIN_VALUED,
     AgeBand,
     BinaryFeature,
+    Cohort,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
@@ -168,12 +175,12 @@ class TestParamsRoundTrip:
 
 def _quick_fit(tmp_path):
     """A real (config, trace) pair for save_fitted calls."""
-    cohort = [
+    cohort = cohort_of([
         rec("a", {"lactate_max": 9.0}, outcome=1),
         rec("b", {"lactate_max": 1.0}),
         rec("c", {"lactate_max": 8.5, "gcs_min": 5.0}, outcome=1),
         rec("d", {"lactate_max": 2.0, "gcs_min": 14.0}),
-    ]
+    ])
     config = OptimizerConfig(optimize_over=("a",), max_outer_iters=3)
     _, trace = fit(CohortDesign(cohort, mixed_definition()), config)
     return config, trace
@@ -304,36 +311,30 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def cohorts(draw):
-    """(records, variable names): unique ids, every variable present in every
-    record as a finite float or missing."""
+    """A `Cohort` with unique ids, each cell a finite float or missing."""
     names = draw(st.lists(utf8_text, max_size=4, unique=True))
     ids = draw(st.lists(utf8_text, min_size=1, max_size=12, unique=True))
     cell = st.one_of(st.none(), finite_floats)
-    records = [
-        PatientRecord(
-            id=i,
-            age_months=draw(st.integers(0, 10**6)),
-            outcome=draw(st.sampled_from((-1, 1))),
-            values={name: draw(cell) for name in names},
-        )
-        for i in ids
-    ]
-    return records, names
+    ages, outcomes, values = [], [], []
+    for _ in ids:
+        ages.append(draw(st.integers(0, 10**6)))
+        outcomes.append(draw(st.sampled_from((-1, 1))))
+        values.append([draw(cell) for _ in names])  # None becomes NaN
+    return Cohort(ids, ages, outcomes, names, values)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cohorts())
-def test_cohort_csv_round_trips_exactly(cohort_and_names):
-    cohort, names = cohort_and_names
+def test_cohort_csv_round_trips_exactly(cohort):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/cohort.csv"
-        save_cohort(path, cohort, names)
+        save_cohort(path, cohort)
         back = load_cohort(path)
-    assert [(r.id, r.age_months, r.outcome) for r in back] == [
-        (r.id, r.age_months, r.outcome) for r in cohort
+    assert [(r.id, r.age_months, r.outcome) for r in rows_of(back)] == [
+        (r.id, r.age_months, r.outcome) for r in rows_of(cohort)
     ]
-    for r, b in zip(cohort, back):
-        assert list(b.values) == names
+    for r, b in zip(rows_of(cohort), rows_of(back)):
+        assert list(b.values) == list(cohort.variables)
         # repr tells -0.0 from 0.0 and compares floats bit for bit
         assert repr(b.values) == repr(r.values)
 
@@ -391,7 +392,7 @@ def test_loading_a_large_cohort_keeps_memory_bounded(tmp_path):
     time, and keeps only the ids and the arrays."""
     cohort, _, _ = preset_cohort("adult_icu", n=20000, seed=1001)
     path = tmp_path / "large.csv"
-    save_cohort(path, cohort, cohort.variables)
+    save_cohort(path, cohort)
     load_cohort(path)  # first-use allocations outside the measurement
     tracemalloc.start()
     try:
@@ -469,16 +470,16 @@ def test_score_definition_json_round_trips_exactly(definition):
 
 class TestCohortCsv:
     def test_round_trip_with_missing_cells(self, tmp_path):
-        cohort = [
+        rows = [
             rec("a", {"x": 0.1 + 0.2, "y": None}, age=12, outcome=1),
             rec("b", {"x": None, "y": -1e-17}, age=0),
             rec("c", {"x": 1e300, "y": 3.0}, age=1199),
         ]
         path = tmp_path / "cohort.csv"
-        save_cohort(path, cohort, ["x", "y"])
+        save_cohort(path, cohort_of(rows))
         back = load_cohort(path)
-        assert [(r.id, r.age_months, r.outcome, r.values) for r in back] == [
-            (r.id, r.age_months, r.outcome, r.values) for r in cohort
+        assert [(r.id, r.age_months, r.outcome, r.values) for r in rows_of(back)] == [
+            (r.id, r.age_months, r.outcome, r.values) for r in rows
         ]
 
     def test_header_and_structure_errors(self, tmp_path):
@@ -630,7 +631,7 @@ class TestCohortCsv:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "true_probability"]
-        assert [r[0] for r in rows[1:]] == [r.id for r in cohort]
+        assert [r[0] for r in rows[1:]] == [r.id for r in rows_of(cohort)]
         assert [float(r[1]) for r in rows[1:]] == list(probabilities)
 
 
@@ -658,7 +659,7 @@ class TestGeneratorConfigRoundTrip:
         # the reload drives the generator to the same draws
         a, pa = generate(config)
         b, pb = generate(back)
-        assert [r.values for r in a] == [r.values for r in b]
+        assert [r.values for r in rows_of(a)] == [r.values for r in rows_of(b)]
         np.testing.assert_array_equal(pa, pb)
 
     def test_unknown_distribution_kind(self):

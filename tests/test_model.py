@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BAND_ALL, banded_definition, mixed_definition, rec, random_instance
+from helpers import (
+    BAND_ALL,
+    banded_definition,
+    cohort_of,
+    mixed_definition,
+    random_instance,
+    rec,
+)
 from softscore.design import CohortDesign
 from softscore.errors import ContractViolation, ValidationError
 from softscore.model import (
@@ -20,7 +27,6 @@ from softscore.model import (
     BinaryFeature,
     Cohort,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
@@ -176,22 +182,6 @@ class TestScoreDefinition:
         assert chains == {(0, 2): UP, (1, 3): UP}
 
 
-class TestPatientRecord:
-    def test_outcome_must_be_plus_or_minus_one(self):
-        with pytest.raises(ValidationError):
-            rec("r", {}, outcome=0)
-
-    def test_negative_age_rejected(self):
-        with pytest.raises(ValidationError):
-            rec("r", {}, age=-1)
-
-    def test_values_coerced_and_missing_preserved(self):
-        r = rec("r", {"a": 3, "b": None})
-        assert r.value("a") == 3.0
-        assert r.value("b") is None
-        assert r.value("absent") is None
-
-
 class TestScoreParameters:
     def test_initial_uses_table_values(self):
         d = mixed_definition()
@@ -244,7 +234,7 @@ def _up_down(x, a, t):
         ),
         age_bands=(BAND_ALL,),
     )
-    z = CohortDesign([rec("r", {"up": x, "down": x})], d).step_z(
+    z = CohortDesign(cohort_of([rec("r", {"up": x, "down": x})]), d).step_z(
         np.array([a, a]), np.array([t, t])
     )
     return float(z[0, 0]), float(z[0, 1])
@@ -281,7 +271,7 @@ class TestTransformRecord:
                             np.array([4.0, 8.0, 8.0]),
                             np.array([2.0, 3.0, 5.0, 4.0]))
         r = rec("r", {"lactate_max": 5.0, "gcs_min": None, "pupils_fixed": 1.0})
-        design = CohortDesign([r], d)
+        design = CohortDesign(cohort_of([r]), d)
         assert design.step_observed.tolist() == [[True, True, False]]
         assert design.bin_observed.tolist() == [[True]]
         z = design.z_matrix(p.slopes, p.thresholds)[0]
@@ -293,7 +283,7 @@ class TestTransformRecord:
     def test_binary_nonunit_value_counts_as_zero(self):
         d = mixed_definition()
         p = ScoreParameters.initial(d)
-        design = CohortDesign([rec("r", {"pupils_fixed": 2.0})], d)
+        design = CohortDesign(cohort_of([rec("r", {"pupils_fixed": 2.0})]), d)
         assert design.z_matrix(p.slopes, p.thresholds)[0, 3] == 0.0
         assert design.bin_observed[0, 0]
 
@@ -304,7 +294,7 @@ class TestTransformRecord:
                             np.array([2.0, 3.0]))
         young = rec("y", {"hr_max": 150.0}, age=12)
         old = rec("o", {"hr_max": 150.0}, age=400)
-        z = CohortDesign([young, old], d).z_matrix(p.slopes, p.thresholds)
+        z = CohortDesign(cohort_of([young, old]), d).z_matrix(p.slopes, p.thresholds)
         # 150 is below the young step-0 threshold but above the old one
         assert z[0, 0] < 0.5 < z[1, 0]
 
@@ -339,45 +329,50 @@ class TestScoreAndProbability:
 class TestHardScore:
     def test_strict_crossing_semantics(self):
         d = mixed_definition()
-        at_threshold = rec("r", {"lactate_max": 4.0})
-        assert hard_score(at_threshold, d) == 0.0
-        above = rec("r", {"lactate_max": 4.1})
-        assert hard_score(above, d) == 2.0
-        above_both = rec("r", {"lactate_max": 9.0})
-        assert hard_score(above_both, d) == 5.0  # both lactate steps add up
+        assert hard_score({"lactate_max": 4.0}, 60, d) == 0.0  # at the threshold
+        assert hard_score({"lactate_max": 4.1}, 60, d) == 2.0
+        # both lactate steps add up
+        assert hard_score({"lactate_max": 9.0}, 60, d) == 5.0
 
     def test_down_direction_and_binary(self):
         d = mixed_definition()
-        low_gcs = rec("r", {"gcs_min": 5.0, "pupils_fixed": 1.0})
-        assert hard_score(low_gcs, d) == 9.0  # gcs step 5 + pupils 4
+        low_gcs = {"gcs_min": 5.0, "pupils_fixed": 1.0}
+        assert hard_score(low_gcs, 60, d) == 9.0  # gcs step 5 + pupils 4
 
     def test_missing_never_triggers(self):
         d = mixed_definition()
-        assert hard_score(rec("r", {}), d) == 0.0
+        assert hard_score({}, 60, d) == 0.0
+        # a value left out, a None and a NaN are all missing
+        assert hard_score({"gcs_min": None, "pupils_fixed": math.nan}, 60, d) == 0.0
+        for missing in ({}, {"lactate_max": None}, {"lactate_max": math.nan}):
+            values = {"gcs_min": 5.0, "pupils_fixed": 1.0, **missing}
+            assert hard_score(values, 60, d) == 9.0
 
     def test_or_group_contributes_maximum_triggered_weight(self):
         d = mixed_definition(or_group="coma")
-        both = rec("r", {"gcs_min": 5.0, "pupils_fixed": 1.0})
-        assert hard_score(both, d) == 5.0  # max(5, 4), not 9
-        only_binary = rec("r", {"gcs_min": 14.0, "pupils_fixed": 1.0})
-        assert hard_score(only_binary, d) == 4.0
+        both = {"gcs_min": 5.0, "pupils_fixed": 1.0}
+        assert hard_score(both, 60, d) == 5.0  # max(5, 4), not 9
+        only_binary = {"gcs_min": 14.0, "pupils_fixed": 1.0}
+        assert hard_score(only_binary, 60, d) == 4.0
 
     def test_age_banded_threshold_resolution(self):
         d = banded_definition()
-        young = rec("y", {"hr_max": 170.0}, age=12)
-        old = rec("o", {"hr_max": 170.0}, age=400)
-        assert hard_score(young, d) == 2.0  # crosses 160 only
-        assert hard_score(old, d) == 5.0  # crosses 130 and 160
+        assert hard_score({"hr_max": 170.0}, 12, d) == 2.0  # crosses 160 only
+        assert hard_score({"hr_max": 170.0}, 400, d) == 5.0  # crosses 130 and 160
+        with pytest.raises(ValidationError, match="outside every age band"):
+            hard_score({"hr_max": 170.0}, 1200, d)
+        with pytest.raises(ValidationError, match="negative age"):
+            hard_score({"hr_max": 170.0}, -1, d)
 
 
 class TestValidateCohort:
     def test_flags_out_of_range_and_bad_binary(self):
         d = mixed_definition()
-        cohort = [
+        cohort = cohort_of([
             rec("ok", {"lactate_max": 3.0}),
             rec("hot", {"lactate_max": 80.0}),
             rec("odd", {"pupils_fixed": 0.5}),
-        ]
+        ])
         warnings = validate_cohort(cohort, d)
         assert len(warnings) == 2
         assert any("hot" in w for w in warnings)
@@ -385,42 +380,30 @@ class TestValidateCohort:
 
     def test_value_just_above_the_range_warns(self):
         d = mixed_definition()
-        cohort = [rec("r", {"lactate_max": 31.0})]
+        cohort = cohort_of([rec("r", {"lactate_max": 31.0})])
         assert validate_cohort(cohort, d) != []
 
     def test_never_rejects(self):
         d = mixed_definition()
-        cohort = [rec("r", {"lactate_max": 1e9})]
+        cohort = cohort_of([rec("r", {"lactate_max": 1e9})])
         assert isinstance(validate_cohort(cohort, d), list)
 
 
 class TestCohort:
-    def test_from_records_and_back(self):
-        records = [
-            rec("a", {"x": 1.5, "y": None}, age=12, outcome=1),
-            rec("b", {"y": -0.0, "z": 2.0}, age=0),
-        ]
-        cohort = Cohort.from_records(records)
+    def test_columns_and_length(self):
+        values = [[1.5, math.nan, math.nan], [math.nan, -0.0, 2.0]]
+        cohort = Cohort(["a", "b"], [12, 0], [1, -1], ["x", "y", "z"], values)
         assert cohort.ids == ("a", "b")
-        assert cohort.variables == ("x", "y", "z")  # order of first appearance
+        assert cohort.variables == ("x", "y", "z")  # in the order given
         assert cohort.ages.tolist() == [12, 0]
         assert cohort.outcomes.tolist() == [1, -1]
-        assert repr(cohort.values.tolist()) == repr(
-            [[1.5, math.nan, math.nan], [math.nan, -0.0, 2.0]]
-        )
+        assert repr(cohort.values.tolist()) == repr(values)
         assert len(cohort) == 2
-        assert cohort[-1] == rec("b", {"x": None, "y": -0.0, "z": 2.0}, age=0)
-        assert list(cohort) == [
-            rec("a", {"x": 1.5, "y": None, "z": None}, age=12, outcome=1),
-            cohort[1],
-        ]
-        assert Cohort.from_records(cohort) is cohort
-        assert Cohort.from_records(list(cohort)) == cohort
         assert cohort.column("z").tolist()[1] == 2.0
         assert cohort.column("w") is None
 
     def test_an_empty_cohort_has_no_rows(self):
-        cohort = Cohort.from_records([])
+        cohort = Cohort((), [], [], (), np.empty((0, 0)))
         assert len(cohort) == 0 and cohort.values.shape == (0, 0)
 
     def test_construction_names_the_first_bad_record(self):
@@ -454,10 +437,10 @@ class TestCohort:
 class TestValidateCohortColumns:
     def test_warnings_run_in_record_then_variable_order(self):
         d = mixed_definition()
-        cohort = [
+        cohort = cohort_of([
             rec("p", {"lactate_max": 40.0, "gcs_min": 2.0, "pupils_fixed": 2.0}),
             rec("q", {"lactate_max": 1.0, "gcs_min": 16.0, "pupils_fixed": None}),
-        ]
+        ])
         assert validate_cohort(cohort, d) == [
             "record 'p': lactate_max = 40.0 outside [0.0, 30.0] mmol/L",
             "record 'p': gcs_min = 2.0 outside [3.0, 15.0] points",
@@ -467,7 +450,9 @@ class TestValidateCohortColumns:
 
     def test_a_variable_without_a_column_is_logged_once(self, caplog):
         d = mixed_definition()
-        cohort = [rec("p", {"lactate_max": 40.0}), rec("q", {"lactate_max": 1.0})]
+        cohort = cohort_of(
+            [rec("p", {"lactate_max": 40.0}), rec("q", {"lactate_max": 1.0})]
+        )
         with caplog.at_level(logging.WARNING, logger="softscore"):
             warnings = validate_cohort(cohort, d)
         assert warnings == ["record 'p': lactate_max = 40.0 outside [0.0, 30.0] mmol/L"]
@@ -498,7 +483,6 @@ class TestHardLimitAgreement:
                 values["gcs_min"] = float(rng.uniform(3.0, 15.0))
             if rng.uniform() < 0.9:
                 values["pupils_fixed"] = float(rng.integers(0, 2))
-            r = rec("r", values)
             clear = all(
                 abs(values.get(v, 1e9) - t) >= 0.01 if v in values else True
                 for v, t in (("lactate_max", 4.0), ("lactate_max", 8.0),
@@ -507,6 +491,6 @@ class TestHardLimitAgreement:
             if not clear:
                 continue
             checked += 1
-            soft = float(CohortDesign([r], d).scores_for(p)[0])
-            assert soft == pytest.approx(hard_score(r, d), abs=1e-6)
+            soft = float(CohortDesign(cohort_of([rec("r", values)]), d).scores_for(p)[0])
+            assert soft == pytest.approx(hard_score(values, 60, d), abs=1e-6)
         assert checked > 200

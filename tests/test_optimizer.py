@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from helpers import (
     BAND_ALL,
     band_label,
+    cohort_of,
     mixed_definition,
     random_instance,
     rec,
     reference_z,
+    rows_of,
 )
 from softscore.design import CohortDesign
 from softscore.errors import ContractViolation, NumericError, ValidationError
@@ -21,7 +23,6 @@ from softscore.model import (
     MAX_VALUED,
     MIN_VALUED,
     FeatureStep,
-    PatientRecord,
     RawVariable,
     ScoreDefinition,
     ScoreParameters,
@@ -87,7 +88,7 @@ class TestObjectiveOracles:
     def test_all_missing_cohort_gives_n_log2(self):
         d = mixed_definition()
         p = ScoreParameters.initial(d)
-        cohort = [rec(f"r{i}", {}, outcome=1 if i % 2 else -1) for i in range(7)]
+        cohort = cohort_of(rec(f"r{i}", {}, outcome=1 if i % 2 else -1) for i in range(7))
         assert objective(p, CohortDesign(cohort, d), NLL_ONLY) == pytest.approx(
             7 * math.log(2), rel=1e-15
         )
@@ -95,8 +96,8 @@ class TestObjectiveOracles:
     def test_single_record_scalar_values(self):
         d = binary_only_definition(weight=5.0)
         p = ScoreParameters.initial(d)
-        positive = [rec("p", {"flag": 1.0}, outcome=1)]
-        negative = [rec("n", {"flag": 1.0}, outcome=-1)]
+        positive = cohort_of([rec("p", {"flag": 1.0}, outcome=1)])
+        negative = cohort_of([rec("n", {"flag": 1.0}, outcome=-1)])
         assert objective(p, CohortDesign(positive, d), NLL_ONLY) == pytest.approx(
             LOG1PEXP_MINUS5, rel=1e-12
         )
@@ -109,14 +110,14 @@ class TestObjectiveOracles:
         d, p, cohort = random_instance(rng)
         value = objective(p, CohortDesign(cohort, d), NLL_ONLY)
         assert objective(
-            p, CohortDesign(cohort[::-1], d), NLL_ONLY
+            p, CohortDesign(cohort_of(rows_of(cohort)[::-1]), d), NLL_ONLY
         ) == pytest.approx(value, rel=1e-14)
 
     def test_non_finite_score_raises(self):
         d = mixed_definition()
         p = ScoreParameters(d, np.array([0.0, 1.0, 1.0]),
                             np.array([4.0, 8.0, 8.0]), np.ones(4))
-        bad = [rec("r", {"lactate_max": math.inf}, outcome=1)]
+        bad = cohort_of([rec("r", {"lactate_max": math.inf}, outcome=1)])
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             objective(p, CohortDesign(bad, d), NLL_ONLY)
 
@@ -149,7 +150,7 @@ class TestObjectiveOracles:
                 optimize_over=("a", "t", "w"), prior_lambda=0.25, prior_mu=0.0
             )
             nll = 0.0
-            for r in cohort:
+            for r in rows_of(cohort):
                 z = reference_z(r, d, p)
                 s = float(np.dot(p.weights, z))
                 nll += math.log1p(math.exp(-r.outcome * s))
@@ -231,7 +232,7 @@ def _saturated_slope_cols(d, p, cohort, margin=30.0):
     """Slope columns with any record in the sigmoid's flat tails, where finite
     differences lose all precision."""
     bad = set()
-    for r in cohort:
+    for r in rows_of(cohort):
         for fi, j in d.slope_index.items():
             x = r.value(d.features[fi].variable.name)
             if x is None:
@@ -291,10 +292,10 @@ class TestGradientStructure:
         p = ScoreParameters(d, np.array([1.0, 1.0, 1.5]),
                             np.array([4.0, 8.0, 8.0]),
                             np.array([2.0, 3.0, 5.0, 4.0]))
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"lactate_max": 5.0, "gcs_min": None}, outcome=1),
             rec("b", {"lactate_max": 2.0}, outcome=-1),
-        ]
+        ])
         g_a, g_t, _ = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)
         assert g_a[2] == 0.0  # gcs never observed
         assert g_t[2] == 0.0
@@ -303,10 +304,10 @@ class TestGradientStructure:
         d = mixed_definition(with_binary=False)
         w = np.array([1e-300, 1e-300, 2.0])
         p = ScoreParameters(d, np.ones(3), np.array([4.0, 8.0, 8.0]), w)
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"lactate_max": 5.0, "gcs_min": 6.0}, outcome=1),
             rec("b", {"lactate_max": 3.0, "gcs_min": 12.0}, outcome=-1),
-        ]
+        ])
         g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[0]
         assert abs(g[0]) < 1e-290 and abs(g[1]) < 1e-290
         assert abs(g[2]) > 1e-6
@@ -331,10 +332,7 @@ class TestGradientStructure:
                 w = float(rng.uniform(0.1, 4.0))
                 y = int(rng.choice((-1, 1)))
                 p = ScoreParameters(d, np.array([a]), np.array([t]), np.array([w]))
-                cohort = [
-                    PatientRecord(id="r", age_months=1, outcome=y,
-                                  values={var.name: x})
-                ]
+                cohort = cohort_of([rec("r", {var.name: x}, age=1, outcome=y)])
                 g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[0][0]
                 expected = flip * (-y * w * (x - t))
                 assert g * expected >= 0.0
@@ -357,9 +355,7 @@ class TestGradientStructure:
             w = float(rng.uniform(0.1, 4.0))
             y = int(rng.choice((-1, 1)))
             p = ScoreParameters(d, np.array([a]), np.array([t]), np.array([w]))
-            cohort = [
-                PatientRecord(id="r", age_months=1, outcome=y, values={"u": x})
-            ]
+            cohort = cohort_of([rec("r", {"u": x}, age=1, outcome=y)])
             g = _gradient_parts(p, CohortDesign(cohort, d), NLL_ONLY)[1][0]
             if y == -1:
                 assert g <= 0.0
@@ -368,7 +364,7 @@ class TestGradientStructure:
 
     def test_log_weight_gradient_reduces_to_prior_without_signal(self):
         d = binary_only_definition(weight=math.exp(2.0))
-        cohort = [rec("a", {}, outcome=1), rec("b", {}, outcome=-1)]
+        cohort = cohort_of([rec("a", {}, outcome=1), rec("b", {}, outcome=-1)])
         cfg = OptimizerConfig(optimize_over=("w",), prior_lambda=0.25, prior_mu=0.0)
         p = ScoreParameters.initial(d)
         g = _gradient_parts(p, CohortDesign(cohort, d), cfg)[2]
@@ -564,29 +560,25 @@ def signal_cohort(rng, d, p, n=60):
             else:
                 values[v.name] = float(rng.uniform(-6.0, 6.0))
         records.append(
-            PatientRecord(id=f"s{i}", age_months=int(rng.integers(0, 1200)),
-                          outcome=-1, values=values)
+            rec(f"s{i}", values, age=int(rng.integers(0, 1200)), outcome=-1)
         )
-    s = CohortDesign(records, d).scores_for(p)
+    s = CohortDesign(cohort_of(records), d).scores_for(p)
     probs = 1.0 / (1.0 + np.exp(-(s - np.median(s))))
     out = []
     for r, pr in zip(records, probs):
         y = 1 if rng.uniform() < pr else -1
-        out.append(PatientRecord(id=r.id, age_months=r.age_months, outcome=y,
-                                 values=r.values))
+        out.append(r._replace(outcome=y))
     if not any(r.outcome == 1 for r in out):
-        out[0] = PatientRecord(id=out[0].id, age_months=out[0].age_months,
-                               outcome=1, values=out[0].values)
+        out[0] = out[0]._replace(outcome=1)
     if not any(r.outcome == -1 for r in out):
-        out[1] = PatientRecord(id=out[1].id, age_months=out[1].age_months,
-                               outcome=-1, values=out[1].values)
-    return out
+        out[1] = out[1]._replace(outcome=-1)
+    return cohort_of(out)
 
 
 class TestFit:
     def test_single_class_cohort_rejected(self):
         d = mixed_definition()
-        cohort = [rec("a", {}, outcome=-1), rec("b", {}, outcome=-1)]
+        cohort = cohort_of([rec("a", {}, outcome=-1), rec("b", {}, outcome=-1)])
         with pytest.raises(ValidationError):
             fit(CohortDesign(cohort, d), OptimizerConfig())
 
@@ -665,12 +657,12 @@ class TestFit:
 
     def test_unobserved_feature_is_frozen_with_warning(self):
         d = mixed_definition()
-        cohort = [
+        cohort = cohort_of([
             rec("a", {"lactate_max": 7.0, "gcs_min": 5.0}, outcome=1),
             rec("b", {"lactate_max": 2.0, "gcs_min": 13.0}, outcome=-1),
             rec("c", {"lactate_max": 6.0, "gcs_min": 9.0}, outcome=1),
             rec("d", {"lactate_max": 1.0, "gcs_min": 14.0}, outcome=-1),
-        ]  # pupils_fixed never observed
+        ])  # pupils_fixed never observed
         cfg = OptimizerConfig(optimize_over=("a", "w"), max_outer_iters=30)
         params, trace = fit(CohortDesign(cohort, d), cfg)
         assert any("pupils_fixed" in w for w in trace.warnings)
@@ -752,10 +744,10 @@ class TestFit:
 
     def test_converges_by_tolerance_on_easy_instance(self):
         d = binary_only_definition(weight=2.0)
-        cohort = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
-        cohort += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
+        rows = [rec(f"p{i}", {"flag": 1.0}, outcome=1) for i in range(5)]
+        rows += [rec(f"n{i}", {"flag": 0.0}, outcome=-1) for i in range(5)]
         params, trace = fit(
-            CohortDesign(cohort, d), OptimizerConfig(optimize_over=("w",))
+            CohortDesign(cohort_of(rows), d), OptimizerConfig(optimize_over=("w",))
         )
         assert trace.converged_reason == "relative decrease below tolerance"
         assert trace.outer_iterations < 500
@@ -804,11 +796,11 @@ class TestFitPinned:
     def test_trace_matches_recorded_fit(self, n, seed, reverse, final_hex,
                                         accepted, stalls, sequence_sha256):
         cohort, _, _ = preset_cohort("pediatric_icu", n=n, seed=seed)
-        cohort = [
-            PatientRecord(r.id, r.age_months, -r.outcome if reverse else r.outcome,
-                          {**r.values, "pupils_fixed": None})
-            for r in cohort
-        ]
+        cohort = cohort_of(
+            r._replace(outcome=-r.outcome if reverse else r.outcome,
+                       values={**r.values, "pupils_fixed": None})
+            for r in rows_of(cohort)
+        )
         cfg = OptimizerConfig(optimize_over=("t", "w", "a"), max_outer_iters=40)
         _, trace = fit(CohortDesign(cohort, preset("pediatric_icu").definition()), cfg)
         sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)

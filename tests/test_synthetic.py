@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import BAND_ALL, reference_score
+from helpers import BAND_ALL, reference_score, rows_of
 from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.evaluation import roc_and_auc
@@ -164,15 +164,15 @@ class TestGenerate:
     def test_no_missing_when_rate_zero(self):
         cohort, _ = generate(tiny_config(n=200, missing_rate=0.0))
         assert all(
-            r.value(v) is not None for r in cohort for v in ("x", "flag")
+            r.value(v) is not None for r in rows_of(cohort) for v in ("x", "flag")
         )
 
     def test_same_seed_reproduces_exactly(self):
         config = demo_generator(n=150)
         first, p1 = generate(config)
         second, p2 = generate(config)
-        assert [(r.id, r.age_months, r.outcome, r.values) for r in first] == [
-            (r.id, r.age_months, r.outcome, r.values) for r in second
+        assert [(r.id, r.age_months, r.outcome, r.values) for r in rows_of(first)] == [
+            (r.id, r.age_months, r.outcome, r.values) for r in rows_of(second)
         ]
         np.testing.assert_array_equal(p1, p2)
 
@@ -182,16 +182,16 @@ class TestGenerate:
         config = demo_generator(n=150)
         first, _ = generate(config)
         second, _ = generate(dataclasses.replace(config, seed=config.seed + 1))
-        assert [r.values for r in first] != [r.values for r in second]
+        assert [r.values for r in rows_of(first)] != [r.values for r in rows_of(second)]
 
     def test_outcomes_are_plus_minus_one(self):
         cohort, _ = generate(tiny_config(n=300))
-        assert set(r.outcome for r in cohort) == {-1, 1}
+        assert set(r.outcome for r in rows_of(cohort)) == {-1, 1}
 
     def test_truth_sidecar_matches_scalar_recomputation(self):
         config = demo_generator(n=300)
         cohort, probabilities = generate(config)
-        for r, p in zip(cohort, probabilities):
+        for r, p in zip(rows_of(cohort), probabilities):
             s = reference_score(r, config.definition, config.true_params)
             assert p == pytest.approx(sigmoid(config.intercept + s), abs=1e-12)
 
@@ -214,8 +214,9 @@ class TestGenerate:
             missing_rate=0.5,
         )
         cohort, probabilities = generate(config)
-        masked = [p for r, p in zip(cohort, probabilities) if r.value("x") is None]
-        observed = [p for r, p in zip(cohort, probabilities) if r.value("x") is not None]
+        rows = rows_of(cohort)
+        masked = [p for r, p in zip(rows, probabilities) if r.value("x") is None]
+        observed = [p for r, p in zip(rows, probabilities) if r.value("x") is not None]
         assert masked and observed
         # a masked cell contributes nothing, so only the intercept remains
         assert all(p == pytest.approx(0.5, abs=1e-3) for p in masked)
@@ -224,13 +225,17 @@ class TestGenerate:
     def test_empirical_missing_rate(self):
         config = demo_generator(n=2000)
         cohort, _ = generate(config)
-        cells = [r.value(v.name) is None for r in cohort for v in config.definition.variables]
+        cells = [
+            r.value(v.name) is None
+            for r in rows_of(cohort)
+            for v in config.definition.variables
+        ]
         se = math.sqrt(0.2 * 0.8 / len(cells))
         assert abs(np.mean(cells) - 0.2) < 3 * se
 
     def test_prevalence_within_three_se_of_mean_true_probability(self):
         cohort, probabilities = generate(demo_generator(n=10000))
-        prevalence = np.mean([r.outcome == 1 for r in cohort])
+        prevalence = np.mean([r.outcome == 1 for r in rows_of(cohort)])
         target = probabilities.mean()
         se = math.sqrt(np.sum(probabilities * (1 - probabilities))) / len(cohort)
         assert abs(prevalence - target) <= 3 * se
@@ -247,25 +252,25 @@ class TestGenerate:
         )
         with caplog.at_level(logging.WARNING, logger="softscore"):
             cohort, _ = generate(config)
-        assert all(0.0 <= r.value("x") <= 10.0 for r in cohort)
+        assert all(0.0 <= r.value("x") <= 10.0 for r in rows_of(cohort))
         assert any("clamped" in m and "'x'" in m for m in caplog.messages)
 
     def test_binary_draws_are_indicator_valued(self):
         cohort, _ = generate(tiny_config(n=200, missing_rate=0.0))
-        assert set(r.value("flag") for r in cohort) <= {0.0, 1.0}
+        assert set(r.value("flag") for r in rows_of(cohort)) <= {0.0, 1.0}
 
     def test_ages_follow_the_band_distribution(self):
         config = pediatric_icu_generator(n=900)
         cohort, _ = generate(config)
         bands = config.definition.age_bands
-        for r in cohort:
+        for r in rows_of(cohort):
             assert any(b.min_age_months <= r.age_months < b.max_age_months for b in bands)
         for band in bands:
             p = config.age_distribution[band.label]
             hit = np.mean(
                 [
                     band.min_age_months <= r.age_months < band.max_age_months
-                    for r in cohort
+                    for r in rows_of(cohort)
                 ]
             )
             assert abs(hit - p) < 4 * math.sqrt(p * (1 - p) / len(cohort))
@@ -278,7 +283,7 @@ class TestGenerate:
             params, _ = fit(CohortDesign(train, demo_definition()), config)
             from softscore.design import soft_scores
 
-            labels = [r.outcome for r in test]
+            labels = [r.outcome for r in rows_of(test)]
             _, fitted_auc = roc_and_auc(
                 soft_scores(test, demo_definition(), params), labels
             )
@@ -322,7 +327,7 @@ class TestPresets:
         for name in ("pediatric_icu", "adult_icu"):
             cohort, _, config = preset_cohort(name, n=80)
             ranges = {v.name: v.physiological_range for v in config.definition.variables}
-            for r in cohort:
+            for r in rows_of(cohort):
                 for var, value in r.values.items():
                     if value is not None:
                         lo, hi = ranges[var]
