@@ -28,7 +28,7 @@ from .numerics import log1pexp, sigmoid
 
 # The per-record arrays of a design, in record order.
 _ROW_ARRAYS = (
-    "ages", "y", "step_x", "step_observed", "t_index", "bin_z", "bin_observed"
+    "ages", "y", "neg_y", "step_x", "step_observed", "t_index", "bin_z", "bin_observed"
 )
 
 
@@ -41,6 +41,7 @@ class CohortDesign:
     ids : (n,) record ids in cohort order
     ages : (n,) ages in months
     y : (n,) outcomes in {-1, +1}
+    neg_y : (n,) -y, the sign of the scores in the logistic loss
     step_x : (n, n_slopes) raw values of step features, NaN where missing
     step_observed : (n, n_slopes) bool
     step_up : (n_slopes,) bool, True for up-steps
@@ -61,6 +62,7 @@ class CohortDesign:
         self.ids = cohort.ids
         self.ages = cohort.ages.astype(float)
         self.y = cohort.outcomes.astype(float)
+        self.neg_y = -self.y
 
         steps = [d.features[fi] for fi in d.step_feature_indices]
         binary = [d.features[fi] for fi in d.binary_feature_indices]
@@ -183,11 +185,11 @@ class CohortDesign:
 
     def nll_of_scores(self, s: np.ndarray) -> float:
         """Sum over records of log(1 + exp(-y * s))."""
-        return float(log1pexp(-self.y * s).sum())
+        return float(log1pexp(self.neg_y * s).sum())
 
     def loss_derivative(self, s: np.ndarray) -> np.ndarray:
         """Per-record derivative of log(1 + exp(-y * s)) with respect to s."""
-        return -self.y * sigmoid(-self.y * s)
+        return self.neg_y * sigmoid(self.neg_y * s)
 
     def table_scores(self) -> np.ndarray:
         """Classic table scores: the summed weights of triggered features.
@@ -233,18 +235,26 @@ class _StepBlock:
     Every step-feature kernel of the design runs on one of these, and a fit
     builds one per step block and keeps it for the whole fit: its line
     searches then evaluate each trial point with ``diff`` and ``z`` alone,
-    without gathering the columns again.
+    without gathering the columns again.  With ``thresholds=False`` the
+    block holds no ``x`` or ``t_index`` slice, so it serves every kernel but
+    ``diff`` and ``threshold_gradient``: a fit that keeps thresholds fixed
+    takes each block's x - t once, from `CohortDesign.step_diff`.
     """
 
     __slots__ = (
         "sel", "x", "observed", "t_index", "up", "wcol", "n_thresholds"
     )
 
-    def __init__(self, design: CohortDesign, cols: Optional[np.ndarray]):
+    def __init__(
+        self,
+        design: CohortDesign,
+        cols: Optional[np.ndarray],
+        thresholds: bool = True,
+    ):
         self.sel = sel = slice(None) if cols is None else cols
-        self.x = design.step_x[:, sel]
+        self.x = design.step_x[:, sel] if thresholds else None
         self.observed = design.step_observed[:, sel]
-        self.t_index = design.t_index[:, sel]
+        self.t_index = design.t_index[:, sel] if thresholds else None
         self.up = design.step_up[sel]
         self.wcol = design.step_wcol[sel]
         self.n_thresholds = design.definition.n_thresholds

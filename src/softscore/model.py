@@ -376,10 +376,15 @@ class ScoreDefinition:
             np.array(sign),
         )
 
+    def threshold_order_violations(self, t: np.ndarray) -> np.ndarray:
+        """Earlier index of every adjacent pair of a chain of ``t`` that is
+        out of order."""
+        earlier, later, sign = self.threshold_order_pairs
+        return earlier[sign * t[earlier] > sign * t[later]]
+
     def thresholds_in_order(self, t: np.ndarray) -> bool:
         """Whether every adjacent pair of every chain of ``t`` is in order."""
-        earlier, later, sign = self.threshold_order_pairs
-        return not (sign * t[earlier] > sign * t[later]).any()
+        return not self.threshold_order_violations(t).size
 
     @cached_property
     def feature_keys(self) -> tuple[str, ...]:

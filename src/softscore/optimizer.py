@@ -16,7 +16,7 @@ columns sliced once, each block's current x - t, and the feature matrix z,
 built once at the start; an accepted step writes back the x - t and z columns
 of its own block, and each line-search trial recomputes only what it moves.
 Slopes are projected to be non-negative, thresholds (by pool adjacent
-violators, skipped when every chain is in order) to keep the step order of the
+violators, run only on the chains out of order) to keep the step order of the
 definition within every age band; log-weights are unconstrained.  Weights are
 optimized in the log domain, where the lognormal prior adds log-weight and
 squared-deviation terms to the objective; those prior terms are part of the
@@ -209,20 +209,20 @@ def project_thresholds(t: np.ndarray, definition: ScoreDefinition) -> np.ndarray
 
     For max-valued variables successive step thresholds must stay
     non-decreasing, for min-valued non-increasing; violating runs collapse to
-    their mean (steps are allowed to merge).  Entries already in order are
-    returned unchanged, and when every chain is in order the copy is returned
-    without running the pooling.
+    their mean (steps are allowed to merge).  Only the chains with an adjacent
+    pair out of order are pooled: pooling leaves a chain already in order as
+    it is, bit for bit, so the others are returned unchanged without it.
     """
     t = np.array(t, dtype=float)
     if t.shape != (definition.n_thresholds,):
         raise ContractViolation(
             f"thresholds: expected shape ({definition.n_thresholds},), got {t.shape}"
         )
-    # with no violating pair anywhere, pooling would leave every chain as it is
-    if definition.thresholds_in_order(t):
+    disordered = set(definition.threshold_order_violations(t).tolist())
+    if not disordered:
         return t
     for direction, chain in definition.threshold_chains:
-        if len(chain) < 2:
+        if disordered.isdisjoint(chain):
             continue
         idx = list(chain)
         vals = t[idx]
@@ -369,8 +369,12 @@ def fit(
     # block moves that block's diff and z columns: a threshold step's
     # direction is zero outside its block, and the projection returns the
     # chains already in order bit for bit, so every other block's state stays
-    # current.  Slopes and thresholds share one step block per variable.
-    step_blocks = {label: _StepBlock(design, cols) for label, cols in blocks["a"]}
+    # current.  Slopes and thresholds share one step block per variable; it
+    # holds the x and t_index slices only if thresholds move.
+    moves_t = "t" in config.optimize_over
+    step_blocks = {
+        label: _StepBlock(design, cols, moves_t) for label, cols in blocks["a"]
+    }
     diffs = {label: design.step_diff(t, cols) for label, cols in blocks["a"]}
     Z = design.z_matrix(a, t)
     prior_cache = _log_prior(v, mu, lam) if include_prior else 0.0

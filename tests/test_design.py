@@ -21,7 +21,7 @@ from helpers import (
 from softscore.design import CohortDesign, _StepBlock, hard_scores, soft_scores
 from softscore.errors import ValidationError
 from softscore.model import ScoreParameters, hard_score
-from softscore.numerics import sigmoid
+from softscore.numerics import log1pexp, sigmoid
 
 OUT_OF_BAND = "age {} months falls outside every age band of feature 'hr_max:step0'"
 
@@ -137,6 +137,22 @@ class TestTake:
                 )
                 assert taken.unobserved_features() == built.unobserved_features()
                 assert taken.has_both_classes == built.has_both_classes
+
+    def test_negated_outcomes_follow_the_rows(self):
+        rng = np.random.default_rng(47)
+        d, _, cohort = random_instance(rng)
+        design = CohortDesign(cohort, d)
+        assert design.neg_y.tobytes() == (-design.y).tobytes()
+        n = len(cohort)
+        for rows in (rng.permutation(n), [n - 1, 0, n - 1, 0]):
+            taken = design.take(rows)
+            assert taken.neg_y.tobytes() == (-design.y[rows]).tobytes()
+            s = rng.normal(scale=5.0, size=taken.n)
+            y = taken.y
+            assert taken.nll_of_scores(s) == float(log1pexp(-y * s).sum())
+            assert taken.loss_derivative(s).tobytes() == (
+                -y * sigmoid(-y * s)
+            ).tobytes()
 
     def test_no_rows_rejected(self):
         design = CohortDesign(cohort_of([rec("a", {})]), mixed_definition())
@@ -297,6 +313,28 @@ def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max
         z = block.z(a[cols] * block.diff(t_try))  # a threshold trial
         np.testing.assert_array_equal(z, design.step_z(a, t_try)[:, cols])
         np.testing.assert_array_equal(z, direct_step_z(design, a, t_try, cols))
+
+
+def test_block_without_threshold_slices_serves_the_slope_kernels():
+    """A block built with ``thresholds=False`` holds no x or t_index slice and
+    gives the bits of a full block in ``z`` and ``slope_gradient``."""
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        d, p, cohort = random_instance(rng, missing_rate=0.3)
+        design = CohortDesign(cohort, d)
+        a, t, w = p.slopes, p.thresholds, p.weights
+        dl = design.loss_derivative(design.scores_for(p))
+        cols = rng.permutation(d.n_slopes)
+        full = _StepBlock(design, cols)
+        slim = _StepBlock(design, cols, thresholds=False)
+        assert slim.x is None and slim.t_index is None
+        diff = design.step_diff(t, cols)
+        z = full.z(a[cols] * diff)
+        assert slim.z(a[cols] * diff).tobytes() == z.tobytes()
+        sp = z * (1.0 - z)
+        assert slim.slope_gradient(dl, diff, sp, w).tobytes() == (
+            full.slope_gradient(dl, diff, sp, w).tobytes()
+        )
 
 
 def test_sigmoid_clips_its_exponent_with_the_bits_of_np_clip():
