@@ -4,13 +4,13 @@ Commands: ``presets``, ``simulate``, ``fit``, ``evaluate``, ``cv`` and
 ``impute``.  Every command that writes a primary output also writes a
 ``<output>.manifest.json`` run manifest recording the command line, the
 package version, SHA-256 digests of all inputs and outputs, and the wall
-time; ``fit``, ``evaluate``, ``cv`` and ``impute`` also record the seconds of
-each stage (load, design, fit or cv, write; ``evaluate`` has load, score,
-write, its design build being part of scoring; ``impute`` has load, impute,
-write).  Manifests are the only outputs that
-differ between identical reruns; all other artifacts are byte-identical for
-the same inputs and seed.  The ``cv`` manifest also records ``workers``, the
-number of processes that fitted its folds.
+time; ``simulate``, ``fit``, ``evaluate``, ``cv`` and ``impute`` also record
+the seconds of each stage (load, design, fit or cv, write; ``simulate`` has
+generate, write; ``evaluate`` has load, score, write, its design build being
+part of scoring; ``impute`` has load, impute, write).  Manifests are the only
+outputs that differ between identical reruns; all other artifacts are
+byte-identical for the same inputs and seed.  The ``cv`` manifest also
+records ``workers``, the number of processes that fitted its folds.
 
 Every output must lie in an existing directory; a command checks that
 before it reads any input.
@@ -296,10 +296,12 @@ def simulate_cmd(score_def, generator, out, truth, n, seed):
     if replacements:
         config = dataclasses.replace(config, **replacements)
     manifest.seed = config.seed
-    cohort, probabilities = generate(config)
-    save_cohort(out, cohort)
-    if truth is not None:
-        save_truth(truth, cohort.ids, probabilities)
+    with manifest.stage("generate"):
+        cohort, probabilities = generate(config)
+    with manifest.stage("write"):
+        save_cohort(out, cohort)
+        if truth is not None:
+            save_truth(truth, cohort.ids, probabilities)
     manifest.write()
     positives = int(np.count_nonzero(cohort.outcomes == 1))
     click.echo(

@@ -371,8 +371,9 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     process that runs it, so neither do the results; reading the folds in
     order raises the exception of the lowest failing fold, the one a serial
     loop would meet first.  So this process stops at its first failing fold,
-    which no later fold can precede, and the folds still queued for the
-    workers are dropped once a fold raises.
+    which no later fold can precede, and, before each of its folds, at any
+    finished worker fold below it that raised; the folds still queued for
+    the workers are dropped once a fold raises.
     """
     n = fold_workers(k)
     task = (design, config, assignment)
@@ -387,6 +388,12 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     try:
         futures = {f: pool.submit(_fit_inherited_fold, f) for f in range(k) if f % n}
         for f in range(0, k, n):
+            if any(
+                futures[g].done() and futures[g].exception() is not None
+                for g in range(f)
+                if g % n
+            ):
+                break
             futures[f] = _settled(task, f)
             if futures[f].exception() is not None:
                 break

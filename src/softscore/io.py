@@ -5,19 +5,29 @@ produce byte-identical files.  Schemas are strict: unknown keys are rejected
 with the offending key named, and so is a value of the wrong type; every
 ``load_*`` error names the file.  The cohort CSV has the fixed header columns
 ``id,age_months,outcome`` followed by one column per raw variable; an empty
-cell means MISSING and outcomes are -1 or 1.  Cohorts are read into and
-written from the columns of a `Cohort`, ``_BLOCK_ROWS`` rows at a time, so no
-object is built per record; the scores CSV is written the same way from five
-parallel columns.
+cell means MISSING and outcomes are -1 or 1.
+
+The per-record files work on whole columns, ``_BLOCK_ROWS`` rows at a time,
+so no object is built per record.  Cohorts are read into and written from the
+columns of a `Cohort`; the scores CSV is written from five parallel columns,
+the truth CSV from two, and the report's ROC table from its four.  A writer
+turns each column of a block into text, formatting each distinct float once
+(``float.__repr__``, the text `csv` and `json` write), and writes the block
+as one string joined through one row format, so the bytes are those of
+`csv.writer` and ``json.dump``.  The loader takes the CSV reader's rows a
+block at a time and counts physical lines only when a block has a fault or
+an id repeats, by reading the file again.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import itertools
 import json
 import math
 import numbers
+import re
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -282,40 +292,84 @@ _BLOCK_ROWS = 2048
 _MAX_AGE = np.iinfo(np.int64).max
 
 
+def _float_texts(values, special=None) -> list:
+    """``float.__repr__`` of each value of a 1-d array, the text `json` and
+    `csv` write for a float, made once per distinct bit pattern (so -0.0
+    keeps its sign) and spread back by the inverse index; ``special`` maps a
+    text ("nan", "inf", "-inf") to the text written in its place."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    if special:
+        texts = [special.get(text, text) for text in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+# the characters that make the excel dialect of `csv.writer` quote a cell
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """One text cell as `csv.writer` writes it: quoted, with its quotes
+    doubled, when it holds a comma, a quote, CR or LF; as it is otherwise."""
+    if _CSV_QUOTED.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _write_csv(fh, header, blocks):
+    """Write a CSV file as `csv.writer` would: the header's text cells, then
+    each block of columns (ids first, as text) one string at a time, every
+    row through one format."""
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    fh.write(row.format(*map(_csv_cell, header)))
+    for ids, *columns in blocks:
+        fh.write("".join(map(row.format, map(_csv_cell, ids), *columns)))
+
+
+def _row_blocks(n: int):
+    """The slices of ``n`` rows that a writer holds as text at once."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
 def save_cohort(path, cohort: Cohort):
-    """Write the cohort's columns in its variable order, one row per record."""
-    n = len(cohort)
+    """Write the cohort's columns in its variable order, one row per record;
+    a missing value is an empty cell."""
+    blocks = (
+        (
+            cohort.ids[block],
+            cohort.ages[block].tolist(),
+            cohort.outcomes[block].tolist(),
+            *(_float_texts(column, {"nan": ""}) for column in cohort.values[block].T),
+        )
+        for block in _row_blocks(len(cohort))
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(COHORT_FIXED) + list(cohort.variables))
-        for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            cells = [
-                ["" if x != x else repr(x) for x in column]
-                for column in cohort.values[block].T.tolist()
-            ]
-            writer.writerows(
-                zip(
-                    cohort.ids[block],
-                    cohort.ages[block].tolist(),
-                    cohort.outcomes[block].tolist(),
-                    *cells,
-                )
-            )
+        _write_csv(fh, COHORT_FIXED + tuple(cohort.variables), blocks)
 
 
-def _csv_rows(path, fh):
-    """(line, row) for each row of a CSV file, where line is the physical
-    line the row starts on (a quoted cell may hold newlines); a decoding or
-    CSV error is invalid input."""
-    reader = csv.reader(fh)
+@contextlib.contextmanager
+def _csv_errors(path):
+    """A decoding or CSV error raised in the ``with`` block is invalid input,
+    named with the path."""
     try:
-        line = reader.line_num + 1
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1
+        yield
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+
+
+def _record_lines(path, start: int, stop: int) -> list:
+    """The physical lines that records ``start`` to ``stop`` - 1 of a cohort
+    CSV start on, from a fresh read of the file (a quoted cell may hold
+    newlines).  The loader counts lines only to name a fault."""
+    lines = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, _csv_errors(path):
+        reader = csv.reader(fh)
+        line = reader.line_num + 1
+        for _ in itertools.islice(reader, stop + 1):  # the header, then records
+            lines.append(line)
+            line = reader.line_num + 1
+    return lines[start + 1 :]
 
 
 def _row_problem(row, variables) -> Optional[str]:
@@ -345,23 +399,30 @@ def _row_problem(row, variables) -> Optional[str]:
     return problem
 
 
+# an empty value cell is missing, so it is parsed as "nan"; `_parse_block`
+# tells it from a cell whose own text is not finite by counting empty cells
+_EMPTY_AS_NAN = {"": "nan"}
+
+
 def _parse_block(rows, width):
-    """One block of cohort CSV rows as (ids, ages, outcomes, values).
-    Raises ValueError or OverflowError if any row has a fault, which
-    `_row_problem` then names."""
-    if any(len(row) != width for row in rows):
+    """One block of cohort CSV rows as (ids, ages, outcomes, values), read
+    column by column.  Raises ValueError or OverflowError if any row has a
+    fault, which `_row_problem` then names."""
+    if set(map(len, rows)) != {width}:
         raise ValueError("cell count")
     n = len(rows)
-    ages = np.fromiter(map(int, [row[1] for row in rows]), np.int64, n)
-    outcomes = np.fromiter(map(int, [row[2] for row in rows]), np.int64, n)
-    cells = [cell for row in rows for cell in row[3:]]
-    values = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
+    ids, ages, outcomes, *columns = zip(*rows)
+    ages = np.fromiter(map(int, ages), np.int64, n)
+    outcomes = np.fromiter(map(int, outcomes), np.int64, n)
+    cells = list(itertools.chain.from_iterable(columns))
+    texts = map(_EMPTY_AS_NAN.get, cells, cells)
+    values = np.fromiter(map(float, texts), float, len(cells))
     # a NaN must come from an empty cell, never from the text of one
     if np.isinf(values).any() or np.count_nonzero(np.isnan(values)) != cells.count(""):
         raise ValueError("non-finite cell")
     if ((outcomes != 1) & (outcomes != -1) | (ages < 0)).any():
         raise ValueError("outcome or age")
-    return [row[0] for row in rows], ages, outcomes, values.reshape(n, width - 3)
+    return ids, ages, outcomes, np.ascontiguousarray(values.reshape(width - 3, n).T)
 
 
 def load_cohort(path) -> Cohort:
@@ -370,14 +431,15 @@ def load_cohort(path) -> Cohort:
     A UTF-8 byte-order mark before the header is skipped.  Every error names
     the path and the physical line its record starts on; the earliest faulty
     line wins, and within a line the checks run in `_row_problem`'s order.
-    Duplicate ids are checked last, once every row has passed.
+    Duplicate ids are checked last, once every row has passed.  Lines are
+    counted only when a block fails or an id repeats, by reading the file
+    again.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_rows(path, fh)
-        try:
-            _, header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty cohort file") from None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, _csv_errors(path):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty cohort file")
         if tuple(header[:3]) != COHORT_FIXED:
             raise ValidationError(
                 f"{path}: header must start with id,age_months,outcome"
@@ -385,15 +447,15 @@ def load_cohort(path) -> Cohort:
         variables = header[3:]
         if len(set(variables)) != len(variables):
             raise ValidationError(f"{path}: duplicate variable columns")
-        ids, ages, outcomes, values, lines = [], [], [], [], []
+        ids, ages, outcomes, values = [], [], [], []
         while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-            block_lines, rows = zip(*block)
             try:
                 block_ids, block_ages, block_outcomes, block_values = _parse_block(
-                    rows, len(header)
+                    block, len(header)
                 )
             except (ValueError, OverflowError):
-                for line_no, row in block:
+                lines = _record_lines(path, len(ids), len(ids) + len(block))
+                for line_no, row in zip(lines, block):
                     problem = _row_problem(row, variables)
                     if problem is not None:
                         raise ValidationError(f"{path}:{line_no}: {problem}") from None
@@ -402,12 +464,11 @@ def load_cohort(path) -> Cohort:
             ages.append(block_ages)
             outcomes.append(block_outcomes)
             values.append(block_values)
-            lines.append(np.array(block_lines))
     if not ids:
         raise ValidationError(f"{path}: cohort has no records")
     if len(set(ids)) < len(ids):
         first_line: dict[str, int] = {}  # record id -> first line holding it
-        for line_no, record_id in zip(np.concatenate(lines).tolist(), ids):
+        for line_no, record_id in zip(_record_lines(path, 0, len(ids)), ids):
             first = first_line.setdefault(record_id, line_no)
             if first != line_no:
                 raise ValidationError(
@@ -425,12 +486,9 @@ def load_cohort(path) -> Cohort:
 
 def save_truth(path, ids, probabilities):
     p = np.asarray(probabilities, dtype=float)
+    blocks = ((ids[block], _float_texts(p[block])) for block in _row_blocks(len(ids)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "true_probability"])
-        for start in range(0, len(ids), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            writer.writerows(zip(ids[block], map(repr, p[block].tolist())))
+        _write_csv(fh, ("id", "true_probability"), blocks)
 
 
 # ----------------------------------------------------------------------
@@ -686,7 +744,8 @@ def _metric_block(m) -> dict:
     }
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
+def _report_fields(report: EvaluationReport) -> dict:
+    """The report as a JSON object, all but its ROC table."""
     pooled = {
         "n": report.n,
         "n_positive": report.n_positive,
@@ -705,16 +764,38 @@ def report_to_dict(report: EvaluationReport) -> dict:
         }
         for f in report.folds
     ]
+    return {"pooled": pooled, "folds": folds, "subgroup": report.subgroup}
+
+
+def report_to_dict(report: EvaluationReport) -> dict:
+    """The report file's content in memory: `save_report` writes its
+    ``json.dump`` with ``indent=2, sort_keys=True`` and a final newline."""
     return {
-        "pooled": pooled,
-        "folds": folds,
+        **_report_fields(report),
         "roc": {name: _json_column(col) for name, col in report.roc._asdict().items()},
-        "subgroup": report.subgroup,
     }
 
 
+# what JSON writes for a ROC value that is not finite
+_JSON_NULLS = {"nan": "null", "inf": "null", "-inf": "null"}
+
+
 def save_report(path, report: EvaluationReport):
-    _dump_json(path, report_to_dict(report))
+    """Write `report_to_dict`'s JSON, with its ROC columns written block by
+    block into ``json.dump``'s layout instead of built as lists: the rest of
+    the report is dumped with a null table, which the columns replace."""
+    text = json.dumps({**_report_fields(report), "roc": None}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "roc": null', 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '\n  "roc": {')
+        item = "\n      "
+        for i, (name, column) in enumerate(sorted(report.roc._asdict().items())):
+            fh.write(("," if i else "") + f'\n    "{name}": [')
+            for block in _row_blocks(len(column)):
+                texts = _float_texts(column[block], _JSON_NULLS)
+                fh.write(("," if block.start else "") + item + ("," + item).join(texts))
+            fh.write("\n    ]" if len(column) else "]")
+        fh.write("\n  }" + tail + "\n")
 
 
 def save_scores(path, ids, folds, scores, probabilities, labels):
@@ -729,17 +810,15 @@ def save_scores(path, ids, folds, scores, probabilities, labels):
     if any(c.shape != (len(ids),) for c in columns):
         raise ContractViolation("score columns must be 1-d and equally long")
     folds, scores, probabilities, labels = columns
+    blocks = (
+        (
+            ids[block],
+            folds[block].tolist(),
+            _float_texts(scores[block]),
+            _float_texts(probabilities[block]),
+            labels[block].tolist(),
+        )
+        for block in _row_blocks(len(ids))
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "fold", "score", "probability", "label"])
-        for start in range(0, len(ids), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            writer.writerows(
-                zip(
-                    ids[block],
-                    folds[block].tolist(),
-                    map(repr, scores[block].tolist()),
-                    map(repr, probabilities[block].tolist()),
-                    labels[block].tolist(),
-                )
-            )
+        _write_csv(fh, ("id", "fold", "score", "probability", "label"), blocks)

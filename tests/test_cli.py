@@ -952,6 +952,7 @@ class TestManifests:
         imputed = tmp_path / "imputed.csv"
         run_ok(["impute", "--cohort", ws["cohort"], "--method", "knn", "--out", imputed])
         for out, stages in (
+            (ws["cohort"], {"generate", "write"}),
             (ws["fitted"], {"load", "design", "fit", "write"}),
             (report, {"load", "score", "write"}),
             (cv, {"load", "design", "cv", "write"}),

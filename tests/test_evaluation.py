@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -767,4 +768,36 @@ class TestParallelFolds:
         pids = [int(line) for line in fits.read_text(encoding="utf-8").split()]
         assert pids.count(parent) == 1
         assert len(pids) < design.n / 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_worker_fold_stops_the_parent(
+        self, monkeypatch, design, tmp_path
+    ):
+        """With fold 1 of a leave-one-out run failing in a worker, this process
+        fits fold 0 and then stops at the failure, before its next fold."""
+        fits = tmp_path / "fits"  # one line per fit call, from every process
+        parent = os.getpid()
+        submitted = []  # the worker folds' futures, fold 1 first
+        real_submit = ProcessPoolExecutor.submit
+        real_fit = fit
+
+        def recording_submit(self, fn, /, *args, **kwargs):
+            submitted.append(real_submit(self, fn, *args, **kwargs))
+            return submitted[-1]
+
+        def logged_fit(train, config):
+            with open(fits, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if design.ids[1] not in train.ids:  # fold 1 holds record 1
+                raise NumericError("fold 1 failed")
+            if os.getpid() == parent:  # fold 0 ends once fold 1 has failed
+                assert wait(submitted[:1], timeout=60).done, "fold 1 did not finish"
+            return real_fit(train, config)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        monkeypatch.setattr("softscore.evaluation.fit", logged_fit)
+        with pytest.raises(NumericError, match="^fold 1 failed$"):
+            self._cv(monkeypatch, 3, design, self.cfg, "loo")
+        pids = [int(line) for line in fits.read_text(encoding="utf-8").split()]
+        assert pids.count(parent) == 1
         assert multiprocessing.active_children() == []

@@ -1,10 +1,13 @@
 """File formats: byte-stable JSON, strict schemas, exact float round trips."""
 import codecs
 import csv
+import dataclasses
+import io
 import json
 import math
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from helpers import (
 )
 from softscore.design import CohortDesign
 from softscore.errors import ValidationError
-from softscore.evaluation import evaluate_scores
+from softscore.evaluation import RocCurve, evaluate_scores
 from softscore.io import (
     definition_from_dict,
     definition_to_dict,
@@ -58,6 +61,7 @@ from softscore.model import (
     ScoreDefinition,
     ScoreParameters,
 )
+from softscore.numerics import sigmoid
 from softscore.optimizer import KINDS, OptimizerConfig, fit, project_thresholds
 from softscore.presets import (
     PRESETS,
@@ -307,14 +311,29 @@ def test_fitted_file_round_trips_bit_for_bit(definition, data):
 # any text a UTF-8 file can hold: every code point except lone surrogates
 utf8_text = st.text(st.characters(blacklist_categories=("Cs",)))
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# text cells that put every quoting rule to work, drawn often: the characters
+# the excel dialect quotes for, NUL, spaces, non-ASCII text and empty text
+csv_text = st.one_of(
+    st.lists(
+        st.sampled_from([",", '"', "\r", "\n", "\x00", " ", "\u00e9", "\u65e5", "x"]),
+        max_size=5,
+    ).map("".join),
+    utf8_text,
+)
+# floats whose text is awkward, drawn often: signed zeros, subnormals and
+# 1e16, the smallest power of ten that repr writes with an exponent
+awkward_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e22, 0.1]),
+    finite_floats,
+)
 
 
 @st.composite
 def cohorts(draw):
     """A `Cohort` with unique ids, each cell a finite float or missing."""
-    names = draw(st.lists(utf8_text, max_size=4, unique=True))
-    ids = draw(st.lists(utf8_text, min_size=1, max_size=12, unique=True))
-    cell = st.one_of(st.none(), finite_floats)
+    names = draw(st.lists(csv_text, max_size=4, unique=True))
+    ids = draw(st.lists(csv_text, min_size=1, max_size=12, unique=True))
+    cell = st.one_of(st.none(), awkward_floats)
     ages, outcomes, values = [], [], []
     for _ in ids:
         ages.append(draw(st.integers(0, 10**6)))
@@ -403,6 +422,122 @@ def test_loading_a_large_cohort_keeps_memory_bounded(tmp_path):
     assert loaded == cohort
     assert peak < 10e6
     assert retained < 4e6
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The oracle for the CSV writers: what `csv.writer` writes."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def written_bytes(block_rows, save, *args) -> bytes:
+    """The bytes ``save(path, *args)`` writes, in blocks of ``block_rows``."""
+    with mock.patch.object(softscore.io, "_BLOCK_ROWS", block_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            save(f"{tmp}/out", *args)
+            with open(f"{tmp}/out", "rb") as fh:
+                return fh.read()
+
+
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 2, 3])
+any_floats = st.one_of(awkward_floats, st.floats())  # NaN and +-inf too
+
+
+@BLOCK_ROWS
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cohort=cohorts())
+def test_save_cohort_writes_the_csv_writer_bytes(block_rows, cohort):
+    rows = [
+        [record_id, repr(age), repr(outcome), *("" if x != x else repr(x) for x in row)]
+        for record_id, age, outcome, row in zip(
+            cohort.ids, cohort.ages.tolist(), cohort.outcomes.tolist(),
+            cohort.values.tolist(),
+        )
+    ]
+    header = ["id", "age_months", "outcome", *cohort.variables]
+    assert written_bytes(block_rows, save_cohort, cohort) == csv_writer_bytes(header, rows)
+
+
+@BLOCK_ROWS
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(csv_text, st.integers(-(2**63), 2**63 - 1), any_floats, any_floats,
+                  st.sampled_from((-1, 1))),
+        max_size=8,
+    )
+)
+def test_save_scores_writes_the_csv_writer_bytes(block_rows, rows):
+    columns = [[row[k] for row in rows] for k in range(5)]
+    expected = csv_writer_bytes(
+        ["id", "fold", "score", "probability", "label"],
+        [[i, repr(f), repr(s), repr(p), repr(y)] for i, f, s, p, y in rows],
+    )
+    assert written_bytes(block_rows, save_scores, *columns) == expected
+
+
+@BLOCK_ROWS
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(csv_text, any_floats), max_size=8))
+def test_save_truth_writes_the_csv_writer_bytes(block_rows, rows):
+    ids = [record_id for record_id, _ in rows]
+    expected = csv_writer_bytes(
+        ["id", "true_probability"], [[i, repr(p)] for i, p in rows]
+    )
+    assert written_bytes(block_rows, save_truth, ids, [p for _, p in rows]) == expected
+
+
+@st.composite
+def reports(draw):
+    """A report with drawn ROC columns of one length (NaN and +-inf
+    included) and a drawn subgroup label."""
+    n = draw(st.integers(0, 7))
+    column = st.lists(any_floats, min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+    return dataclasses.replace(
+        evaluate_scores([0.5, -1.0, 2.0, 0.5], [1, -1, 1, -1]),
+        roc=RocCurve(*(draw(column) for _ in RocCurve._fields)),
+        subgroup=draw(st.one_of(st.none(), csv_text)),
+    )
+
+
+@BLOCK_ROWS
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(report=reports())
+def test_save_report_writes_the_json_dump_bytes(block_rows, report):
+    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert written_bytes(block_rows, save_report, report) == expected.encode("utf-8")
+
+
+def test_report_and_scores_writers_keep_memory_bounded(tmp_path):
+    """Memory bounded in n: beyond their inputs, `save_report` and
+    `save_scores` hold a few blocks of text at a time, not whole columns."""
+    n = 200_000
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=n)
+    labels = np.where(scores + rng.normal(size=n) > 0, 1, -1)
+    report = evaluate_scores(scores, labels)
+    assert len(report.roc.cutoff) == n + 1
+    columns = (tuple(f"r{i}" for i in range(n)), np.zeros(n, np.int64), scores,
+               sigmoid(scores), labels)
+    small = evaluate_scores([0.5, -1.0, 2.0], [1, -1, 1])
+    path = tmp_path / "out"
+    for save, args, first in (
+        (save_report, (report,), (small,)),
+        (save_scores, columns, tuple(column[:3] for column in columns)),
+    ):
+        save(path, *first)  # first-use allocations outside the measurement
+        tracemalloc.start()
+        try:
+            save(path, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, save.__name__
 
 
 @st.composite
