@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    DOWN,
     UP,
     Cohort,
     ScoreDefinition,
     ScoreParameters,
 )
-from .numerics import log1pexp, sigmoid
+from .numerics import log1pexp, sigmoid_neg
 
 # The per-record arrays of a design, in record order.
 _ROW_ARRAYS = (
@@ -153,7 +154,7 @@ class CohortDesign:
         the two directions sum to exactly 1 for any observed x.
         """
         block = _StepBlock(self, None)
-        return block.z(a * block.diff(t))
+        return block.z(-a * block.diff(t))
 
     def step_diff(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """x - t with zeros where missing, for the slope columns ``cols``."""
@@ -189,7 +190,7 @@ class CohortDesign:
 
     def loss_derivative(self, s: np.ndarray) -> np.ndarray:
         """Per-record derivative of log(1 + exp(-y * s)) with respect to s."""
-        return self.neg_y * sigmoid(self.neg_y * s)
+        return self.neg_y * sigmoid_neg(self.y * s)
 
     def table_scores(self) -> np.ndarray:
         """Classic table scores: the summed weights of triggered features.
@@ -235,14 +236,19 @@ class _StepBlock:
     Every step-feature kernel of the design runs on one of these, and a fit
     builds one per step block and keeps it for the whole fit: its line
     searches then evaluate each trial point with ``diff`` and ``z`` alone,
-    without gathering the columns again.  With ``thresholds=False`` the
-    block holds no ``x`` or ``t_index`` slice, so it serves every kernel but
-    ``diff`` and ``threshold_gradient``: a fit that keeps thresholds fixed
-    takes each block's x - t once, from `CohortDesign.step_diff`.
+    without gathering the columns again.  The block's constants are built
+    here once: its columns' step direction (UP or DOWN when all share one,
+    as every block of one raw variable does, None when mixed), their +-1
+    signs and weight columns, and the flattened ``t_index`` the threshold
+    gradient bins by.  With ``thresholds=False`` the block holds no ``x`` or
+    ``t_index`` slice, so it serves every kernel but ``diff`` and
+    ``threshold_gradient``: a fit that keeps thresholds fixed takes each
+    block's x - t once, from `CohortDesign.step_diff`.
     """
 
     __slots__ = (
-        "sel", "x", "observed", "t_index", "up", "wcol", "n_thresholds"
+        "sel", "x", "observed", "t_index", "t_flat", "up", "direction", "sign",
+        "wcol", "n_thresholds",
     )
 
     def __init__(
@@ -255,7 +261,10 @@ class _StepBlock:
         self.x = design.step_x[:, sel] if thresholds else None
         self.observed = design.step_observed[:, sel]
         self.t_index = design.t_index[:, sel] if thresholds else None
-        self.up = design.step_up[sel]
+        self.t_flat = self.t_index.ravel() if thresholds else None
+        self.up = up = design.step_up[sel]
+        self.direction = UP if up.all() else DOWN if not up.any() else None
+        self.sign = np.where(up, 1.0, -1.0)
         self.wcol = design.step_wcol[sel]
         self.n_thresholds = design.definition.n_thresholds
 
@@ -263,27 +272,29 @@ class _StepBlock:
         """x - t with zeros where missing."""
         return np.where(self.observed, self.x - t[self.t_index], 0.0)
 
-    def z(self, u: np.ndarray) -> np.ndarray:
-        """Soft step values from u = a * diff: sigmoid(u) for up-steps, 1
-        minus that for down-steps, 0 where missing."""
-        s = sigmoid(u)
-        z = np.where(self.up, s, 1.0 - s)
-        return np.where(self.observed, z, 0.0)
+    def z(self, neg_u: np.ndarray) -> np.ndarray:
+        """Soft step values from the negated product neg_u = (-a) * diff:
+        sigmoid(a * diff) for up-steps, 1 minus that for down-steps, 0 where
+        missing.  A block of one direction skips the per-column choice."""
+        s = sigmoid_neg(neg_u)
+        if self.direction == DOWN:
+            np.subtract(1.0, s, out=s)
+        elif self.direction is None:
+            s = np.where(self.up, s, 1.0 - s)
+        return np.where(self.observed, s, 0.0)
 
     def slope_gradient(self, dl, diff, sp, w) -> np.ndarray:
         """d NLL / d a of the block's slopes from the loss derivative ``dl``,
         ``diff`` at the current thresholds and ``sp`` = z (1 - z)."""
-        sign = np.where(self.up, 1.0, -1.0)
-        return (dl @ (diff * sp)) * w[self.wcol] * sign
+        return (dl @ (diff * sp)) * w[self.wcol] * self.sign
 
     def threshold_gradient(self, dl, sp, a, w) -> np.ndarray:
         """Full-length d NLL / d t from the block's columns, with ``dl`` and
         ``sp`` as in ``slope_gradient``."""
-        sign = np.where(self.up, 1.0, -1.0)
-        coef = w[self.wcol] * (-sign) * a[self.sel]
+        coef = w[self.wcol] * -self.sign * a[self.sel]
         term = dl[:, None] * coef * sp
         return np.bincount(
-            self.t_index.ravel(), weights=term.ravel(), minlength=self.n_thresholds
+            self.t_flat, weights=term.ravel(), minlength=self.n_thresholds
         )
 
 

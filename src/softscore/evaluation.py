@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
-from .numerics import logistic_newton, sigmoid
+from .numerics import logistic_newton, sigmoid_neg
 from .optimizer import FitTrace, OptimizerConfig, fit
 
 logger = logging.getLogger("softscore")
@@ -190,7 +190,7 @@ def platt_scale(scores, labels) -> tuple[float, float]:
 def platt_probabilities(scores, a: float, b: float) -> np.ndarray:
     """Apply fitted Platt coefficients: 1 / (1 + exp(A s + B))."""
     s = np.asarray(scores, dtype=float)
-    return sigmoid(-(a * s + b))
+    return sigmoid_neg(a * s + b)
 
 
 # ----------------------------------------------------------------------

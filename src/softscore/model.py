@@ -414,8 +414,9 @@ class Cohort:
     ``ids`` is a tuple of the n record ids; ``ages`` (months) and
     ``outcomes`` (-1 or +1) are (n,) int64 arrays; ``variables`` names the m
     value columns, and ``values`` is their (n, m) float64 matrix, NaN where
-    missing.  Construction checks the shapes, then outcomes and ages, naming
-    the first bad record.  An array of the right dtype is kept as given, not
+    missing.  Construction checks that ids and variable names are strings,
+    then the shapes, then outcomes and ages, naming the first bad value or
+    record.  An array of the right dtype is kept as given, not
     copied.
     """
 
@@ -428,6 +429,10 @@ class Cohort:
         self.variables = tuple(variables)
         self.values = np.asarray(values, dtype=np.float64)
         n, m = len(self.ids), len(self.variables)
+        for what, texts in (("id", self.ids), ("variable name", self.variables)):
+            for text in texts:
+                if not isinstance(text, str):
+                    raise ValidationError(f"cohort {what} {text!r} is not a string")
         if len(set(self.variables)) != m:
             raise ValidationError("cohort variable names must be unique")
         if (

@@ -1,9 +1,10 @@
 """Overflow-safe logistic kernels and the package's logistic Newton solver.
 
-`sigmoid` clips its exponent at +-500; `log1pexp` needs no clip, since it
-only exponentiates -|x| <= 0.  Both run on numpy's vectorized ``exp`` and
-``log1p`` into one buffer per call.  All other code works with algebraically
-stable forms built on top of them.
+`sigmoid` clips its exponent at +-500, and `sigmoid_neg` is the same kernel
+for callers that hold the negated argument; `log1pexp` needs no clip, since
+it only exponentiates -|x| <= 0.  They run on numpy's vectorized ``exp`` and
+``log1p``, each pass writing into one buffer.  All other code works with
+algebraically stable forms built on top of them.
 """
 from __future__ import annotations
 
@@ -22,16 +23,27 @@ NEWTON_MAX_HALVINGS = 40
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), safe for arbitrarily large |x|.
 
-    The exponent is clipped with ``np.minimum(np.maximum(x, -C), C)``, which
-    gives the bits of ``np.clip(x, -C, C)`` (NaN included) without its Python
-    wrapper; the descent loop calls this tens of thousands of times per fit.
-    Each step writes into one buffer, which leaves the bits of
-    ``1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -C), C)))``.  A scalar
-    gives a scalar; ``x`` is never modified.
+    ``sigmoid_neg`` of -x: the exponent is clipped at +-500, and the result
+    has the bits of ``1.0 / (1.0 + np.exp(-np.clip(x, -C, C)))``, NaN
+    included.  A scalar gives a scalar; ``x`` is never modified.
     """
-    out = _buffer(np.maximum(x, -_EXP_CLIP))
+    return sigmoid_neg(np.negative(x))
+
+
+def sigmoid_neg(m):
+    """sigmoid(-m) = 1 / (1 + exp(m)), for callers that hold the negated
+    argument: y * s in the loss derivative, (-a) * diff in a soft step.
+
+    It spares `sigmoid`'s negate pass and keeps its bits, +-inf and NaN
+    included: negation is exact, and the clip at +-C is symmetric, so it
+    commutes with negation.  The clip ``np.minimum(np.maximum(m, -C), C)``
+    gives the bits of ``np.clip(m, -C, C)`` without its Python wrapper (the
+    descent loop calls this tens of thousands of times per fit), and each
+    later pass writes into its buffer.  A scalar gives a scalar; ``m`` is
+    never modified.
+    """
+    out = _buffer(np.maximum(m, -_EXP_CLIP))
     np.minimum(out, _EXP_CLIP, out=out)
-    np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
@@ -104,7 +116,7 @@ def logistic_newton(X, y):
     eps = np.finfo(float).eps
     converged = False
     for it in range(NEWTON_MAX_ITER + 1):
-        r = sigmoid(-y * (Xa @ theta))  # probability of the other class
+        r = sigmoid_neg(y * (Xa @ theta))  # probability of the other class
         g = -(Xa.T @ (y * r))
         H = (Xa * (r * (1.0 - r))[:, None]).T @ Xa
         if not (np.isfinite(g).all() and np.isfinite(H).all()):

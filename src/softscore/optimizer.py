@@ -11,10 +11,13 @@ at a time.  Every kind takes the same block step: a backtracking (Armijo)
 line search along the negative block gradient, started from the objective
 value the fit already holds, then a projection back onto the feasible set,
 then acceptance only if the objective decreased (otherwise a stall is
-counted).  The fit keeps its block state for the whole fit: each step block's
-columns sliced once, each block's current x - t, and the feature matrix z,
-built once at the start; an accepted step writes back the x - t and z columns
-of its own block, and each line-search trial recomputes only what it moves.
+counted).  The fit keeps its block state for the whole fit, built once at the
+start: each step block's columns sliced once with the block's constants (step
+direction, +-1 signs, weight columns), each log-weight block's free columns,
+each step block's current x - t, and the feature matrix z.  An accepted step
+writes back the x - t and z columns of its own block; each line-search trial
+recomputes only what it moves, with soft steps and the loss derivative taken
+from `numerics.sigmoid_neg` on the negated arguments (-a) (x - t) and y s.
 Slopes are projected to be non-negative, thresholds (by pool adjacent
 violators, run only on the chains out of order) to keep the step order of the
 definition within every age band; log-weights are unconstrained.  Weights are
@@ -253,11 +256,12 @@ def backtracking_step(
     if x.shape != d.shape:
         raise ContractViolation("direction must match the point's shape")
     d2 = float(np.dot(d, d))
-    h = 1.0
+    h, x_try = 1.0, x + d  # the first trial at h = 1: 1.0 * d is d
     for _ in range(max_halvings + 1):
-        if objective(x + h * d) <= f0 - ARMIJO_ALPHA * h * d2:
+        if objective(x_try) <= f0 - ARMIJO_ALPHA * h * d2:
             return h
         h *= ARMIJO_BETA
+        x_try = x + h * d
     return 0.0
 
 
@@ -268,12 +272,13 @@ def backtracking_step(
 
 def _log_prior(v: np.ndarray, mu: np.ndarray, lam: float) -> float:
     """Lognormal weight prior in v = log w: sum(v) + lambda ||v - mu||^2."""
-    return float(np.sum(v) + lam * np.sum((v - mu) ** 2))
+    return float(v.sum() + lam * ((v - mu) ** 2).sum())
 
 
-def _log_weight_gradient(design, s, v, w, Z, fcols, mu, lam) -> np.ndarray:
-    """Gradient of NLL plus prior in v[fcols]; ``Z`` holds z's ``fcols`` columns."""
-    data = (Z.T @ design.loss_derivative(s)) * w[fcols]
+def _log_weight_gradient(dl, v, w, Z, fcols, mu, lam) -> np.ndarray:
+    """Gradient of NLL plus prior in v[fcols] from the loss derivative ``dl``;
+    ``Z`` holds z's ``fcols`` columns."""
+    data = (Z.T @ dl) * w[fcols]
     return data + 1.0 + 2.0 * lam * (v[fcols] - mu[fcols])
 
 
@@ -306,7 +311,7 @@ def objective_gradient(
     dl = design.loss_derivative(design.scores_for(params))
     block = _StepBlock(design, np.arange(design.definition.n_slopes))
     diff = block.diff(t)
-    z = block.z(a * diff)
+    z = block.z(-a * diff)
     sp = z * (1.0 - z)
     g_v = (design.z_matrix(a, t).T @ dl) * w
     if "w" in config.optimize_over:
@@ -362,7 +367,15 @@ def fit(
         logger.warning(msg)
 
     blocks = _build_blocks(d)
+    # A step moves raw[kind][idx]: a slope block its columns, a threshold
+    # block every threshold (its gradient is zero outside the block), a
+    # log-weight block its weights not frozen (a block with none is skipped).
     all_t = np.arange(d.n_thresholds)
+    blocks["t"] = [(label, all_t) for label, _ in blocks["t"]]
+    blocks["w"] = [
+        (label, cols[~frozen_w[cols]]) for label, cols in blocks["w"]
+        if not frozen_w[cols].all()
+    ]
     raw = {"a": a, "t": t, "w": v}  # each kind's raw variables, updated in place
     # Block state kept for the whole fit: each step block sliced once, its
     # current x - t, and the feature matrix z.  Only an accepted step of a
@@ -391,28 +404,27 @@ def fit(
     for outer in range(1, config.max_outer_iters + 1):
         f_start = f_cur
         for kind in config.optimize_over:
-            for label, cols in blocks[kind]:
-                # Per kind: the block's indices into raw[kind], the block
-                # gradient, the projection, and evaluate(x) -> (scores,
+            for label, idx in blocks[kind]:
+                # Per kind: the block gradient g, the projection (None for
+                # the unconstrained log-weights), and evaluate(x) -> (scores,
                 # objective, moved) with the block set to x and the rest held
                 # fixed; moved is the state an accepted x writes back: the
                 # block's (w, prior) for log-weights, its (diff, z) otherwise.
+                dl = design.loss_derivative(s_full)
                 if kind == "w":
-                    idx = cols[~frozen_w[cols]]
-                    if idx.size == 0:
-                        continue
-                    # a C-ordered gather, the layout z_matrix gives, keeps
-                    # the products below bit-identical to it
+                    # A C-ordered gather, the layout z_matrix gives, keeps
+                    # the products below bit-identical to it: the strided
+                    # view Z[:, lo:hi] changes the fit's trajectory.  It is
+                    # not cached: when slopes or thresholds move too, each
+                    # accepted step of theirs rewrites the block's columns
+                    # between two log-weight passes, so a cache would hit
+                    # only after their stalls.
                     zsub = np.take(Z, idx, axis=1)
-                    g = _log_weight_gradient(
-                        design, s_full, v, w_cur, zsub, idx, mu, lam
-                    )
+                    g = _log_weight_gradient(dl, v, w_cur, zsub, idx, mu, lam)
                     if not g.any():
                         continue
                     s_base = s_full - zsub @ w_cur[idx]
-
-                    def project(x):
-                        return x
+                    project = None
 
                     def evaluate(x):
                         v_try = v.copy()
@@ -424,32 +436,30 @@ def fit(
 
                 else:
                     # A trial recomputes only what it moves: z for a slope
-                    # trial, diff and z for a threshold trial.  z0 is a
-                    # column gather, F-ordered like the block's own z.
+                    # trial, diff and z for a threshold trial, each z from
+                    # the negated product (-a) * diff.  z0 is a column
+                    # gather, F-ordered like the block's own z.
                     block = step_blocks[label]
-                    a_cols = a[cols]
                     diff = diffs[label]
                     z0 = Z[:, block.wcol]
                     sp = z0 * (1.0 - z0)
-                    dl = design.loss_derivative(s_full)
                     if kind == "a":
-                        idx = cols
                         g = block.slope_gradient(dl, diff, sp, w_cur)
                         project = project_slopes
 
                         def moved_by(x):
-                            return diff, block.z(x * diff)
+                            return diff, block.z(-x * diff)
 
                     else:
-                        idx = all_t
                         g = block.threshold_gradient(dl, sp, a, w_cur)
+                        neg_a = -a[block.sel]
 
                         def project(x):
                             return project_thresholds(x, d)
 
                         def moved_by(x):
                             diff_x = block.diff(x)
-                            return diff_x, block.z(a_cols * diff_x)
+                            return diff_x, block.z(neg_a * diff_x)
 
                     if not g.any():
                         continue
@@ -461,24 +471,23 @@ def fit(
                         s = s_base + moved[1] @ coefs
                         return s, design.nll_of_scores(s) + prior_cache, moved
 
-                x0, dvec = raw[kind][idx], -g
                 last = []  # the last trial point and its evaluation
 
                 def trial(x):
                     last[:] = [x, evaluate(x)]
                     return last[1][1]
 
-                h = backtracking_step(trial, x0, f_cur, dvec)
+                h = backtracking_step(trial, raw[kind][idx], f_cur, -g)
                 if h == 0.0:
                     stalls += 1
                     continue
-                x_new = project(x0 + h * dvec)
-                # the search stops at the trial it accepts: reuse its value
-                # when the projection left that point unchanged
-                if np.array_equal(x_new, last[0]):
-                    s_new, f_new, moved = last[1]
-                else:
-                    s_new, f_new, moved = evaluate(x_new)
+                # the search stops at the trial it accepts: keep that point
+                # and its value unless the projection moves the point
+                x_new, (s_new, f_new, moved) = last
+                if project is not None:
+                    x_new = project(last[0])
+                    if not (x_new == last[0]).all():
+                        s_new, f_new, moved = evaluate(x_new)
                 if not f_new < f_cur:
                     stalls += 1
                     continue
@@ -497,7 +506,7 @@ def fit(
 
     params = ScoreParameters(d, a, t, w_cur)
     trace = FitTrace(
-        steps=tuple(steps),
+        steps=steps,
         initial_objective=f_init,
         final_objective=f_cur,
         outer_iterations=outer,

@@ -56,6 +56,25 @@ def test_cross_validation_calls_every_traced_kernel():
     assert {name: tracer.calls(name) for name in names if not tracer.calls(name)} == {}
 
 
+def test_every_line_search_ends_in_a_step_or_a_stall():
+    """``optimizer.line_searches`` counts ``backtracking_step`` calls, and a
+    fit searches only the blocks with a nonzero gradient, each search ending
+    in one accepted step or one stall; the count must keep that meaning."""
+    tracer_module = _tracer_module()
+    cohort, _, _ = preset_cohort("pediatric_icu", n=90, seed=4)
+    design = CohortDesign(cohort, preset("pediatric_icu").definition())
+    config = OptimizerConfig(optimize_over=("a", "t", "w"), max_outer_iters=20)
+    tracer = tracer_module.Tracer()
+    tracer.install(softscore)
+    try:
+        _, trace = softscore.optimizer.fit(design, config)
+    finally:
+        tracer.uninstall()
+    assert trace.steps
+    searches = tracer.calls("optimizer.backtracking_step")
+    assert searches == len(trace.steps) + trace.stall_count
+
+
 def _traced(name, *args, **kwargs):
     """Call ``softscore.evaluation.<name>`` with the benchmark's tracer
     installed; return the tracer and the result."""

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,8 +20,9 @@ from helpers import (
 )
 from softscore.design import CohortDesign, _StepBlock, hard_scores, soft_scores
 from softscore.errors import ValidationError
-from softscore.model import ScoreParameters, hard_score
+from softscore.model import DOWN, UP, ScoreParameters, hard_score
 from softscore.numerics import log1pexp, sigmoid
+from softscore.optimizer import OptimizerConfig, fit, objective
 
 OUT_OF_BAND = "age {} months falls outside every age band of feature 'hr_max:step0'"
 
@@ -295,7 +296,7 @@ def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max
     for cols in column_sets:
         block = _StepBlock(design, cols)
         diff = design.step_diff(t, cols)
-        z0 = block.z(a[cols] * diff)
+        z0 = block.z(-a[cols] * diff)
         sp = z0 * (1.0 - z0)
         dl = design.loss_derivative(s)
         np.testing.assert_array_equal(z0, direct_step_z(design, a, t, cols))
@@ -306,11 +307,11 @@ def test_block_step_kernels_are_bit_identical(seed, n_records, missing_rate, max
 
         a_try = a.copy()
         a_try[cols] = rng.uniform(0.0, max_slope, size=cols.size)
-        z = block.z(a_try[cols] * diff)  # a slope trial
+        z = block.z(-a_try[cols] * diff)  # a slope trial
         np.testing.assert_array_equal(z, design.step_z(a_try, t)[:, cols])
         np.testing.assert_array_equal(z, direct_step_z(design, a_try, t, cols))
         t_try = t + rng.normal(size=t.size)
-        z = block.z(a[cols] * block.diff(t_try))  # a threshold trial
+        z = block.z(-a[cols] * block.diff(t_try))  # a threshold trial
         np.testing.assert_array_equal(z, design.step_z(a, t_try)[:, cols])
         np.testing.assert_array_equal(z, direct_step_z(design, a, t_try, cols))
 
@@ -329,12 +330,53 @@ def test_block_without_threshold_slices_serves_the_slope_kernels():
         slim = _StepBlock(design, cols, thresholds=False)
         assert slim.x is None and slim.t_index is None
         diff = design.step_diff(t, cols)
-        z = full.z(a[cols] * diff)
-        assert slim.z(a[cols] * diff).tobytes() == z.tobytes()
+        z = full.z(-a[cols] * diff)
+        assert slim.z(-a[cols] * diff).tobytes() == z.tobytes()
         sp = z * (1.0 - z)
         assert slim.slope_gradient(dl, diff, sp, w).tobytes() == (
             full.slope_gradient(dl, diff, sp, w).tobytes()
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    missing_rate=st.sampled_from((0.0, 0.3)),
+    a_init=st.sampled_from((0.01, 1e3)),
+)
+def test_block_z_branches_give_the_generic_bits(seed, missing_rate, a_init):
+    """`_StepBlock.z` picks its branch from the block's step direction.  On
+    all-up, all-down and mixed blocks, with slopes steep enough that some
+    |a (x - t)| > 500 meets the clip, it gives the bits of the generic
+    where(observed, where(up, s, 1 - s), 0); a fit started from steep or
+    shallow slopes still reports `objective` at the parameters it returns."""
+    rng = np.random.default_rng(seed)
+    d, p, cohort = random_instance(
+        rng, n_records=30, missing_rate=missing_rate, max_slope=1e4
+    )
+    design = CohortDesign(cohort, d)
+    up = design.step_up
+    assume(up.any() and not up.all())  # a mixed block needs both directions
+    a, t = p.slopes, p.thresholds
+    assert (np.abs(a * design.step_diff(t, np.arange(d.n_slopes))) > 500).any()
+    blocks = {
+        UP: np.flatnonzero(up), DOWN: np.flatnonzero(~up),
+        None: rng.permutation(d.n_slopes),
+    }
+    for direction, cols in blocks.items():
+        block = _StepBlock(design, cols)
+        assert block.direction == direction
+        diff = block.diff(t)
+        s = sigmoid(a[cols] * diff)
+        want = np.where(block.observed, np.where(block.up, s, 1.0 - s), 0.0)
+        assert block.z(-a[cols] * diff).tobytes() == want.tobytes()
+
+    cfg = OptimizerConfig(optimize_over=("a", "t", "w"), a_init=a_init,
+                          max_outer_iters=5)
+    params, trace = fit(design, cfg)
+    assert trace.final_objective == pytest.approx(
+        objective(params, design, cfg), rel=1e-12
+    )
 
 
 def test_sigmoid_clips_its_exponent_with_the_bits_of_np_clip():

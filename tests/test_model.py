@@ -421,6 +421,18 @@ class TestCohort:
         with pytest.raises(ValidationError, match="unique"):
             Cohort(ids, [1, 2, 3], [1, -1, 1], ("x", "x"), np.zeros((3, 2)))
 
+    def test_ids_must_be_strings(self):
+        """The writers quote ids as text, so a non-string id is rejected on
+        construction, naming the first one."""
+        with pytest.raises(ValidationError, match=r"^cohort id 2 is not a string$"):
+            Cohort(["a", 2, 3], [3, 4, 5], [1, -1, 1], ["x"], [[0.5], [1.5], [2.5]])
+
+    def test_variable_names_must_be_strings(self):
+        with pytest.raises(
+            ValidationError, match=r"^cohort variable name 7 is not a string$"
+        ):
+            Cohort(["a"], [3], [1], ["x", 7, None], [[0.5, 1.5, 2.5]])
+
     def test_equality_compares_every_column(self):
         def make(**change):
             columns = dict(ids=("a",), ages=[3], outcomes=[1], variables=("x",),

@@ -1,10 +1,11 @@
-"""The logistic kernels `log1pexp` and `sigmoid` against numpy's reference forms."""
+"""The logistic kernels `log1pexp`, `sigmoid` and `sigmoid_neg` against numpy's
+reference forms."""
 import warnings
 
 import numpy as np
 import pytest
 
-from softscore.numerics import log1pexp, sigmoid
+from softscore.numerics import log1pexp, sigmoid, sigmoid_neg
 
 EDGES = [0.0, 5e-324, 36.7, 709.0, 745.0, 1e308, np.inf]
 
@@ -46,7 +47,26 @@ class TestLog1pexp:
         assert np.isnan(scalar)
 
 
-@pytest.mark.parametrize("kernel", [log1pexp, sigmoid])
+class TestSigmoidNeg:
+    def test_bits_equal_sigmoid_of_the_negation(self):
+        """Negation is exact and the clip at +-500 is symmetric, so the
+        negated-argument kernel gives sigmoid's bits, the clipped reference
+        form 1 / (1 + exp(-clip(x))), at both signed zeros, at the clip and
+        around it, past exp's overflow at 709.78, at +-inf and at NaN of
+        either sign."""
+        edges = [0.0, 499.5, np.nextafter(500.0, 0.0), 500.0,
+                 np.nextafter(500.0, np.inf), 500.5, 709.0, 709.79, 710.0,
+                 745.2, 1e308, np.inf, np.nan]
+        x = np.array(edges + [-e for e in edges])
+        assert np.signbit(x[np.isnan(x)]).tolist() == [False, True]
+        want = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        assert sigmoid_neg(-x).tobytes() == want.tobytes()
+        assert sigmoid(x).tobytes() == want.tobytes()
+        for xi, wi in zip(x, want):
+            assert sigmoid_neg(-xi).tobytes() == wi.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [log1pexp, sigmoid, sigmoid_neg])
 class TestKernelContract:
     def test_scalar_input_gives_a_scalar(self, kernel):
         for x in (3.0, -2, np.float64(0.5), np.array(-7.5)):

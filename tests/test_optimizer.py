@@ -795,8 +795,9 @@ class TestFitPinned:
     feature is never observed (so its weight stays frozen).  On the preset's
     outcomes the isotonic projection moves thresholds across age bands; with
     the outcomes reversed, slopes are projected back to zero and searches
-    stall.  The adult case pins the a,w fit of the default ``adult_icu``
-    cohort.
+    stall.  The pediatric default case pins the fit the benchmark's
+    ``pediatric_cv`` runs; the adult cases pin the a,w fit of the default
+    ``adult_icu`` cohort and a capped w,t,a fit of it.
     """
 
     @pytest.mark.parametrize(
@@ -824,6 +825,22 @@ class TestFitPinned:
         assert trace.stall_count == stalls
         assert hashlib.sha256(sequence.encode()).hexdigest() == sequence_sha256
         assert any("pupils_fixed" in w for w in trace.warnings)
+
+    def test_pediatric_default_fit_matches_recorded_fit(self):
+        """The benchmark's own fit: a,t,w in the default order on the default
+        ``pediatric_icu`` cohort (n=217), which runs to the 500-cycle cap."""
+        cohort, _, _ = preset_cohort("pediatric_icu")
+        design = CohortDesign(cohort, preset("pediatric_icu").definition())
+        _, trace = fit(design, OptimizerConfig(optimize_over=("a", "t", "w")))
+        sequence = "\n".join(f"{s.kind} {s.block}" for s in trace.steps)
+        assert trace.final_objective.hex() == "0x1.18d20c04d8ac1p+7"
+        assert trace.final_objective == 140.41024794716762
+        assert len(trace.steps) == 9497
+        assert trace.stall_count == 3
+        assert trace.outer_iterations == 500 and trace.stopped_at_cap
+        assert hashlib.sha256(sequence.encode()).hexdigest() == (
+            "05efd24962c4afb676b287410cda6c3646bfe528b09331707318e078b7ec9027"
+        )
 
     def test_adult_slope_and_weight_fit_matches_recorded_fit(self):
         """The paper's adult protocol: a,w on the default ``adult_icu`` cohort
