@@ -5,7 +5,8 @@ The ROC table has one row per distinct score (ties grouped into a single
 cutoff) plus a sentinel cutoff of +inf where nothing is predicted positive.
 AUC is the trapezoidal area of that curve, which equals the Mann-Whitney
 pair-count with half credit for ties.  A report, pooled or per fold, reads
-AUC, Youden's J and the precision-recall balance from one ROC pass.
+AUC, Youden's J and the precision-recall balance from one ROC pass.  Every
+entry rejects a score or probability that is not finite, naming its position.
 """
 from __future__ import annotations
 
@@ -88,13 +89,21 @@ class EvaluationReport:
 # ----------------------------------------------------------------------
 
 
-def _check_scores_labels(scores, labels, require_both_classes=True):
+def _check_finite(values: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"{name} at position {i} is not finite ({values[i]})")
+
+
+def _check_scores_labels(scores, labels, require_both_classes=True, name="score"):
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.ndim != 1 or y.shape != s.shape:
         raise ValidationError("scores and labels must be 1-d and equally long")
     if s.size == 0:
         raise ValidationError("empty score list")
+    _check_finite(s, name)
     if not np.all(np.isin(y, (-1, 1))):
         raise ValidationError("labels must be -1 or +1")
     y = y.astype(int)
@@ -159,8 +168,10 @@ def _cutoff_metrics(
 
 def brier(probabilities, labels) -> float:
     """Mean squared error between probabilities and 0/1 outcomes."""
-    p, y = _check_scores_labels(probabilities, labels, require_both_classes=False)
-    if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
+    p, y = _check_scores_labels(
+        probabilities, labels, require_both_classes=False, name="probability"
+    )
+    if np.any(p < 0) or np.any(p > 1):
         raise ValidationError("probabilities must lie in [0, 1]")
     c = (y + 1) / 2.0
     return float(np.mean((p - c) ** 2))
@@ -253,6 +264,7 @@ def evaluate_subgroup(
     mask = np.asarray(mask, dtype=bool)
     if not (outcomes.size == s.size == p.size == mask.size):
         raise ValidationError("labels, scores, probabilities and mask must align")
+    _check_finite(s, "score")
     if not mask.any():
         raise ValidationError("subgroup is empty")
     y = outcomes[mask]
@@ -336,18 +348,6 @@ def _fit_inherited_fold(f: int) -> _FoldFit:
     return _fit_fold(*_inherited, f)
 
 
-def _settled(task, f: int):
-    """A finished future holding fold ``f``'s fit or the exception it raised."""
-    from concurrent.futures import Future
-
-    future = Future()
-    try:
-        future.set_result(_fit_fold(*task, f))
-    except Exception as exc:  # raised when the folds are read in order
-        future.set_exception(exc)
-    return future
-
-
 def _available_cores() -> int:
     """Cores this process may run on; 1 where the count or fork is missing."""
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
@@ -364,16 +364,14 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     """Every fold's fit, in fold order.
 
     With n = ``fold_workers(k)``, this process fits the folds f with
-    f mod n = 0, back to back, while n - 1 workers forked from it take the
-    others one at a time.  The workers inherit the design instead of
-    unpickling it, so only fold numbers and results cross between processes.
-    With n = 1 no process starts.  A fold's arithmetic does not depend on the
-    process that runs it, so neither do the results; reading the folds in
-    order raises the exception of the lowest failing fold, the one a serial
-    loop would meet first.  So this process stops at its first failing fold,
-    which no later fold can precede, and, before each of its folds, at any
-    finished worker fold below it that raised; the folds still queued for
-    the workers are dropped once a fold raises.
+    f mod n = 0 while n - 1 workers forked from it take the others.  The
+    workers inherit the design instead of unpickling it, so only fold numbers
+    and results cross between processes; with n = 1 no process starts.  A
+    fold's arithmetic does not depend on the process that runs it, so neither
+    do the results.  The folds are read in order, this process fitting each of
+    its own as it comes to it, so the lowest failing fold raises, as in a
+    serial loop, and this process starts no fold above a failed one; the folds
+    still queued for the workers are then dropped.
     """
     n = fold_workers(k)
     task = (design, config, assignment)
@@ -387,17 +385,7 @@ def _fit_folds(design, config, assignment, k: int) -> list[_FoldFit]:
     )
     try:
         futures = {f: pool.submit(_fit_inherited_fold, f) for f in range(k) if f % n}
-        for f in range(0, k, n):
-            if any(
-                futures[g].done() and futures[g].exception() is not None
-                for g in range(f)
-                if g % n
-            ):
-                break
-            futures[f] = _settled(task, f)
-            if futures[f].exception() is not None:
-                break
-        return [futures[f].result() for f in range(k)]
+        return [futures[f].result() if f % n else _fit_fold(*task, f) for f in range(k)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -432,7 +420,6 @@ def cross_validate(
     n = design.n
     scores = np.empty(n)
     probs = np.empty(n)
-    fold_of = np.empty(n, dtype=np.int64)
     fold_rows: list[FoldMetrics] = []
     for f, fold_fit in enumerate(fits):
         idx = np.flatnonzero(assignment == f)
@@ -440,7 +427,6 @@ def cross_validate(
         p_test = platt_probabilities(s_test, *fold_fit.platt)
         scores[idx] = s_test
         probs[idx] = p_test
-        fold_of[idx] = f
         if folds == "loo":
             continue
         y_test = labels[idx]
@@ -479,4 +465,4 @@ def cross_validate(
         platt=pooled_platt,
         folds=tuple(fold_rows),
     )
-    return report, (design.ids, fold_of, scores, probs, labels)
+    return report, (design.ids, assignment, scores, probs, labels)

@@ -231,9 +231,6 @@ class ScoreDefinition:
             if isinstance(f, FeatureStep):
                 steps_by_var.setdefault(f.variable.name, []).append(f)
         for var, steps in steps_by_var.items():
-            idx = [s.step_index for s in steps]
-            if len(set(idx)) != len(idx):
-                raise ValidationError(f"variable {var!r}: duplicate step_index")
             band_sets = {frozenset(s.thresholds) for s in steps}
             if len(band_sets) != 1:
                 raise ValidationError(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ class OptimizerConfig:
         return mu
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One accepted block update."""
 
     outer_iteration: int

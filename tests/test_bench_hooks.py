@@ -9,6 +9,7 @@ import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 import softscore
 import softscore.cli  # noqa: F401  (binds softscore.cli, which the tracer wraps)
@@ -37,10 +38,13 @@ def test_every_traced_design_method_is_defined_on_the_class():
         assert attr in CohortDesign.__dict__, attr
 
 
-def test_cross_validation_calls_every_traced_kernel():
+@pytest.mark.parametrize("cores", [1, 2], ids=["1-core", "2-cores"])
+def test_cross_validation_calls_every_traced_kernel(monkeypatch, cores):
     """A traced a,t,w cross-validation reaches every wrapped design method and
     optimizer function, so no per-layer metric of the benchmark reads 0
-    because the code stopped calling the name it wraps."""
+    because the code stopped calling the name it wraps.  The tracer sees only
+    this process, so with worker processes it must still fit folds here."""
+    monkeypatch.setattr("softscore.evaluation._available_cores", lambda: cores)
     tracer_module = _tracer_module()
     cohort, _, _ = preset_cohort("pediatric_icu", n=90, seed=4)
     d = preset("pediatric_icu").definition()

@@ -204,6 +204,40 @@ class TestCutoffSearch:
         assert value == 1.0 and cutoff == 4.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        roc_and_auc,
+        youden,
+        prec_rec_balance,
+        platt_scale,
+        evaluate_scores,
+        lambda s, y: evaluate_subgroup(y, s, np.full(6, 0.5), np.ones(6, bool)),
+    ],
+    ids=[
+        "roc_and_auc",
+        "youden",
+        "prec_rec_balance",
+        "platt_scale",
+        "evaluate_scores",
+        "evaluate_subgroup",
+    ],
+)
+def test_non_finite_scores_are_rejected_at_their_position(entry, bad):
+    scores = np.array([0.1, bad, 0.5, 0.9, bad, 0.7])
+    message = rf"^score at position 1 is not finite \({bad}\)$"
+    with pytest.raises(ValidationError, match=message):
+        entry(scores, np.array([-1, 1, -1, 1, -1, 1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_probabilities_are_rejected_at_their_position(bad):
+    message = rf"^probability at position 2 is not finite \({bad}\)$"
+    with pytest.raises(ValidationError, match=message):
+        brier(np.array([0.2, 0.5, bad]), np.array([1, -1, 1]))
+
+
 class TestBrier:
     def test_constant_half_is_quarter(self):
         y = np.array([1, -1, 1, -1, -1])
@@ -401,6 +435,13 @@ class TestEvaluateSubgroup:
         assert sub.youden_j == pooled.youden_j
         assert sub.subgroup == "all"
         assert sub.platt is None
+
+    def test_misaligned_arrays_rejected(self):
+        cohort, scores, probs = self._cohort_scores()
+        y = np.array([r.outcome for r in cohort])
+        message = "^labels, scores, probabilities and mask must align$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate_subgroup(y, scores, probs[:-1], np.ones(60, bool))
 
     def test_empty_subgroup_rejected(self):
         cohort, scores, probs = self._cohort_scores()
@@ -798,6 +839,31 @@ class TestParallelFolds:
         monkeypatch.setattr("softscore.evaluation.fit", logged_fit)
         with pytest.raises(NumericError, match="^fold 1 failed$"):
             self._cv(monkeypatch, 3, design, self.cfg, "loo")
+        pids = [int(line) for line in fits.read_text(encoding="utf-8").split()]
+        assert pids.count(parent) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_late_failing_worker_fold_stops_the_parent_at_its_next_fold(
+        self, monkeypatch, design, tmp_path
+    ):
+        """With fold 1 of a leave-one-out run failing in the one worker after
+        this process has finished fold 0, this process waits for fold 1 and
+        raises its error before fitting fold 2."""
+        fits = tmp_path / "fits"  # one line per fit call, from every process
+        parent = os.getpid()
+        real_fit = fit
+
+        def late_failing_fit(train, config):
+            with open(fits, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if design.ids[1] not in train.ids:  # fold 1 holds record 1
+                time.sleep(0.5)
+                raise NumericError("fold 1 failed")
+            return real_fit(train, config)
+
+        monkeypatch.setattr("softscore.evaluation.fit", late_failing_fit)
+        with pytest.raises(NumericError, match="^fold 1 failed$"):
+            self._cv(monkeypatch, 2, design, self.cfg, "loo")
         pids = [int(line) for line in fits.read_text(encoding="utf-8").split()]
         assert pids.count(parent) == 1
         assert multiprocessing.active_children() == []

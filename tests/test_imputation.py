@@ -196,6 +196,19 @@ class TestImputeBasics:
         out = rows_of(impute(cohort, method))
         assert all(r.value("x") == 7.0 for r in out)
 
+    @pytest.mark.parametrize(
+        "method",
+        [
+            ImputationMethod.mean(),
+            ImputationMethod.knn(k=1),
+            ImputationMethod("normal", normal_values={"x": 0.0}),
+        ],
+        ids=["mean", "knn", "normal"],
+    )
+    def test_empty_cohort_rejected(self, method):
+        with pytest.raises(ValidationError, match="^cohort is empty$"):
+            impute(cohort_of([]), method)
+
     def test_k_beyond_available_neighbors_rejected(self):
         cohort = cohort_of([rec("a", {"x": 1.0}), rec("b", {"x": None})])
         with pytest.raises(ValidationError):

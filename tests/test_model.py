@@ -182,6 +182,92 @@ class TestScoreDefinition:
         assert chains == {(0, 2): UP, (1, 3): UP}
 
 
+_X = RawVariable("x", MAX_VALUED)
+_FLAG = RawVariable("flag", BINARY)
+_STEP = FeatureStep(_X, 0, {"all": 1.0}, initial_weight=1.0)
+_YOUNG, _OLD = AgeBand("young", 0, 120), AgeBand("old", 120, 1200)
+
+
+def _steps(*thresholds):
+    return tuple(
+        FeatureStep(_X, i, t, initial_weight=1.0) for i, t in enumerate(thresholds)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RawVariable("", MAX_VALUED), ValidationError,
+         "variable name must be non-empty"),
+        (lambda: AgeBand("", 0, 12), ValidationError,
+         "age band label must be non-empty"),
+        (lambda: FeatureStep(_X, -1, {"all": 1.0}, initial_weight=1.0),
+         ValidationError, "feature 'x': step_index must be >= 0"),
+        (lambda: FeatureStep(_X, 0, {}, initial_weight=1.0), ValidationError,
+         "feature 'x': thresholds must be non-empty"),
+        (lambda: FeatureStep(_X, 0, {"all": 1.0}, initial_weight=1.0, or_group=""),
+         ValidationError, "or_group label must be non-empty when present"),
+        (lambda: BinaryFeature(_FLAG, initial_weight=0.0), ValidationError,
+         "feature 'flag': initial_weight must be positive"),
+        (lambda: BinaryFeature(_FLAG, initial_weight=1.0, or_group=""),
+         ValidationError, "or_group label must be non-empty when present"),
+        (lambda: ScoreDefinition("", (_X,), (_STEP,), (BAND_ALL,)),
+         ValidationError, "score definition needs a name"),
+        (lambda: ScoreDefinition("s", (_X,), (), (BAND_ALL,)), ValidationError,
+         "score definition needs at least one feature"),
+        (lambda: ScoreDefinition("s", (_X, _X), (_STEP,), (BAND_ALL,)),
+         ValidationError, "variable names must be unique"),
+        (lambda: ScoreDefinition("s", (_X,), (_STEP,), (BAND_ALL, BAND_ALL)),
+         ValidationError, "age band labels must be unique"),
+        (lambda: ScoreDefinition("s", (_X,), _steps({"young": 1.0}), (BAND_ALL,)),
+         ValidationError, "feature 'x:step0': unknown age band 'young'"),
+        (lambda: ScoreDefinition("s", (_X,), (_STEP, _STEP), (BAND_ALL,)),
+         ValidationError, r"feature keys must be unique \(variable, step_index\)"),
+        (lambda: ScoreDefinition(
+            "s", (_X,), _steps({"all": 1.0}, {"young": 2.0, "old": 2.0}),
+            (BAND_ALL, _YOUNG, _OLD),
+        ), ValidationError, "variable 'x': all steps must use the same age-band set"),
+        (lambda: ScoreDefinition("s", (_X,), _steps({"young": 1.0}), (_YOUNG, _OLD)),
+         ValidationError, "variable 'x': age bands must cover ages up to 1200"),
+        (lambda: ScoreParameters(
+            mixed_definition(), np.ones(3), np.zeros(2), np.ones(4)
+        ), ContractViolation, r"thresholds: expected shape \(3,\), got \(2,\)"),
+        (lambda: ScoreParameters(
+            mixed_definition(), np.ones(3), np.zeros(3), np.ones(5)
+        ), ContractViolation, r"weights: expected shape \(4,\), got \(5,\)"),
+        (lambda: ScoreParameters(
+            mixed_definition(), np.ones(3), np.array([math.nan, 5.0, 8.0]), np.ones(4)
+        ), ContractViolation, "thresholds must be finite"),
+        (lambda: ScoreParameters.initial(mixed_definition(), a_init=0.0),
+         ValidationError, "a_init must be positive"),
+    ],
+    ids=[
+        "empty-variable-name",
+        "empty-band-label",
+        "negative-step-index",
+        "no-thresholds",
+        "empty-step-or-group",
+        "zero-binary-weight",
+        "empty-binary-or-group",
+        "no-definition-name",
+        "no-features",
+        "duplicate-variable",
+        "duplicate-band",
+        "unknown-band",
+        "duplicate-step-index",
+        "differing-band-sets",
+        "bands-short-of-top-age",
+        "threshold-shape",
+        "weight-shape",
+        "non-finite-threshold",
+        "non-positive-a-init",
+    ],
+)
+def test_invalid_model_inputs_raise_their_own_message(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 class TestScoreParameters:
     def test_initial_uses_table_values(self):
         d = mixed_definition()

@@ -75,6 +75,8 @@ class TestOptimizerConfig:
             OptimizerConfig(a_init=0.0)
         with pytest.raises(ValidationError):
             OptimizerConfig(rel_tol=0.0)
+        with pytest.raises(ValidationError, match="^max_outer_iters must be >= 1$"):
+            OptimizerConfig(max_outer_iters=0)
 
     def test_mu_vector(self):
         cfg = OptimizerConfig(prior_mu=0.5)
@@ -756,6 +758,32 @@ class TestFit:
         assert counts["z_matrix"] == 1
         assert counts["step_diff"] == n_step_blocks
         assert counts["_StepBlock"] <= 2 * n_step_blocks + 2
+
+    def test_searches_without_a_step_stall_at_the_initial_parameters(
+        self, monkeypatch
+    ):
+        searches = []
+
+        def no_step(f, x0, f0, direction):
+            searches.append(f0)
+            return 0.0
+
+        monkeypatch.setattr("softscore.optimizer.backtracking_step", no_step)
+        d, _, cohort = random_instance(np.random.default_rng(107), n_records=30)
+        design = CohortDesign(cohort, d)
+        cfg = OptimizerConfig(optimize_over=("a", "t", "w"))
+        params, trace = fit(design, cfg)
+        init = ScoreParameters.initial(d, cfg.a_init)
+        for got, want in zip(
+            (params.slopes, params.thresholds, params.weights),
+            (init.slopes, init.thresholds, init.weights),
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert trace.steps == ()
+        assert len(searches) > 0 and trace.stall_count == len(searches)
+        assert trace.outer_iterations == 1
+        assert trace.final_objective == trace.initial_objective
+        assert trace.final_objective == objective(params, design, cfg)
 
     def test_converges_by_tolerance_on_easy_instance(self):
         d = binary_only_definition(weight=2.0)
