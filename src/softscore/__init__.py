@@ -56,12 +56,9 @@ from .optimizer import (
     FitTrace,
     OptimizerConfig,
     TraceStep,
-    backtracking_step,
     fit,
     objective,
     objective_gradient,
-    project_slopes,
-    project_thresholds,
 )
 from .evaluation import (
     EvaluationReport,
@@ -70,7 +67,6 @@ from .evaluation import (
     brier,
     cross_validate,
     evaluate_scores,
-    evaluate_subgroup,
     platt_probabilities,
     platt_scale,
     prec_rec_balance,
@@ -115,11 +111,9 @@ __all__ = [
     "ValidationError",
     "ValueDistribution",
     "__version__",
-    "backtracking_step",
     "brier",
     "cross_validate",
     "evaluate_scores",
-    "evaluate_subgroup",
     "fit",
     "generate",
     "hard_score",
@@ -131,8 +125,6 @@ __all__ = [
     "platt_probabilities",
     "platt_scale",
     "prec_rec_balance",
-    "project_slopes",
-    "project_thresholds",
     "roc_and_auc",
     "soft_scores",
     "stratified_fold_assignment",

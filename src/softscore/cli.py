@@ -38,7 +38,6 @@ from .errors import NumericError, ValidationError
 from .evaluation import (
     cross_validate,
     evaluate_scores,
-    evaluate_subgroup,
     fold_workers,
     platt_probabilities,
 )
@@ -185,9 +184,10 @@ def _parse_folds(folds: str):
         ) from None
 
 
-def _band_mask(definition, spec: str, ages):
+def _band_mask(definition, spec: str, cohort):
     """The records of age band ``spec`` (``age:LABEL``) as a boolean mask
-    over ``ages``, and the subgroup label."""
+    over the cohort's records, and the subgroup label; the band must hold
+    records of both outcome classes."""
     if ":" not in spec:
         raise ValidationError(
             f"--filter: expected age:BAND_LABEL, got {spec!r}"
@@ -201,7 +201,12 @@ def _band_mask(definition, spec: str, ages):
         raise ValidationError(
             f"--filter: unknown age band {label!r}; known bands: {known}"
         )
-    mask = (ages >= band.min_age_months) & (ages < band.max_age_months)
+    mask = (cohort.ages >= band.min_age_months) & (cohort.ages < band.max_age_months)
+    if not mask.any():
+        raise ValidationError("subgroup is empty")
+    y = cohort.outcomes[mask]
+    if not (np.any(y == 1) and np.any(y == -1)):
+        raise ValidationError("subgroup contains a single outcome class")
     return mask, f"age:{label}"
 
 
@@ -372,9 +377,12 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
         report = evaluate_scores(scores, cohort.outcomes)
         probabilities = platt_probabilities(scores, *report.platt)
         if filter_spec is not None:
-            mask, label = _band_mask(definition, filter_spec, cohort.ages)
-            report = evaluate_subgroup(
-                cohort.outcomes, scores, probabilities, mask, label
+            mask, label = _band_mask(definition, filter_spec, cohort)
+            report = evaluate_scores(
+                scores[mask],
+                cohort.outcomes[mask],
+                probabilities=probabilities[mask],
+                subgroup=label,
             )
     with manifest.stage("write"):
         save_report(out, report)
@@ -462,11 +470,7 @@ def impute_cmd(cohort_path, method, k, score_def, out):
         manifest.add_input(cohort_path)
         manifest.add_input(score_def)
         cohort = load_cohort(cohort_path)
-        if method == "knn":
-            spec = ImputationMethod.knn(k)
-        elif method == "mean":
-            spec = ImputationMethod.mean()
-        elif method == "normal":
+        if method == "normal":
             if score_def is None:
                 raise ValidationError(
                     "--method normal requires --score-def for the normal values"
@@ -474,9 +478,7 @@ def impute_cmd(cohort_path, method, k, score_def, out):
             definition = load_score_definition(score_def)
             spec = ImputationMethod.normal_from_definition(definition)
         else:
-            raise ValidationError(
-                f"unknown imputation method {method!r}; expected knn, mean or normal"
-            )
+            spec = ImputationMethod(method, k=k)
     with manifest.stage("impute"):
         completed = impute(cohort, spec)
     with manifest.stage("write"):

@@ -29,7 +29,7 @@ from .numerics import log1pexp, sigmoid_neg
 
 # The per-record arrays of a design, in record order.
 _ROW_ARRAYS = (
-    "ages", "y", "neg_y", "step_x", "step_observed", "t_index", "bin_z", "bin_observed"
+    "y", "neg_y", "step_x", "step_observed", "t_index", "bin_z", "bin_observed"
 )
 
 
@@ -40,7 +40,6 @@ class CohortDesign:
     ----------
     n : number of records
     ids : (n,) record ids in cohort order
-    ages : (n,) ages in months
     y : (n,) outcomes in {-1, +1}
     neg_y : (n,) -y, the sign of the scores in the logistic loss
     step_x : (n, n_slopes) raw values of step features, NaN where missing
@@ -61,7 +60,6 @@ class CohortDesign:
         n = len(cohort)
         self.n = n
         self.ids = cohort.ids
-        self.ages = cohort.ages.astype(float)
         self.y = cohort.outcomes.astype(float)
         self.neg_y = -self.y
 
@@ -109,7 +107,7 @@ class CohortDesign:
         for j, fi in enumerate(d.step_feature_indices):
             pos = [m for m, (i, _) in enumerate(layout) if i == fi]
             starts = [d.band_by_label[layout[m][1]].min_age_months for m in pos]
-            t_index[:, j] = np.searchsorted(starts, self.ages, "right")
+            t_index[:, j] = np.searchsorted(starts, ages, "right")
             t_index[:, j] += pos[0] - 1
         return t_index
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -21,7 +22,7 @@ import numpy as np
 from .design import CohortDesign
 from .errors import NumericError, ValidationError
 from .numerics import logistic_newton, sigmoid_neg
-from .optimizer import FitTrace, OptimizerConfig, fit
+from .optimizer import FitTrace, OptimizerConfig, _number, fit
 
 logger = logging.getLogger("softscore")
 
@@ -209,6 +210,28 @@ def platt_probabilities(scores, a: float, b: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _split_metrics(s: np.ndarray, y: np.ndarray, p) -> tuple[Optional[RocCurve], dict]:
+    """The ROC table of one split and the metric fields of its report row.
+
+    AUC, Youden's J and the precision-recall balance, with their cutoffs, come
+    from one ROC pass; they and the table are None when ``y`` holds a single
+    class.  The Brier score is that of the probabilities ``p``.
+    """
+    curve = auc = j = j_cut = pr = pr_cut = None
+    if np.any(y == 1) and np.any(y == -1):
+        curve, auc = roc_and_auc(s, y)
+        (j, j_cut), (pr, pr_cut) = _cutoff_metrics(curve)
+    return curve, dict(
+        n_positive=int(np.sum(y == 1)),
+        auc=auc,
+        youden_j=j,
+        youden_cutoff=j_cut,
+        prec_rec_balance=pr,
+        prec_rec_cutoff=pr_cut,
+        brier=brier(p, y),
+    )
+
+
 def evaluate_scores(
     scores,
     labels,
@@ -227,51 +250,9 @@ def evaluate_scores(
         if platt is None:
             platt = platt_scale(s, y)
         probabilities = platt_probabilities(s, *platt)
-    curve, auc = roc_and_auc(s, y)
-    (j, j_cut), (pr, pr_cut) = _cutoff_metrics(curve)
+    curve, fields = _split_metrics(s, y, probabilities)
     return EvaluationReport(
-        n=int(s.size),
-        n_positive=int(np.sum(y == 1)),
-        auc=auc,
-        youden_j=j,
-        youden_cutoff=j_cut,
-        prec_rec_balance=pr,
-        prec_rec_cutoff=pr_cut,
-        brier=brier(probabilities, y),
-        platt=platt,
-        roc=curve,
-        folds=folds,
-        subgroup=subgroup,
-    )
-
-
-def evaluate_subgroup(
-    labels,
-    scores,
-    probabilities,
-    mask,
-    label: Optional[str] = None,
-) -> EvaluationReport:
-    """Metrics recomputed on the records selected by the boolean ``mask``,
-    without any refitting.
-
-    ``labels``, ``scores``, ``probabilities`` and ``mask`` must align;
-    probabilities are reused as-is, so the report's Platt field is empty.
-    """
-    outcomes = np.asarray(labels)
-    s = np.asarray(scores, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if not (outcomes.size == s.size == p.size == mask.size):
-        raise ValidationError("labels, scores, probabilities and mask must align")
-    _check_finite(s, "score")
-    if not mask.any():
-        raise ValidationError("subgroup is empty")
-    y = outcomes[mask]
-    if not (np.any(y == 1) and np.any(y == -1)):
-        raise ValidationError("subgroup contains a single outcome class")
-    return evaluate_scores(
-        s[mask], y, probabilities=p[mask], platt=None, subgroup=label
+        n=int(s.size), platt=platt, roc=curve, folds=folds, subgroup=subgroup, **fields
     )
 
 
@@ -303,8 +284,11 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
     """Fold ids and count.  Two records per class are necessary and enough
     for every training split to keep both classes: a stratified draw deals
     each class's records to distinct folds before it reuses one."""
+    seed = _number("fold seed", seed, numbers.Integral)
     if seed < 0:
         raise ValidationError(f"fold seed must be >= 0, got {seed}")
+    if folds != "loo":
+        folds = _number("fold count", folds, numbers.Integral)
     y = np.asarray(labels)
     if np.sum(y == 1) < 2 or np.sum(y == -1) < 2:
         raise ValidationError(
@@ -312,8 +296,7 @@ def _fold_assignment(labels, folds, seed: int) -> tuple[np.ndarray, int]:
         )
     if folds == "loo":
         return np.arange(y.size, dtype=np.int64), y.size
-    k = int(folds)
-    return stratified_fold_assignment(y, k, np.random.default_rng(seed)), k
+    return stratified_fold_assignment(y, folds, np.random.default_rng(seed)), folds
 
 
 class _FoldFit(NamedTuple):
@@ -397,8 +380,8 @@ def cross_validate(
 
     ``design`` lays out the whole cohort; every split is a row slice of it
     (``CohortDesign.take``), so no record is read twice.  ``folds`` is "loo"
-    or a fold count for stratified k-fold, with folds drawn from ``seed``.
-    Folds are fitted in up to one process per available core
+    or an integer fold count for stratified k-fold, with folds drawn from
+    ``seed``.  Folds are fitted in up to one process per available core
     (``fold_workers``); the results do not depend on how many.  Platt
     coefficients are fitted within each training split and produce the
     held-out probabilities; pooled metrics are computed over all held-out
@@ -410,8 +393,8 @@ def cross_validate(
 
     Returns the report and the held-out columns in record order, as
     ``save_scores`` takes them: ids, fold, score, probability and label.
-    Deterministic given (design, config, folds, seed); ``seed`` must be
-    non-negative.
+    Deterministic given (design, config, folds, seed); ``seed`` must be a
+    non-negative integer.
     """
     labels = design.y.astype(int)
     assignment, k = _fold_assignment(labels, folds, seed)
@@ -429,28 +412,16 @@ def cross_validate(
         probs[idx] = p_test
         if folds == "loo":
             continue
-        y_test = labels[idx]
-        single_class = not (np.any(y_test == 1) and np.any(y_test == -1))
-        if single_class:
-            auc = j = j_cut = pr = pr_cut = None
-        else:
-            curve, auc = roc_and_auc(s_test, y_test)
-            (j, j_cut), (pr, pr_cut) = _cutoff_metrics(curve)
+        _, fields = _split_metrics(s_test, labels[idx], p_test)
         fold_rows.append(
             FoldMetrics(
                 fold=f,
                 n_test=int(idx.size),
-                n_positive=int(np.sum(y_test == 1)),
-                auc=auc,
-                youden_j=j,
-                youden_cutoff=j_cut,
-                prec_rec_balance=pr,
-                prec_rec_cutoff=pr_cut,
-                brier=brier(p_test, y_test),
                 platt=fold_fit.platt,
                 outer_iterations=fold_fit.trace.outer_iterations,
                 converged_reason=fold_fit.trace.converged_reason,
                 stall_count=fold_fit.trace.stall_count,
+                **fields,
             )
         )
 

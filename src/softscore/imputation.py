@@ -51,7 +51,9 @@ class ImputationMethod:
 
     def __post_init__(self):
         if self.kind not in (KNN, MEAN, NORMAL):
-            raise ValidationError(f"unknown imputation method {self.kind!r}")
+            raise ValidationError(
+                f"unknown imputation method {self.kind!r}; expected knn, mean or normal"
+            )
         if self.kind == KNN:
             object.__setattr__(self, "k", _number("k", self.k, numbers.Integral))
             if self.k < 1:

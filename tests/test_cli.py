@@ -517,6 +517,26 @@ class TestEvaluate:
         assert "only 'age'" in result.output
         result = run_fail(base + ["--filter", "child"], 1)
         assert "expected age:BAND_LABEL" in result.output
+        # no neonate at all, and infants of one outcome class only
+        run_ok(["presets", "--name", "pediatric_icu", "--out-dir", tmp_path])
+        ages = [24, 36, 60, 100, 3, 6]
+        outcomes = [1, -1, 1, -1, -1, -1]
+        path = tmp_path / "bands.csv"
+        save_cohort(path, cohort_of(
+            rec(f"r{i}", {"gcs_min": 3.0 + i}, age=age, outcome=y)
+            for i, (age, y) in enumerate(zip(ages, outcomes))
+        ))
+        base = [
+            "evaluate",
+            "--cohort", path,
+            "--score-def", tmp_path / "pediatric_icu.definition.json",
+            "--out", tmp_path / "r.json",
+        ]
+        result = run_fail(base + ["--filter", "age:neonate"], 1)
+        assert result.stderr == "error: subgroup is empty\n"
+        result = run_fail(base + ["--filter", "age:infant"], 1)
+        assert result.stderr == "error: subgroup contains a single outcome class\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_age_outside_every_band_exits_one(self, ws, tmp_path):
         """Soft and hard scoring both reject an age outside every band, also
@@ -923,7 +943,9 @@ class TestImpute:
             ],
             1,
         )
-        assert "unknown imputation method 'median'" in result.output
+        assert result.stderr == (
+            "error: unknown imputation method 'median'; expected knn, mean or normal\n"
+        )
 
 
 class TestManifests:

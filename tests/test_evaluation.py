@@ -5,6 +5,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 
@@ -23,7 +24,6 @@ from softscore.evaluation import (
     brier,
     cross_validate,
     evaluate_scores,
-    evaluate_subgroup,
     platt_probabilities,
     platt_scale,
     prec_rec_balance,
@@ -213,7 +213,6 @@ class TestCutoffSearch:
         prec_rec_balance,
         platt_scale,
         evaluate_scores,
-        lambda s, y: evaluate_subgroup(y, s, np.full(6, 0.5), np.ones(6, bool)),
     ],
     ids=[
         "roc_and_auc",
@@ -221,7 +220,6 @@ class TestCutoffSearch:
         "prec_rec_balance",
         "platt_scale",
         "evaluate_scores",
-        "evaluate_subgroup",
     ],
 )
 def test_non_finite_scores_are_rejected_at_their_position(entry, bad):
@@ -408,6 +406,9 @@ class TestEvaluateScores:
 
 
 class TestEvaluateSubgroup:
+    """A subgroup report (``evaluate --filter``) is ``evaluate_scores`` on the
+    band's records; the CLI tests cover the band checks."""
+
     def _cohort_scores(self):
         rng = np.random.default_rng(173)
         cohort = []
@@ -424,36 +425,6 @@ class TestEvaluateSubgroup:
             for r, y in zip(cohort, y_all)
         ]
         return cohort, scores, probs
-
-    def test_everyone_predicate_matches_pooled(self):
-        cohort, scores, probs = self._cohort_scores()
-        y = np.array([r.outcome for r in cohort])
-        pooled = evaluate_scores(scores, y, probabilities=probs)
-        sub = evaluate_subgroup(y, scores, probs, np.ones(60, bool), label="all")
-        assert sub.auc == pooled.auc
-        assert sub.brier == pooled.brier
-        assert sub.youden_j == pooled.youden_j
-        assert sub.subgroup == "all"
-        assert sub.platt is None
-
-    def test_misaligned_arrays_rejected(self):
-        cohort, scores, probs = self._cohort_scores()
-        y = np.array([r.outcome for r in cohort])
-        message = "^labels, scores, probabilities and mask must align$"
-        with pytest.raises(ValidationError, match=message):
-            evaluate_subgroup(y, scores, probs[:-1], np.ones(60, bool))
-
-    def test_empty_subgroup_rejected(self):
-        cohort, scores, probs = self._cohort_scores()
-        y = np.array([r.outcome for r in cohort])
-        with pytest.raises(ValidationError):
-            evaluate_subgroup(y, scores, probs, np.zeros(60, bool))
-
-    def test_single_class_subgroup_rejected(self):
-        cohort, scores, probs = self._cohort_scores()
-        y = np.array([r.outcome for r in cohort])
-        with pytest.raises(ValidationError):
-            evaluate_subgroup(y, scores, probs, y == 1)
 
     def test_disjoint_subgroup_confusions_sum_to_pooled(self):
         cohort, scores, probs = self._cohort_scores()
@@ -673,6 +644,37 @@ class TestCrossValidate:
             cross_validate(
                 CohortDesign(self.cohort, self.d), self.cfg, folds=folds, seed=-1
             )
+
+    @pytest.mark.parametrize(
+        "folds, seed, message",
+        [
+            (3.7, 0, "fold count must be an integer, got 3.7"),
+            ("3", 0, "fold count must be an integer, got '3'"),
+            ("ten", 0, "fold count must be an integer, got 'ten'"),
+            (True, 0, "fold count must be an integer, got True"),
+            (4, 1.5, "fold seed must be an integer, got 1.5"),
+            (4, True, "fold seed must be an integer, got True"),
+            ("loo", "1", "fold seed must be an integer, got '1'"),
+        ],
+    )
+    def test_fold_count_and_seed_must_be_integers(
+        self, monkeypatch, folds, seed, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr("softscore.evaluation.fit", no_fit)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            cross_validate(
+                CohortDesign(self.cohort, self.d), self.cfg, folds=folds, seed=seed
+            )
+
+    def test_numpy_integer_fold_count_and_seed_are_accepted(self):
+        args = (CohortDesign(self.cohort, self.d), self.cfg)
+        report, columns = cross_validate(*args, folds=np.int64(4), seed=np.int32(3))
+        again, columns_again = cross_validate(*args, folds=4, seed=3)
+        assert scored_rows(columns) == scored_rows(columns_again)
+        assert report.folds == again.folds
 
     def test_kfold_needs_two_per_class_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):

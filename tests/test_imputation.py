@@ -99,7 +99,8 @@ def random_missing_cohort(rng, n=15, always_observed="anchor"):
 
 class TestImputationMethod:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
+        message = "^unknown imputation method 'median'; expected knn, mean or normal$"
+        with pytest.raises(ValidationError, match=message):
             ImputationMethod("median")
 
     def test_knn_needs_positive_k(self):
