@@ -140,16 +140,19 @@ class _Manifest:
         log.info("wrote manifest %s", path)
 
 
-def _load(manifest, cohort_path, score_def, other_input):
+def _load_definition(manifest, cohort_path, score_def, other_input):
     """Hash the cohort, definition and one more input (None for none) into
-    the manifest, then read the definition and the cohort and validate the
-    cohort against it.  Returns (definition, cohort)."""
+    the manifest, then read the definition."""
     for path in (cohort_path, score_def, other_input):
         manifest.add_input(path)
-    definition = load_score_definition(score_def)
+    return load_score_definition(score_def)
+
+
+def _load_cohort(cohort_path, definition):
+    """Read the cohort and validate it against the definition."""
     cohort = load_cohort(cohort_path)
     validate_cohort(cohort, definition)
-    return definition, cohort
+    return cohort
 
 
 def _optimizer_config(config_path, optimize, definition) -> OptimizerConfig:
@@ -184,10 +187,8 @@ def _parse_folds(folds: str):
         ) from None
 
 
-def _band_mask(definition, spec: str, cohort):
-    """The records of age band ``spec`` (``age:LABEL``) as a boolean mask
-    over the cohort's records, and the subgroup label; the band must hold
-    records of both outcome classes."""
+def _filter_band(definition, spec: str):
+    """The age band that ``spec`` (``age:LABEL``) names."""
     if ":" not in spec:
         raise ValidationError(
             f"--filter: expected age:BAND_LABEL, got {spec!r}"
@@ -201,13 +202,19 @@ def _band_mask(definition, spec: str, cohort):
         raise ValidationError(
             f"--filter: unknown age band {label!r}; known bands: {known}"
         )
+    return band
+
+
+def _band_mask(band, cohort):
+    """The records of ``band`` as a boolean mask over the cohort's records;
+    the band must hold records of both outcome classes."""
     mask = (cohort.ages >= band.min_age_months) & (cohort.ages < band.max_age_months)
     if not mask.any():
         raise ValidationError("subgroup is empty")
     y = cohort.outcomes[mask]
     if not (np.any(y == 1) and np.any(y == -1)):
         raise ValidationError("subgroup contains a single outcome class")
-    return mask, f"age:{label}"
+    return mask
 
 
 _ARGV_KEY = "softscore.argv"
@@ -328,7 +335,8 @@ def fit_cmd(cohort_path, score_def, out, optimize, config_path):
     """Fit score parameters to a cohort."""
     manifest = _Manifest("fit", (out,))
     with manifest.stage("load"):
-        definition, cohort = _load(manifest, cohort_path, score_def, config_path)
+        definition = _load_definition(manifest, cohort_path, score_def, config_path)
+        cohort = _load_cohort(cohort_path, definition)
         config = _optimizer_config(config_path, optimize, definition)
     with manifest.stage("design"):
         design = CohortDesign(cohort, definition)
@@ -367,7 +375,10 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
     """Evaluate soft (fitted) or hard (table) scores on a cohort."""
     manifest = _Manifest("evaluate", (out, scores_path))
     with manifest.stage("load"):
-        definition, cohort = _load(manifest, cohort_path, score_def, fitted_path)
+        definition = _load_definition(manifest, cohort_path, score_def, fitted_path)
+        band = None if filter_spec is None else _filter_band(definition, filter_spec)
+        cohort = _load_cohort(cohort_path, definition)
+        mask = None if band is None else _band_mask(band, cohort)
         params = None if fitted_path is None else load_fitted(fitted_path, definition)
     with manifest.stage("score"):
         if params is None:
@@ -376,13 +387,12 @@ def evaluate_cmd(cohort_path, score_def, fitted_path, out, scores_path, filter_s
             scores = soft_scores(cohort, definition, params)
         report = evaluate_scores(scores, cohort.outcomes)
         probabilities = platt_probabilities(scores, *report.platt)
-        if filter_spec is not None:
-            mask, label = _band_mask(definition, filter_spec, cohort)
+        if band is not None:
             report = evaluate_scores(
                 scores[mask],
                 cohort.outcomes[mask],
                 probabilities=probabilities[mask],
-                subgroup=label,
+                subgroup=f"age:{band.label}",
             )
     with manifest.stage("write"):
         save_report(out, report)
@@ -428,7 +438,8 @@ def cv_cmd(
     """Cross-validate a fitted score on held-out folds."""
     manifest = _Manifest("cv", (out, scores_path))
     with manifest.stage("load"):
-        definition, cohort = _load(manifest, cohort_path, score_def, config_path)
+        definition = _load_definition(manifest, cohort_path, score_def, config_path)
+        cohort = _load_cohort(cohort_path, definition)
         config = _optimizer_config(config_path, optimize, definition)
     manifest.seed = seed
     with manifest.stage("design"):

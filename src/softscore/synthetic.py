@@ -5,13 +5,25 @@ integer age uniform within the band, raw values from per-variable (optionally
 per-band) distributions clamped to the physiological range, then MCAR masking
 at a fixed rate.  The outcome is Bernoulli in the mortality probability of
 the masked record under the true parameters, so masking happens before the
-generative score sees the data.  All draws come from one seeded numpy
-default_rng (PCG64) stream in a fixed order: per subject band, age, values,
-and mask, then one outcome uniform per subject.
+generative score sees the data.
+
+All draws come from one seeded numpy default_rng (PCG64) stream in a fixed
+order: per subject one uniform for the band (the first band whose cumulative
+probability, in sorted label order, exceeds it), ``integers(min_age,
+max_age)`` for the age, one draw per variable in definition order, and
+``random(m)`` for the mask of its m values; then one outcome uniform per
+subject.  A normal value is ``mean + sd * standard_normal()`` and a uniform
+one ``lo + (hi - lo) * random()``, which is how numpy computes
+``normal(mean, sd)`` and ``uniform(lo, hi)``; a bernoulli value is 1 when
+``random() < p``.  Each band's draw rules are resolved once before the loop.
+Clamping and masking touch no random number, so they run after the loop as
+one pass per column: a clamped value takes the nearer bound of the range,
+and a cell is missing when its mask uniform is below the missing rate.
 """
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -62,13 +74,6 @@ class ValueDistribution:
     @classmethod
     def bernoulli(cls, p: float) -> "ValueDistribution":
         return cls(BERNOULLI, float(p))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.kind == NORMAL:
-            return float(rng.normal(self.p1, self.p2))
-        if self.kind == UNIFORM:
-            return float(rng.uniform(self.p1, self.p2))
-        return 1.0 if rng.random() < self.p1 else 0.0
 
 
 DistributionSpec = Union[ValueDistribution, Mapping[str, ValueDistribution]]
@@ -144,6 +149,22 @@ class GeneratorConfig:
         return spec[band_label]
 
 
+def _band_plans(config: GeneratorConfig, band_labels: list[str]) -> list[tuple]:
+    """Per band, in ``band_labels`` order: ``(min_age, max_age, draws)`` with
+    one ``(kind, offset, scale)`` per variable, (mean, sd) for a normal law,
+    (lo, hi - lo) for a uniform one and p first for a bernoulli one."""
+    plans = []
+    for label in band_labels:
+        draws = []
+        for v in config.definition.variables:
+            dist = config.distribution_for(v.name, label)
+            scale = dist.p2 - dist.p1 if dist.kind == UNIFORM else dist.p2
+            draws.append((dist.kind, dist.p1, scale))
+        band = config.definition.band_by_label[label]
+        plans.append((band.min_age_months, band.max_age_months, tuple(draws)))
+    return plans
+
+
 def generate(config: GeneratorConfig) -> tuple[Cohort, np.ndarray]:
     """Draw the cohort and return it with the true mortality probabilities.
 
@@ -152,28 +173,44 @@ def generate(config: GeneratorConfig) -> tuple[Cohort, np.ndarray]:
     sampling noise.
     """
     d = config.definition
+    n, m = config.n, len(d.variables)
     rng = np.random.default_rng(config.seed)
+    random, integers, standard_normal = rng.random, rng.integers, rng.standard_normal
     band_labels = sorted(config.age_distribution)
-    cum = np.cumsum([config.age_distribution[lab] for lab in band_labels])
-    clamped: dict[str, int] = {}
+    cum = np.cumsum([config.age_distribution[lab] for lab in band_labels]).tolist()
+    plans = _band_plans(config, band_labels)
+    last = len(plans) - 1
 
-    ages = np.empty(config.n, dtype=np.int64)
-    values = np.empty((config.n, len(d.variables)))
-    for i in range(config.n):
-        pick = int(np.searchsorted(cum, rng.random(), side="right"))
-        band = d.band_by_label[band_labels[min(pick, len(band_labels) - 1)]]
-        ages[i] = rng.integers(band.min_age_months, band.max_age_months)
+    ages = np.empty(n, dtype=np.int64)
+    values = np.empty((n, m))
+    uniforms = np.empty((n, m))  # each cell masked when below missing_rate
+    for i in range(n):
+        lo, hi, draws = plans[min(bisect_right(cum, random()), last)]
+        ages[i] = integers(lo, hi)
         row = values[i]
-        for j, v in enumerate(d.variables):
-            raw = config.distribution_for(v.name, band.label).sample(rng)
-            if v.kind != BINARY:
-                lo, hi = v.physiological_range
-                bounded = min(max(raw, lo), hi)
-                if bounded != raw:
-                    clamped[v.name] = clamped.get(v.name, 0) + 1
-                raw = bounded
-            row[j] = raw
-        row[rng.random(len(d.variables)) < config.missing_rate] = np.nan
+        for j, (kind, offset, scale) in enumerate(draws):
+            if kind == NORMAL:
+                row[j] = offset + scale * standard_normal()
+            elif kind == UNIFORM:
+                row[j] = offset + scale * random()
+            else:
+                row[j] = 1.0 if random() < offset else 0.0
+        random(out=uniforms[i])
+
+    clamped: dict[str, int] = {}
+    for j, v in enumerate(d.variables):
+        if v.kind == BINARY:
+            continue
+        lo, hi = v.physiological_range
+        column = values[:, j]
+        below, above = column < lo, column > hi
+        column[below] = lo
+        column[above] = hi
+        count = np.count_nonzero(below) + np.count_nonzero(above)
+        if count:
+            clamped[v.name] = int(count)
+    values[uniforms < config.missing_rate] = np.nan
+    del uniforms  # freed before the design build, which sets the peak
 
     for name, count in sorted(clamped.items()):
         logger.warning(

@@ -6,11 +6,13 @@ Records are built test-side as `Row` tuples (``rec``) and turned into a
 per-record oracles."""
 from __future__ import annotations
 
+import logging
 import math
 from collections import namedtuple
 
 import numpy as np
 
+from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.model import (
     BINARY,
@@ -26,6 +28,7 @@ from softscore.model import (
     ScoreParameters,
 )
 from softscore.numerics import sigmoid
+from softscore.synthetic import NORMAL, UNIFORM
 
 BAND_ALL = AgeBand("all", 0, 1200)
 
@@ -307,3 +310,63 @@ def reference_hard_score(record, definition):
         else:
             total += f.initial_weight
     return total + sum(group_best.values())
+
+
+# ----------------------------------------------------------------------
+# reference generator: one draw, one clamp and one cell at a time
+# ----------------------------------------------------------------------
+
+
+def reference_draw(dist, rng):
+    """One raw value of ``dist`` through numpy's own distribution calls."""
+    if dist.kind == NORMAL:
+        return float(rng.normal(dist.p1, dist.p2))
+    if dist.kind == UNIFORM:
+        return float(rng.uniform(dist.p1, dist.p2))
+    return 1.0 if rng.random() < dist.p1 else 0.0
+
+
+def reference_generate(config):
+    """`synthetic.generate` subject by subject: band, age, each value drawn,
+    clamped and written, then the row's mask; clamp warnings after the loop
+    in variable-name order; then the outcome uniforms."""
+    d = config.definition
+    rng = np.random.default_rng(config.seed)
+    band_labels = sorted(config.age_distribution)
+    cum = np.cumsum([config.age_distribution[lab] for lab in band_labels])
+    clamped = {}
+
+    ages = np.empty(config.n, dtype=np.int64)
+    values = np.empty((config.n, len(d.variables)))
+    for i in range(config.n):
+        pick = int(np.searchsorted(cum, rng.random(), side="right"))
+        band = d.band_by_label[band_labels[min(pick, len(band_labels) - 1)]]
+        ages[i] = rng.integers(band.min_age_months, band.max_age_months)
+        row = values[i]
+        for j, v in enumerate(d.variables):
+            raw = reference_draw(config.distribution_for(v.name, band.label), rng)
+            if v.kind != BINARY:
+                lo, hi = v.physiological_range
+                bounded = min(max(raw, lo), hi)
+                if bounded != raw:
+                    clamped[v.name] = clamped.get(v.name, 0) + 1
+                raw = bounded
+            row[j] = raw
+        row[rng.random(len(d.variables)) < config.missing_rate] = np.nan
+
+    for name, count in sorted(clamped.items()):
+        logging.getLogger("softscore").warning(
+            "variable %r: %d draws clamped to the physiological range", name, count
+        )
+
+    ids = [f"sim-{i:06d}" for i in range(config.n)]
+    variables = [v.name for v in d.variables]
+    provisional = Cohort(ids, ages, np.ones(config.n, np.int64), variables, values)
+    s = CohortDesign(provisional, d).scores(
+        config.true_params.slopes,
+        config.true_params.thresholds,
+        config.true_params.weights,
+    )
+    probabilities = sigmoid(config.intercept + s)
+    outcomes = np.where(rng.random(config.n) < probabilities, 1, -1)
+    return Cohort(ids, ages, outcomes, variables, values), probabilities

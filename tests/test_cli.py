@@ -504,7 +504,16 @@ class TestEvaluate:
                 "--out", report, "--filter", "age:child"])
         assert read_json(report)["pooled"]["n"] == 4
 
-    def test_filter_errors(self, ws, tmp_path):
+    def test_filter_errors(self, ws, tmp_path, monkeypatch):
+        """A malformed spec fails before anything is scored or evaluated."""
+        import softscore.cli
+
+        evaluations = []
+        evaluate_scores = softscore.cli.evaluate_scores
+        monkeypatch.setattr(
+            softscore.cli, "evaluate_scores",
+            lambda *a, **k: evaluations.append(1) or evaluate_scores(*a, **k),
+        )
         base = [
             "evaluate",
             "--cohort", ws["cohort"],
@@ -517,6 +526,7 @@ class TestEvaluate:
         assert "only 'age'" in result.output
         result = run_fail(base + ["--filter", "child"], 1)
         assert "expected age:BAND_LABEL" in result.output
+        assert evaluations == []
         # no neonate at all, and infants of one outcome class only
         run_ok(["presets", "--name", "pediatric_icu", "--out-dir", tmp_path])
         ages = [24, 36, 60, 100, 3, 6]
@@ -1133,13 +1143,17 @@ class TestTopLevel:
 
 class TestOutputDigests:
     """Every non-manifest output of a small end-to-end sequence, pinned by its
-    SHA-256: the three presets, a simulated ``pediatric_icu`` cohort with its
-    truth, a capped a,t,w fit, soft, hard and filtered evaluates, a 3-fold cv,
+    SHA-256: the three presets, a simulated cohort with its truth for each
+    preset, a capped a,t,w fit, soft, hard and filtered evaluates, a 3-fold cv,
     and the three imputations.  Reruns matching each other cannot show bits
     that drift; these digests can.  A change that alters an output on purpose
     re-pins the digest here and says so in CHANGES.md."""
 
     DIGESTS = {
+        "adult_icu-cohort.csv":
+            "611dce490e3cdcb826ded6813254563308cbb3cc5ce6bb6deb420120e7133137",
+        "adult_icu-truth.csv":
+            "8a36e805d4ca3b6907cc57f247d3bfd8069d8283144b8bc72af820f879b18dae",
         "adult_icu.definition.json":
             "e00e5cbcb8e67f7f78db2305c3a18a8748fd7edef230571b95daef4e717ff0c2",
         "adult_icu.generator.json":
@@ -1150,6 +1164,10 @@ class TestOutputDigests:
             "06b0c43f3ec9f595786f1900b9ee128d61dbd1d1c569c30bfac472bab59b7733",
         "cv.json":
             "6def12f0cea5356cdf57a4411d327bd0e70074f91a4f8aad2ce6fb6098140568",
+        "demo-cohort.csv":
+            "7fbb2807294d2d5967d85e8a30e3bc54b8e6dc3689b8f73e3681e4f616c8f629",
+        "demo-truth.csv":
+            "42989d92b9b972c905160bca6b4215632e410777eae0464730424f9ed93ca2a0",
         "demo.definition.json":
             "9e9cf2ba69d947844b09c050fb8a57469b810e341aa3ac75d37f8fe46c2237f9",
         "demo.generator.json":
@@ -1200,6 +1218,11 @@ class TestOutputDigests:
                 "--generator", d / "pediatric_icu.generator.json",
                 "--out", d / "cohort.csv", "--truth", d / "truth.csv",
                 "--n", 120, "--seed", 11])
+        for name in ("adult_icu", "demo"):
+            run_ok(["simulate", "--score-def", d / f"{name}.definition.json",
+                    "--generator", d / f"{name}.generator.json",
+                    "--out", d / f"{name}-cohort.csv",
+                    "--truth", d / f"{name}-truth.csv", "--n", 300, "--seed", 3])
         run_ok(["fit", *data, "--out", d / "fitted.json",
                 "--config", d / "config.json"])
         for name, extra in [

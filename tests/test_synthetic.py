@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import BAND_ALL, reference_score, rows_of
+from helpers import BAND_ALL, reference_generate, reference_score, rows_of
 from softscore.design import CohortDesign
 from softscore.errors import ValidationError
 from softscore.evaluation import roc_and_auc
@@ -29,7 +31,14 @@ from softscore.presets import (
     preset,
     preset_cohort,
 )
-from softscore.synthetic import GeneratorConfig, ValueDistribution, generate
+from softscore.synthetic import (
+    BERNOULLI,
+    NORMAL,
+    UNIFORM,
+    GeneratorConfig,
+    ValueDistribution,
+    generate,
+)
 
 
 def tiny_definition():
@@ -77,12 +86,34 @@ class TestValueDistribution:
             ValueDistribution("poisson", 3.0)
 
     def test_sampling_ranges(self):
-        rng = np.random.default_rng(3)
-        uni = ValueDistribution.uniform(-2.0, 5.0)
-        assert all(-2.0 <= uni.sample(rng) < 5.0 for _ in range(200))
-        ber = ValueDistribution.bernoulli(0.5)
-        draws = {ber.sample(rng) for _ in range(50)}
-        assert draws == {0.0, 1.0}
+        x = RawVariable("x", MAX_VALUED, "", (-10.0, 10.0))
+        flag = RawVariable("flag", BINARY, "", (0.0, 1.0))
+        d = ScoreDefinition(
+            name="ranges",
+            variables=(x, flag),
+            features=(
+                FeatureStep(x, 0, {"all": 0.0}, initial_weight=1.0),
+                BinaryFeature(flag, initial_weight=1.0),
+            ),
+            age_bands=(BAND_ALL,),
+        )
+        cohort, _ = generate(
+            GeneratorConfig(
+                definition=d,
+                true_params=ScoreParameters.initial(d),
+                n=200,
+                seed=3,
+                intercept=0.0,
+                value_distributions={
+                    "x": ValueDistribution.uniform(-2.0, 5.0),
+                    "flag": ValueDistribution.bernoulli(0.5),
+                },
+                age_distribution={"all": 1.0},
+            )
+        )
+        drawn_x, drawn_flag = cohort.values.T
+        assert np.all((-2.0 <= drawn_x) & (drawn_x < 5.0))
+        assert set(drawn_flag.tolist()) == {0.0, 1.0}
 
 
 class TestGeneratorConfigValidation:
@@ -289,6 +320,116 @@ class TestGenerate:
             )
             _, oracle_auc = roc_and_auc(truth, labels)
             assert oracle_auc >= fitted_auc - 0.01
+
+
+_BAND_NAMES = ("west", "north", "east", "south")  # sorted order differs
+
+
+@st.composite
+def generator_configs(draw):
+    """A random valid `GeneratorConfig`: one to four contiguous age bands with
+    probabilities of 0 to 3 parts each, one to five variables (names not in
+    definition order) whose normal, uniform or bernoulli laws are shared or
+    set per band, physiological ranges that clamp many draws, and n from 1
+    to 300."""
+    n = draw(st.integers(1, 300))
+    n_bands = draw(st.integers(1, 4))
+    labels = draw(st.permutations(_BAND_NAMES))[:n_bands]
+    edges = sorted(draw(st.sets(st.integers(0, 1200), min_size=n_bands + 1,
+                                max_size=n_bands + 1)))
+    bands = tuple(AgeBand(*band) for band in zip(labels, edges, edges[1:]))
+    parts = draw(st.lists(st.integers(0, 3), min_size=n_bands,
+                          max_size=n_bands).filter(any))
+    age_distribution = {lab: p / sum(parts) for lab, p in zip(labels, parts)}
+
+    def law(kind):
+        if kind == BERNOULLI:
+            return ValueDistribution.bernoulli(draw(st.floats(0.0, 1.0)))
+        start = draw(st.floats(-60.0, 60.0))
+        spread = draw(st.floats(0.01, 40.0))
+        if kind == NORMAL:
+            return ValueDistribution.normal(start, spread)
+        return ValueDistribution.uniform(start, start + spread)
+
+    variables, features, laws = [], [], {}
+    kinds = draw(st.lists(st.sampled_from((NORMAL, UNIFORM, BERNOULLI)),
+                          min_size=1, max_size=5))
+    names = draw(st.permutations([f"v{k}" for k in range(len(kinds))]))
+    for name, kind in zip(names, kinds):
+        if kind == BERNOULLI:
+            v = RawVariable(name, BINARY, "", (0.0, 1.0))
+            features.append(BinaryFeature(v, initial_weight=1.0))
+        else:
+            lo = draw(st.floats(-50.0, 0.0))
+            hi = lo + draw(st.floats(1.0, 50.0))
+            v = RawVariable(name, MAX_VALUED, "", (lo, hi))
+            middle = {lab: (lo + hi) / 2 for lab in labels}
+            features.append(FeatureStep(v, 0, middle, initial_weight=1.0))
+        variables.append(v)
+        per_band = draw(st.booleans())
+        laws[v.name] = {lab: law(kind) for lab in labels} if per_band else law(kind)
+    d = ScoreDefinition(
+        name="random-generator",
+        variables=tuple(variables),
+        features=tuple(features),
+        age_bands=bands,
+    )
+    return GeneratorConfig(
+        definition=d,
+        true_params=ScoreParameters.initial(d, draw(st.floats(0.01, 3.0))),
+        n=n,
+        seed=draw(st.integers(0, 2**32)),
+        intercept=draw(st.floats(-3.0, 3.0)),
+        value_distributions=laws,
+        age_distribution=age_distribution,
+        missing_rate=draw(st.sampled_from((0.0, 0.05, 0.5))),
+    )
+
+
+def with_warnings(generator, config):
+    """``generator(config)`` and the text of the warnings it logged, in order."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("softscore")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        result = generator(config)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return result, [r.getMessage() for r in records]
+
+
+def assert_generated_like_the_reference(config):
+    (cohort, probabilities), warnings = with_warnings(generate, config)
+    (expected, expected_probabilities), expected_warnings = with_warnings(
+        reference_generate, config
+    )
+    assert warnings == expected_warnings
+    assert cohort.ids == expected.ids
+    assert cohort.ages.tobytes() == expected.ages.tobytes()
+    assert cohort.outcomes.tobytes() == expected.outcomes.tobytes()
+    assert cohort.values.tobytes() == expected.values.tobytes()
+    assert probabilities.tobytes() == expected_probabilities.tobytes()
+
+
+class TestGenerateMatchesTheReference:
+    """`generate` draws the same stream as a subject-by-subject loop through
+    numpy's normal and uniform calls, and clamps, masks and warns alike."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=generator_configs())
+    def test_random_configs(self, config):
+        assert_generated_like_the_reference(config)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("overrides", [{}, {"n": 20000, "seed": 1001}],
+                             ids=["default", "n20000-seed1001"])
+    def test_presets(self, name, overrides):
+        assert_generated_like_the_reference(preset(name).generator(**overrides))
 
 
 class TestPresets:
